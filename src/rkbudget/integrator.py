@@ -77,6 +77,30 @@ class NoiseSpec:
     def delta(self) -> float:
         return self.sigma / math.sqrt(self.n_shots)
 
+    def perturbations(self, rngs: Sequence[np.random.Generator], count: int, dim: int) -> tuple[np.ndarray, int]:
+        """Perturbations for ``count`` evaluations of a ``dim``-component field per stream.
+
+        Stream ``i`` draws its ``(count, dim)`` block in one call, which equals
+        ``count`` successive draws of ``dim`` components.  Returns the
+        ``(len(rngs), count, dim)`` block, clipped onto the delta sphere in
+        clipped mode, and the number of draws whose norm exceeded delta.
+        """
+        if dim < 1:
+            raise ValueError("noise needs a field value with at least one component; got a zero-dimensional one")
+        delta = self.delta
+        scale = delta * math.sqrt(self.eta / dim)
+        block = np.empty((len(rngs), count, dim))
+        for row, rng in zip(block, rngs):
+            row[...] = rng.normal(0.0, scale, size=(count, dim))
+        # Row norms as dot products, like np.linalg.norm of a single draw, so
+        # that a block and per-evaluation draws clip alike bit for bit.
+        norms = np.sqrt((block[..., None, :] @ block[..., :, None])[..., 0, 0])
+        over = norms > delta
+        exceeded = int(np.count_nonzero(over))
+        if exceeded and self.mode == "clipped-gaussian":
+            block[over] *= (delta / norms[over])[:, None]
+        return block, exceeded
+
     @classmethod
     def from_delta(cls, delta: float, eta: float = 0.05, mode: str = "clipped-gaussian") -> "NoiseSpec":
         """Build a spec with a given per-evaluation bound (one shot, sigma = delta)."""
@@ -112,16 +136,9 @@ class EvaluationOracle:
         value = np.asarray(self.f(tau, y), dtype=float)
         if self.noise is None:
             return value
-        delta = self.noise.delta
-        dim = value.size
-        scale = delta * math.sqrt(self.noise.eta / dim)
-        pert = self._rng.normal(0.0, scale, size=value.shape)
-        norm = float(np.linalg.norm(pert))
-        if norm > delta:
-            self.delta_exceedances += 1
-            if self.noise.mode == "clipped-gaussian":
-                pert *= delta / norm
-        return value + pert
+        pert, exceeded = self.noise.perturbations([self._rng], 1, value.size)
+        self.delta_exceedances += exceeded
+        return value + pert.reshape(value.shape)
 
 
 @dataclass(frozen=True)
@@ -149,18 +166,25 @@ class Trajectory:
 
 
 def rk_step(tableau, oracle: Callable, tau_n: float, y_n: np.ndarray, dt: float) -> np.ndarray:
-    """Advance one step: ``y + dt * sum_i b_i k_i`` with the staged recursion for ``k_i``."""
+    """Advance one step: ``y + dt * sum_i b_i k_i`` with the staged recursion for ``k_i``.
+
+    ``y_n`` is one state ``(dim,)`` or a batch ``(trials, dim)``; the oracle
+    receives stage states of the same shape.  Stage sums contract the
+    stages of a flat ``(stages, size)`` buffer, so a batch row is stepped by
+    the same arithmetic as a lone state, up to BLAS summation order.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     y_n = np.atleast_1d(np.asarray(y_n, dtype=float))
-    ks = np.empty((tableau.stages, y_n.size))
+    ks = np.empty((tableau.stages,) + y_n.shape)
+    flat = ks.reshape(tableau.stages, -1)
     for i in range(tableau.stages):
-        y_stage = y_n if i == 0 else y_n + dt * (tableau.a[i, :i] @ ks[:i])
-        k = np.atleast_1d(np.asarray(oracle(tau_n + tableau.c[i] * dt, y_stage), dtype=float))
+        y_stage = y_n if i == 0 else y_n + dt * (tableau.a[i, :i] @ flat[:i]).reshape(y_n.shape)
+        k = np.asarray(oracle(tau_n + tableau.c[i] * dt, y_stage), dtype=float)
         if not np.all(np.isfinite(k)):
             raise StepFailureError(f"non-finite field value at stage {i + 1}", stage=i + 1)
         ks[i] = k
-    return y_n + dt * (tableau.b @ ks)
+    return y_n + dt * (tableau.b @ flat).reshape(y_n.shape)
 
 
 def integrate(
@@ -171,7 +195,11 @@ def integrate(
     horizon: float,
     n_steps: int,
 ) -> Trajectory:
-    """Run ``n_steps`` fixed-size steps over ``[tau0, tau0 + horizon]``."""
+    """Run ``n_steps`` fixed-size steps over ``[tau0, tau0 + horizon]``.
+
+    ``y0`` is one state ``(dim,)`` or a batch ``(trials, dim)``; the
+    trajectory's states then have shape ``(n_steps + 1,) + y0.shape``.
+    """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     if horizon <= 0:
@@ -179,7 +207,7 @@ def integrate(
     dt = horizon / n_steps
     times = np.linspace(tau0, tau0 + horizon, n_steps + 1)
     y = np.atleast_1d(np.asarray(y0, dtype=float))
-    states = np.empty((n_steps + 1, y.size))
+    states = np.empty((n_steps + 1,) + y.shape)
     states[0] = y
     for n in range(n_steps):
         try:
@@ -226,6 +254,8 @@ def empirical_order(
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Render a trajectory as CSV with header ``step,tau,y_0,...,y_{dim-1}``."""
+    if traj.states.ndim != 2:
+        raise ValueError("trajectory_to_csv renders one trajectory; select a batch row with states[:, t]")
     dim = traj.states.shape[1]
     out = io.StringIO()
     out.write("step,tau," + ",".join(f"y_{i}" for i in range(dim)) + "\n")

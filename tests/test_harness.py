@@ -1,8 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from rkbudget import harness
+from rkbudget.bounds import global_error_bound_noisy
 from rkbudget.harness import (
     delta_to_shots,
     report_to_json,
@@ -10,7 +13,9 @@ from rkbudget.harness import (
     validate_noiseless_bound,
     validate_noisy_bound,
 )
-from rkbudget.tableaux import builtin_tableau
+from rkbudget.integrator import EvaluationOracle, NoiseSpec, integrate
+from rkbudget.scenarios import AnalyticProblem, exp_ode
+from rkbudget.tableaux import builtin_tableau, profile
 
 
 def test_shots_to_delta_reference_value():
@@ -110,7 +115,11 @@ def test_report_json_schema(classical):
         "seeds_sample",
     }
     assert payload["trials"] == 15
-    assert len(payload["seeds_sample"]) == 10
+    assert payload["seeds_sample"] == [[3, t] for t in range(10)]
+    short = validate_noisy_bound(classical, builtin_tableau("euler"), n_steps=20, delta=1e-4, trials=4, seed=3)
+    assert json.loads(report_to_json(short))["seeds_sample"] == [[3, t] for t in range(4)]
+    noiseless = validate_noiseless_bound(classical, builtin_tableau("euler"), [20])
+    assert json.loads(report_to_json(noiseless))["seeds_sample"] == []
     assert payload["config"]["method"] == "euler"
 
 
@@ -119,3 +128,99 @@ def test_realized_over_bound_stays_below_one_across_grid(classical):
     for n in (1, 10, 100, 1000):
         report = validate_noiseless_bound(classical, builtin_tableau("euler"), [n])
         assert report.worst_margin <= 1.0
+
+
+def per_trial_campaign(sc, tableau, n_steps, delta, trials, seed, mode, eta=0.05):
+    """Reference: the campaign run one trial at a time through a per-call oracle."""
+    problem = exp_ode()
+    bound = global_error_bound_noisy(sc.pb, profile(tableau, sc.error_const), n_steps, delta)
+    finals, evaluations, exceedances = [], 0, 0
+    for trial in range(trials):
+        noise = NoiseSpec.from_delta(delta, eta=eta, mode=mode)
+        oracle = EvaluationOracle(problem.field, noise=noise, rng=(seed, trial))
+        finals.append(integrate(tableau, oracle, problem.y0, 0.0, sc.pb.horizon, n_steps).final)
+        evaluations += oracle.evaluations
+        exceedances += oracle.delta_exceedances
+    realized = np.array([float(np.linalg.norm(y - problem.exact(sc.pb.horizon))) for y in finals])
+    return realized, bound, evaluations, exceedances, np.array(finals)
+
+
+@pytest.mark.parametrize("mode", ["clipped-gaussian", "gaussian"])
+@pytest.mark.parametrize("name", ["euler", "heun2", "kutta3", "rk4"])
+def test_batched_campaign_matches_per_trial_runs(classical, name, mode):
+    tableau = builtin_tableau(name)
+    # eta = 0.5 makes about a sixth of the draws exceed delta
+    report = validate_noisy_bound(classical, tableau, n_steps=50, delta=1e-2, trials=30, seed=8, mode=mode, eta=0.5)
+    realized, bound, evaluations, exceedances, finals = per_trial_campaign(
+        classical, tableau, 50, 1e-2, 30, 8, mode, eta=0.5
+    )
+    assert report.evaluations == evaluations == 30 * 50 * tableau.stages
+    assert report.delta_exceedances == exceedances > 0
+    assert report.violations == int(np.sum(realized > bound))
+    if name in ("euler", "heun2"):
+        assert report.worst_margin == max(0.0, *(realized / bound))
+    else:
+        # batch rows may move a few ulps of the final state (BLAS summation order)
+        slack = 1e-13 * float(np.max(np.abs(finals))) / bound
+        assert abs(report.worst_margin - max(realized / bound)) <= slack
+
+
+def test_noise_block_must_be_used_up(classical, monkeypatch):
+    def one_step_short(tableau, oracle, y0, tau0, horizon, n_steps):
+        return integrate(tableau, oracle, y0, tau0, horizon, n_steps - 1)
+
+    monkeypatch.setattr(harness, "integrate", one_step_short)
+    with pytest.raises(RuntimeError, match="noise block"):
+        validate_noisy_bound(classical, builtin_tableau("heun2"), n_steps=10, delta=1e-3, trials=3, seed=1)
+
+
+def test_noisy_campaign_rejects_negative_trials(classical):
+    with pytest.raises(ValueError, match="trials must be non-negative"):
+        validate_noisy_bound(classical, builtin_tableau("euler"), n_steps=10, delta=1e-3, trials=-5)
+    empty = validate_noisy_bound(classical, builtin_tableau("euler"), n_steps=10, delta=1e-3, trials=0)
+    assert (empty.trials, empty.evaluations, empty.worst_margin) == (0, 0, 0.0)
+
+
+def test_noisy_campaign_rejects_zero_dimensional_problem(classical):
+    problem = AnalyticProblem(field=lambda tau, y: 0.5 * y, exact=lambda tau: np.zeros(0), y0=np.zeros(0))
+    with pytest.raises(ValueError, match="zero-dimensional"):
+        validate_noisy_bound(classical, builtin_tableau("euler"), n_steps=10, delta=1e-3, trials=2, problem=problem)
+
+
+def poisson_interval(mean, alpha=1e-9):
+    """Central interval ``[lo, hi]`` holding a Poisson(mean) count with probability >= 1 - alpha."""
+    pmf, below, k, lo = math.exp(-mean), 0.0, 0, None
+    while True:
+        if lo is None and below + pmf > alpha / 2:
+            lo = k  # P(X < lo) <= alpha / 2
+        below += pmf
+        if 1.0 - below <= alpha / 2:
+            return lo, k  # P(X > k) <= alpha / 2
+        k += 1
+        pmf *= mean / k
+
+
+GAUSSIAN_TAIL = math.erfc(math.sqrt(1.0 / (2.0 * 0.05)))  # P(|pert| > delta) at d = 1, eta = 0.05
+
+
+def test_gaussian_exceedances_match_exact_tail(classical):
+    assert GAUSSIAN_TAIL == pytest.approx(7.74e-6, rel=1e-3)
+    report = validate_noisy_bound(
+        classical, builtin_tableau("euler"), n_steps=100, delta=1e-3, trials=10_000, seed=4, mode="gaussian", eta=0.05
+    )
+    assert report.evaluations == 1_000_000
+    # the expected count is 7.7, so lo is 0: at this size the check detects
+    # excess exceedances (a scale too large), not a shortfall
+    lo, hi = poisson_interval(GAUSSIAN_TAIL * report.evaluations)
+    assert lo <= report.delta_exceedances <= hi
+
+
+def test_exact_tail_check_catches_doubled_noise_scale(classical):
+    # eta = 0.2 draws at sqrt(0.2 / 0.05) = 2 times the eta = 0.05 scale against
+    # the same delta, so the exceedance rate rises to erfc(sqrt(1 / 0.4)) ~ 0.025
+    report = validate_noisy_bound(
+        classical, builtin_tableau("euler"), n_steps=100, delta=1e-3, trials=1000, seed=4, mode="gaussian", eta=0.2
+    )
+    lo, hi = poisson_interval(GAUSSIAN_TAIL * report.evaluations)
+    assert report.exceedance_rate == pytest.approx(math.erfc(math.sqrt(1.0 / 0.4)), rel=0.05)
+    assert not lo <= report.delta_exceedances <= hi

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from rkbudget.integrator import (
+    NOISE_MODES,
     DegenerateSlopeError,
     EvaluationOracle,
     NoiseSpec,
     StepFailureError,
+    Trajectory,
     empirical_order,
     integrate,
     rk_step,
@@ -115,6 +117,97 @@ def test_gaussian_mode_quantile_bound():
     assert np.quantile(norms, 1.0 - eta) <= delta
 
 
+def per_evaluation_draws(spec, rng, calls, dim):
+    """Reference: draw, clip and count one evaluation at a time."""
+    delta = spec.delta
+    scale = delta * math.sqrt(spec.eta / dim)
+    perts, exceeded = [], 0
+    for _ in range(calls):
+        pert = rng.normal(0.0, scale, size=dim)
+        norm = float(np.linalg.norm(pert))
+        if norm > delta:
+            exceeded += 1
+            if spec.mode == "clipped-gaussian":
+                pert *= delta / norm
+        perts.append(pert)
+    return np.array(perts), exceeded
+
+
+@pytest.mark.parametrize("mode", NOISE_MODES)
+@pytest.mark.parametrize("dim", [1, 3])
+def test_block_draw_equals_sequential_oracle_draws(dim, mode):
+    # eta = 0.5 makes 11-16% of the draws exceed delta, so clipping is exercised
+    spec = NoiseSpec(sigma=1e-2, eta=0.5, mode=mode)
+    oracle = EvaluationOracle(lambda tau, y: np.zeros(dim), noise=spec, rng=(9, 4))
+    sequential = np.array([oracle(0.0, np.zeros(dim)) for _ in range(400)])
+    reference, ref_exceeded = per_evaluation_draws(spec, np.random.default_rng((9, 4)), 400, dim)
+    block, exceeded = spec.perturbations([np.random.default_rng((9, 4))], 400, dim)
+    assert block.shape == (1, 400, dim)
+    assert block[0].tobytes() == sequential.tobytes() == reference.tobytes()
+    assert exceeded == oracle.delta_exceedances == ref_exceeded > 0
+
+
+def test_block_draw_keeps_streams_apart():
+    spec = NoiseSpec.from_delta(1e-3, eta=0.5)
+    block, exceeded = spec.perturbations([np.random.default_rng((2, t)) for t in range(3)], 50, 2)
+    for t in range(3):
+        alone, alone_exceeded = spec.perturbations([np.random.default_rng((2, t))], 50, 2)
+        assert block[t].tobytes() == alone[0].tobytes()
+        exceeded -= alone_exceeded
+    assert exceeded == 0
+
+
+def test_noise_rejects_zero_dimensional_field():
+    oracle = EvaluationOracle(lambda tau, y: np.zeros(0), noise=NoiseSpec.from_delta(1e-3), rng=1)
+    with pytest.raises(ValueError, match="zero-dimensional"):
+        oracle(0.0, np.zeros(0))
+    assert EvaluationOracle(lambda tau, y: np.zeros(0))(0.0, np.zeros(0)).shape == (0,)
+
+
+def wavy_field(tau, y):
+    return 0.5 * y - 0.1 * y**2 + math.sin(tau)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_METHODS))
+def test_batch_rows_match_lone_trajectories(name):
+    t = builtin_tableau(name)
+    y0 = np.array([[1.0], [0.3], [-2.5], [0.7]])
+    batch = integrate(t, EvaluationOracle(wavy_field), y0, 0.0, 2.0, 100)
+    assert batch.states.shape == (101, 4, 1)
+    for row in range(len(y0)):
+        alone = integrate(t, EvaluationOracle(wavy_field), y0[row], 0.0, 2.0, 100)
+        if name in ("euler", "heun2"):
+            np.testing.assert_array_equal(batch.states[:, row], alone.states)
+        else:
+            # the stage contraction over a wider buffer may sum in another
+            # BLAS order, which moves a few ulps over 100 steps
+            np.testing.assert_allclose(batch.states[:, row], alone.states, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_METHODS))
+def test_state_and_batch_of_one_agree(name):
+    t = builtin_tableau(name)
+    y0 = np.array([1.0, -0.5, 2.0])
+    lone = integrate(t, EvaluationOracle(wavy_field), y0, 0.0, 3.0, 40)
+    batch = integrate(t, EvaluationOracle(wavy_field), y0[None, :], 0.0, 3.0, 40)
+    assert lone.states.shape == (41, 3)
+    assert batch.states.shape == (41, 1, 3)
+    np.testing.assert_array_equal(batch.states[:, 0], lone.states)
+
+
+def test_non_finite_row_in_batch_aborts_with_index():
+    def exploding(tau, y):
+        out = half_field(tau, y)
+        if tau > 1.0:
+            out[2] = np.nan
+        return out
+
+    with pytest.raises(StepFailureError) as excinfo:
+        integrate(builtin_tableau("heun2"), EvaluationOracle(exploding), np.ones((4, 1)), 0.0, 5.0, 10)
+    assert excinfo.value.step == 3  # step 3 starts at 1.0; its second stage sits at 1.5
+    assert excinfo.value.stage == 2
+
+
 def test_noise_spec_validation():
     with pytest.raises(ValueError):
         NoiseSpec(sigma=0.0, eta=0.05)
@@ -171,3 +264,11 @@ def test_trajectory_csv_format():
     assert first[0] == "0"
     assert float(first[2]) == 1.0
     assert float(first[3]) == 2.0
+
+
+def test_trajectory_csv_rejects_a_batch():
+    traj = integrate(builtin_tableau("euler"), EvaluationOracle(half_field), np.ones((3, 2)), 0.0, 1.0, 2)
+    with pytest.raises(ValueError, match="one trajectory"):
+        trajectory_to_csv(traj)
+    row = trajectory_to_csv(Trajectory(times=traj.times, states=traj.states[:, 1]))
+    assert row.splitlines()[0] == "step,tau,y_0,y_1"
