@@ -52,7 +52,10 @@ class ProblemBounds:
 
     def __post_init__(self):
         for name in ("lip_state", "lip_time", "field_bound", "horizon", "target_error"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if value <= 0:
                 raise ValueError(f"{name} must be strictly positive")
 
 
@@ -91,6 +94,21 @@ def lte_bound(dt: float, prof, lip_time: float, field_bound: float) -> float:
     return dt ** (prof.order + 1) * prof.error_const * lip_time**prof.order * field_bound
 
 
+def _growth_terms(pb: ProblemBounds, prof, n_steps: float) -> tuple[float, float, float]:
+    """``F``, the growth ``(1+F)**n - 1`` and the one-step truncation bound at
+    ``n_steps``: the terms shared by the noisy bound and the minimal shot count.
+
+    Once the exponent ``n * log1p(F)`` passes the overflow cut the growth is
+    ``inf``; no finite bound or shot count exists there, so the truncation is
+    not evaluated (its power may overflow too) and reads ``inf``.
+    """
+    fac = f_factor(n_steps, prof, pb.lip_state, pb.horizon)
+    growth = _expm1_safe(n_steps * math.log1p(fac))
+    if growth == math.inf:
+        return fac, growth, math.inf
+    return fac, growth, lte_bound(pb.horizon / n_steps, prof, pb.lip_time, pb.field_bound)
+
+
 def global_error_bound_noisy(pb: ProblemBounds, prof, n_steps: float, delta: float) -> float:
     """Worst-case final-time error with per-evaluation perturbations of norm <= delta.
 
@@ -101,18 +119,15 @@ def global_error_bound_noisy(pb: ProblemBounds, prof, n_steps: float, delta: flo
     """
     if delta < 0:
         raise ValueError("delta must be non-negative")
-    fac = f_factor(n_steps, prof, pb.lip_state, pb.horizon)
-    growth_exponent = n_steps * math.log1p(fac)
-    if growth_exponent > _EXP_OVERFLOW:
+    fac, growth, truncation = _growth_terms(pb, prof, n_steps)
+    if growth == math.inf:
         warnings.warn(
-            f"growth factor (1+F)**n overflows (exponent {growth_exponent:.3g}); bound is +inf",
+            f"growth factor (1+F)**n overflows (exponent {n_steps * math.log1p(fac):.3g}); bound is +inf",
             RuntimeWarning,
             stacklevel=2,
         )
         return math.inf
-    prefactor = _expm1_safe(growth_exponent) / fac
-    truncation = lte_bound(pb.horizon / n_steps, prof, pb.lip_time, pb.field_bound)
-    return prefactor * (3.0 * delta / pb.lip_state * fac + truncation)
+    return growth / fac * (3.0 * delta / pb.lip_state * fac + truncation)
 
 
 def global_error_bound_noiseless(pb: ProblemBounds, prof, n_steps: float) -> float:

@@ -10,21 +10,21 @@ up for execution.
 
 from __future__ import annotations
 
-import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bounds import ProblemBounds, _expm1_safe, f_factor, lte_bound
+from .bounds import ProblemBounds, _expm1_safe, _growth_terms
 from .tableaux import MethodProfile, min_stages
 
 __all__ = [
     "AnsatzDims",
     "BudgetRow",
     "InfeasibleShotsError",
+    "budget_row",
     "min_steps_noiseless",
     "cost_noiseless",
     "min_steps_noisy",
@@ -40,11 +40,12 @@ __all__ = [
     "rows_to_json",
 ]
 
-ROW_KEYS = ("p", "s", "N_tau", "N_r", "cost", "N_circ", "circuits", "ratio")
+ROW_KEYS = ("p", "s", "N_tau", "N_r", "cost", "N_circ", "circuits", "ratio", "flag")
 
 
 class InfeasibleShotsError(ValueError):
-    """No shot count can reach the target: truncation alone already exceeds it."""
+    """No shot count can reach the target: truncation alone already exceeds
+    it, or the step count is below 1 or not finite."""
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,8 @@ class AnsatzDims:
 
 @dataclass(frozen=True)
 class BudgetRow:
-    """One order's resource requirements; ``feasible`` is False when no
-    shot count can reach the target at that order."""
+    """One order's resource requirements; ``feasible`` is False when the
+    order has no shot count (see :func:`budget_row`)."""
 
     order: int
     stages: int
@@ -90,6 +91,19 @@ class BudgetRow:
     circuits: float | None
     ratio: float
     feasible: bool = True
+
+
+def _min_steps(pb: ProblemBounds, prof, split: int) -> float:
+    """Closed-form minimal step count for the target ``target / split``."""
+    z = prof.b_max * pb.horizon * pb.lip_state * prof.stages
+    base = (
+        prof.error_const
+        * pb.field_bound
+        * _expm1_safe(z)
+        * split
+        / (pb.target_error * prof.b_max * prof.stages * pb.lip_state)
+    )
+    return pb.lip_time * pb.horizon * base ** (1.0 / prof.order)
 
 
 def min_steps_noiseless(pb: ProblemBounds, prof) -> float:
@@ -112,19 +126,7 @@ def min_steps_noiseless(pb: ProblemBounds, prof) -> float:
     Where the count is only a few steps the bound lands well below the
     target.
     """
-    z = prof.b_max * pb.horizon * pb.lip_state * prof.stages
-    base = (
-        prof.error_const
-        * pb.field_bound
-        * _expm1_safe(z)
-        / (pb.target_error * prof.b_max * prof.stages * pb.lip_state)
-    )
-    return pb.lip_time * pb.horizon * base ** (1.0 / prof.order)
-
-
-def cost_noiseless(pb: ProblemBounds, prof) -> float:
-    """Total field evaluations without noise: stages times minimal steps."""
-    return prof.stages * min_steps_noiseless(pb, prof)
+    return _min_steps(pb, prof, 1)
 
 
 def min_steps_noisy(pb: ProblemBounds, prof) -> float:
@@ -137,15 +139,7 @@ def min_steps_noisy(pb: ProblemBounds, prof) -> float:
     stage, the exact noiseless bound at this count is at most
     ``target / (2p+1)`` (to rounding).
     """
-    z = prof.b_max * prof.stages * pb.lip_state * pb.horizon
-    base = (
-        prof.error_const
-        * pb.field_bound
-        * _expm1_safe(z)
-        * (2 * prof.order + 1)
-        / (pb.target_error * prof.b_max * prof.stages * pb.lip_state)
-    )
-    return pb.horizon * pb.lip_time * base ** (1.0 / prof.order)
+    return _min_steps(pb, prof, 2 * prof.order + 1)
 
 
 def min_shots(pb: ProblemBounds, prof, sigma: float, n_steps: float) -> float:
@@ -153,26 +147,69 @@ def min_shots(pb: ProblemBounds, prof, sigma: float, n_steps: float) -> float:
 
     ``(9 sigma^2 / lip_state^2) * (target/((1+F)**n - 1)
     - dt**(p+1) K lip_time**p M / F)**-2``.  Raises
-    :class:`InfeasibleShotsError` when the bracket is non-positive, i.e.
-    the truncation part alone already exhausts the target error.
+    :class:`InfeasibleShotsError` when ``n_steps`` is below 1 or not
+    finite, or when the bracket is non-positive, i.e. the truncation part
+    alone already exhausts the target error; a count beyond the float
+    range raises ``OverflowError``.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    fac = f_factor(n_steps, prof, pb.lip_state, pb.horizon)
-    growth = _expm1_safe(n_steps * math.log1p(fac))
-    truncation = lte_bound(pb.horizon / n_steps, prof, pb.lip_time, pb.field_bound)
+    if not 1.0 <= n_steps < math.inf:
+        raise InfeasibleShotsError(f"infeasible: n_steps={n_steps:.6g} is below 1 or not finite")
+    fac, growth, truncation = _growth_terms(pb, prof, n_steps)
     bracket = pb.target_error / growth - truncation / fac
-    if bracket <= 0:
+    if not bracket > 0:  # NaN where the growth and F both overflow
         raise InfeasibleShotsError(
             f"infeasible: truncation already exceeds target at n_steps={n_steps:.6g}"
         )
     return 9.0 * sigma**2 / pb.lip_state**2 * bracket**-2
 
 
+def budget_row(pb: ProblemBounds, prof, sigma: float | None = None, dims: AnsatzDims | None = None) -> BudgetRow:
+    """Resource row of one method profile, noiseless when ``sigma`` is None.
+
+    A noisy row whose shot count cannot be computed (step count below 1 or
+    not finite, truncation exceeding the target, or a count beyond the
+    float range) is flagged infeasible with NaN shot, cost and circuit
+    cells.  The ratio is left NaN: it compares against order 1, which only
+    :func:`budget_table` knows.
+    """
+    feasible = True
+    if sigma is None:
+        n_steps = min_steps_noiseless(pb, prof)
+        n_shots = circuit_evals = None
+        cost = prof.stages * n_steps
+    else:
+        n_steps = min_steps_noisy(pb, prof)
+        try:
+            n_shots = min_shots(pb, prof, sigma, n_steps)
+            circuit_evals = None if dims is None else circuit_budget(n_steps, prof.stages, n_shots, dims)
+        except (InfeasibleShotsError, OverflowError):
+            n_shots = circuit_evals = math.nan
+            feasible = False
+        cost = prof.stages * n_steps * n_shots
+    return BudgetRow(
+        order=prof.order,
+        stages=prof.stages,
+        n_steps=n_steps,
+        n_shots=n_shots,
+        cost=cost,
+        circuit_evals=circuit_evals,
+        circuits=None if dims is None else distinct_circuits(n_steps, prof.stages, dims),
+        ratio=math.nan,
+        feasible=feasible,
+    )
+
+
+def cost_noiseless(pb: ProblemBounds, prof) -> float:
+    """Total field evaluations without noise: stages times minimal steps."""
+    return budget_row(pb, prof).cost
+
+
 def cost_noisy(pb: ProblemBounds, prof, sigma: float) -> float:
-    """Total field measurements under shot noise: ``s * n_steps * n_shots``."""
-    n_steps = min_steps_noisy(pb, prof)
-    return prof.stages * n_steps * min_shots(pb, prof, sigma, n_steps)
+    """Total field measurements under shot noise, ``s * n_steps * n_shots``;
+    NaN where :func:`budget_row` flags the row infeasible."""
+    return budget_row(pb, prof, sigma).cost
 
 
 def circuit_budget(n_steps: float, stages: int, n_shots: float, dims: AnsatzDims) -> float:
@@ -250,70 +287,13 @@ def budget_table(
     if any(p < 1 or p > 10 for p in orders):
         raise ValueError("p_range must lie within 1..10")
 
-    def prof_for(p: int) -> MethodProfile:
-        return MethodProfile(order=p, stages=min_stages(p), a_max=a_max, b_max=b_max, error_const=error_const)
+    def row_for(p: int) -> BudgetRow:
+        prof = MethodProfile(order=p, stages=min_stages(p), a_max=a_max, b_max=b_max, error_const=error_const)
+        return budget_row(pb, prof, sigma, dims)
 
-    def cost_for(p: int) -> float:
-        prof = prof_for(p)
-        if sigma is None:
-            return cost_noiseless(pb, prof)
-        return cost_noisy(pb, prof, sigma)
-
-    try:
-        anchor_cost = cost_for(1)
-    except InfeasibleShotsError:
-        anchor_cost = math.nan
-
-    rows = []
-    for p in orders:
-        prof = prof_for(p)
-        if sigma is None:
-            n_steps = min_steps_noiseless(pb, prof)
-            rows.append(
-                BudgetRow(
-                    order=p,
-                    stages=prof.stages,
-                    n_steps=n_steps,
-                    n_shots=None,
-                    cost=prof.stages * n_steps,
-                    circuit_evals=None,
-                    circuits=None if dims is None else distinct_circuits(n_steps, prof.stages, dims),
-                    ratio=anchor_cost / (prof.stages * n_steps),
-                )
-            )
-            continue
-        n_steps = min_steps_noisy(pb, prof)
-        try:
-            n_shots = min_shots(pb, prof, sigma, n_steps)
-        except InfeasibleShotsError:
-            rows.append(
-                BudgetRow(
-                    order=p,
-                    stages=prof.stages,
-                    n_steps=n_steps,
-                    n_shots=math.nan,
-                    cost=math.nan,
-                    circuit_evals=math.nan,
-                    circuits=None if dims is None else distinct_circuits(n_steps, prof.stages, dims),
-                    ratio=math.nan,
-                    feasible=False,
-                )
-            )
-            continue
-        cost = prof.stages * n_steps * n_shots
-        rows.append(
-            BudgetRow(
-                order=p,
-                stages=prof.stages,
-                n_steps=n_steps,
-                n_shots=n_shots,
-                cost=cost,
-                circuit_evals=None if dims is None else circuit_budget(n_steps, prof.stages, n_shots, dims),
-                circuits=None if dims is None else distinct_circuits(n_steps, prof.stages, dims),
-                ratio=anchor_cost / cost,
-            )
-        )
-    return rows
+    anchor = row_for(1)
+    rows = [anchor if p == 1 else row_for(p) for p in orders]
+    return [replace(row, ratio=anchor.cost / row.cost) for row in rows]
 
 
 def argmin_order(rows: Sequence[BudgetRow]) -> int:
@@ -336,6 +316,7 @@ def _row_record(row: BudgetRow) -> dict:
         "N_circ": row.circuit_evals,
         "circuits": row.circuits,
         "ratio": row.ratio,
+        "flag": "" if row.feasible else "infeasible",
     }
 
 
@@ -347,23 +328,25 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _json_cell(value):
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def rows_to_csv(rows: Sequence[BudgetRow]) -> str:
-    """Budget table as CSV with the canonical column set."""
-    out = io.StringIO()
-    out.write(",".join(ROW_KEYS) + "\n")
+    """Budget table as CSV with the canonical column set; the last column,
+    ``flag``, reads ``infeasible`` on flagged rows and is empty otherwise."""
+    lines = [",".join(ROW_KEYS)]
     for row in rows:
         rec = _row_record(row)
-        out.write(",".join(_csv_cell(rec[k]) for k in ROW_KEYS) + "\n")
-    return out.getvalue()
+        lines.append(",".join(_csv_cell(rec[k]) for k in ROW_KEYS))
+    return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows: Sequence[BudgetRow]) -> str:
     """Budget table as a JSON array of row objects keyed like the CSV columns.
 
-    Cells that do not apply (or are infeasible) serialize as null.
+    Cells that do not apply, are infeasible or are not finite serialize as
+    null, so the output is strict JSON.
     """
-    records = []
-    for row in rows:
-        rec = _row_record(row)
-        records.append({k: (None if isinstance(v, float) and math.isnan(v) else v) for k, v in rec.items()})
-    return json.dumps(records, indent=2)
+    records = [{k: _json_cell(v) for k, v in _row_record(row).items()} for row in rows]
+    return json.dumps(records, indent=2, allow_nan=False)

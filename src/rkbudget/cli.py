@@ -100,17 +100,7 @@ def _cmd_table(args) -> int:
         sigma=sc.sigma,
         dims=sc.dims,
     )
-    if args.format == "json":
-        records = json.loads(budget.rows_to_json(rows))
-        for record, row in zip(records, rows):
-            record["flag"] = "" if row.feasible else "infeasible"
-        _emit(args, json.dumps(records, indent=2))
-        return 0
-    lines = budget.rows_to_csv(rows).splitlines()
-    lines[0] += ",flag"
-    for i, row in enumerate(rows, start=1):
-        lines[i] += ",infeasible" if not row.feasible else ","
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, budget.rows_to_json(rows) if args.format == "json" else budget.rows_to_csv(rows))
     return 0
 
 
@@ -126,16 +116,8 @@ def _cmd_sweep(args) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    points = sensitivity.sweep(spec)
-    curves = {args.target: points}
-    if args.format == "json":
-        payload = {
-            name: [{"factor": p.factor, "value": p.value, "feasible": p.feasible} for p in pts]
-            for name, pts in curves.items()
-        }
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        _emit(args, sensitivity.curves_to_csv(curves))
+    curves = {args.target: sensitivity.sweep(spec)}
+    _emit(args, sensitivity.curves_to_json(curves) if args.format == "json" else sensitivity.curves_to_csv(curves))
     return 0
 
 
@@ -296,10 +278,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,17 +11,19 @@ coincide exactly; :func:`overlap_check` detects those pairs.
 from __future__ import annotations
 
 import io
+import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .budget import InfeasibleShotsError, circuit_budget, cost_noiseless, min_shots, min_steps_noisy
-from .scenarios import Scenario
+from .budget import _json_cell, budget_row
+from .scenarios import _PB_KEYS, _SCALAR_KEYS, Scenario, apply_overrides
 from .tableaux import MethodProfile, min_stages
 
-__all__ = ["SweepSpec", "SweepPoint", "SWEEP_TARGETS", "default_factors", "sweep", "overlap_check", "curves_to_csv"]
+__all__ = ["SweepSpec", "SweepPoint", "SWEEP_TARGETS", "default_factors", "sweep", "overlap_check", "curves_to_csv",
+           "curves_to_json"]
 
 SWEEP_TARGETS = ("p", "T", "K", "M", "L_fy", "L_ftau", "b_max", "a_max", "Sigma", "epsilon")
 SWEEP_MODES = ("cost", "ncirc")
@@ -67,42 +69,14 @@ class SweepPoint:
     feasible: bool = True
 
 
-def _scaled(base: Scenario, target: str, factor: float) -> Scenario:
-    pb = base.pb
-    if target == "T":
-        pb = replace(pb, horizon=pb.horizon * factor)
-    elif target == "M":
-        pb = replace(pb, field_bound=pb.field_bound * factor)
-    elif target == "L_fy":
-        pb = replace(pb, lip_state=pb.lip_state * factor)
-    elif target == "L_ftau":
-        pb = replace(pb, lip_time=pb.lip_time * factor)
-    elif target == "epsilon":
-        pb = replace(pb, target_error=pb.target_error * factor)
-    out = replace(base, pb=pb)
-    if target == "K":
-        out = replace(out, error_const=base.error_const * factor)
-    elif target == "b_max":
-        out = replace(out, b_max=base.b_max * factor)
-    elif target == "a_max":
-        out = replace(out, a_max=base.a_max * factor)
-    elif target == "Sigma":
-        out = replace(out, sigma=base.sigma * factor)
-    return out
-
-
-def _evaluate(sc: Scenario, order: int, mode: str) -> SweepPoint:
+def _point(sc: Scenario, order: int, mode: str, factor: float) -> SweepPoint:
     prof = MethodProfile(
         order=order, stages=min_stages(order), a_max=sc.a_max, b_max=sc.b_max, error_const=sc.error_const
     )
     if mode == "cost":
-        return SweepPoint(factor=1.0, value=cost_noiseless(sc.pb, prof))
-    n_steps = min_steps_noisy(sc.pb, prof)
-    try:
-        n_shots = min_shots(sc.pb, prof, sc.sigma, n_steps)
-    except InfeasibleShotsError:
-        return SweepPoint(factor=1.0, value=math.nan, feasible=False)
-    return SweepPoint(factor=1.0, value=circuit_budget(n_steps, prof.stages, n_shots, sc.dims))
+        return SweepPoint(factor, budget_row(sc.pb, prof).cost)
+    row = budget_row(sc.pb, prof, sc.sigma, sc.dims)
+    return SweepPoint(factor, row.circuit_evals, row.feasible)
 
 
 def sweep(spec: SweepSpec) -> list[SweepPoint]:
@@ -113,16 +87,14 @@ def sweep(spec: SweepSpec) -> list[SweepPoint]:
     orders 1..10 (with matching minimal stage counts) and the factor column
     carries the order.  Infeasible points are flagged in place.
     """
-    points = []
     if spec.target == "p":
-        for p in range(1, 11):
-            pt = _evaluate(spec.base, p, spec.mode)
-            points.append(replace(pt, factor=float(p)))
-        return points
-    for factor in spec.factors:
-        pt = _evaluate(_scaled(spec.base, spec.target, float(factor)), spec.order, spec.mode)
-        points.append(replace(pt, factor=float(factor)))
-    return points
+        return [_point(spec.base, p, spec.mode, float(p)) for p in range(1, 11)]
+    key = spec.target
+    value = getattr(spec.base.pb, _PB_KEYS[key]) if key in _PB_KEYS else getattr(spec.base, _SCALAR_KEYS[key])
+    return [
+        _point(apply_overrides(spec.base, {key: value * factor}), spec.order, spec.mode, factor)
+        for factor in map(float, spec.factors)
+    ]
 
 
 def overlap_check(curves: Mapping[str, Sequence[SweepPoint]], rtol: float = 1e-9) -> list[tuple[str, str]]:
@@ -158,3 +130,13 @@ def curves_to_csv(curves: Mapping[str, Sequence[SweepPoint]]) -> str:
         for p in curves[name]:
             out.write(f"{name},{p.factor:.16e},{p.value:.16e},{str(p.feasible).lower()}\n")
     return out.getvalue()
+
+
+def curves_to_json(curves: Mapping[str, Sequence[SweepPoint]]) -> str:
+    """Curves as strict JSON, one list of ``factor, value, feasible`` records
+    per target; values that are not finite serialize as null."""
+    payload = {
+        name: [{"factor": p.factor, "value": _json_cell(p.value), "feasible": p.feasible} for p in points]
+        for name, points in curves.items()
+    }
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)

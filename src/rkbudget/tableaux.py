@@ -84,6 +84,18 @@ class ButcherTableau:
     def stages(self) -> int:
         return len(self.b)
 
+    # Value semantics over the arrays: the generated field-wise versions
+    # would compare ndarrays with ``==`` and hash them, which raises.
+    def __eq__(self, other):
+        if not isinstance(other, ButcherTableau):
+            return NotImplemented
+        return self.order == other.order and all(
+            np.array_equal(x, y) for x, y in ((self.a, other.a), (self.b, other.b), (self.c, other.c))
+        )
+
+    def __hash__(self):
+        return hash((self.order, *(tuple(x.ravel().tolist()) for x in (self.a, self.b, self.c))))
+
 
 @dataclass(frozen=True)
 class ValidationReport:

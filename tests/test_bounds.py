@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rkbudget.bounds import (
     ProblemBounds,
@@ -10,7 +13,8 @@ from rkbudget.bounds import (
     global_error_bound_noisy,
     lte_bound,
 )
-from rkbudget.tableaux import MethodProfile
+from rkbudget.budget import min_shots, min_steps_noiseless, min_steps_noisy
+from rkbudget.tableaux import MethodProfile, min_stages
 
 
 def prof(order, stages, a_max=1.0, b_max=1.0, error_const=5.0):
@@ -22,6 +26,15 @@ def test_problem_bounds_positive():
         ProblemBounds(lip_state=0.0, lip_time=1.0, field_bound=1.0, horizon=1.0, target_error=1e-3)
     with pytest.raises(ValueError):
         ProblemBounds(lip_state=1.0, lip_time=1.0, field_bound=1.0, horizon=-1.0, target_error=1e-3)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["lip_state", "lip_time", "field_bound", "horizon", "target_error"])
+def test_problem_bounds_rejects_non_finite(name, value):
+    kwargs = dict(lip_state=1.0, lip_time=1.0, field_bound=1.0, horizon=1.0, target_error=1e-3)
+    kwargs[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ProblemBounds(**kwargs)
 
 
 def test_f_factor_single_stage_closed_form():
@@ -118,8 +131,6 @@ def test_bounds_monotone_in_problem_constants():
     base = ProblemBounds(lip_state=0.5, lip_time=3.1, field_bound=13.0, horizon=5.0, target_error=1e-3)
     p = prof(3, 3)
     ref = global_error_bound_noiseless(base, p, 200)
-    import dataclasses
-
     for name in ("lip_time", "field_bound", "horizon"):
         bigger = dataclasses.replace(base, **{name: getattr(base, name) * 1.5})
         assert global_error_bound_noiseless(bigger, p, 200) > ref
@@ -134,6 +145,69 @@ def test_overflow_reports_infinity():
     assert math.isinf(bound)
 
 
+def test_overflow_reports_infinity_before_the_truncation_term():
+    # dt**(p+1) would overflow as well; the growth overflow decides first
+    pb = ProblemBounds(lip_state=50.0, lip_time=1.0, field_bound=1.0, horizon=1e30, target_error=1e-3)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        bound = global_error_bound_noiseless(pb, prof(10, 16), 10)
+    assert math.isinf(bound)
+
+
 def test_bound_rejects_negative_delta(classical):
     with pytest.raises(ValueError):
         global_error_bound_noisy(classical.pb, prof(1, 1, a_max=0.0), 10, -1e-6)
+
+
+# -- properties of the closed forms against the exact bound --------------------
+
+
+@st.composite
+def planned_problems(draw):
+    """Constants drawn as the dimensionless groups a*L*T and lip_time*T (as in
+    the seeded grid of test_budget.py), with a_max == b_max, and a step count
+    at or above the closed-form noisy count."""
+    log10 = lambda lo, hi: 10.0 ** draw(st.floats(lo, hi))  # noqa: E731
+    p = draw(st.integers(1, 10))
+    lip_state, ab, growth, time_scale = log10(-1, 1), log10(-0.5, 0.5), log10(-1.3, 0.6), log10(0, 1.5)
+    horizon = growth / (ab * lip_state)
+    pb = ProblemBounds(
+        lip_state=lip_state,
+        lip_time=time_scale / horizon,
+        field_bound=log10(0, 2),
+        horizon=horizon,
+        target_error=log10(-4, -2),
+    )
+    prof = MethodProfile(order=p, stages=min_stages(p), a_max=ab, b_max=ab, error_const=log10(-0.3, 1.3))
+    n_steps = min_steps_noisy(pb, prof) * draw(st.floats(1.0, 8.0))
+    assume(n_steps >= 1.0)
+    return pb, prof, n_steps
+
+
+@settings(deadline=None)
+@given(planned_problems(), st.floats(-3.0, 9.0))
+def test_min_shots_recovers_target(problem, log_sigma):
+    pb, prof, n_steps = problem
+    sigma = 10.0**log_sigma
+    delta = sigma / math.sqrt(min_shots(pb, prof, sigma, n_steps))
+    assert global_error_bound_noisy(pb, prof, n_steps, delta) == pytest.approx(pb.target_error, rel=1e-9)
+
+
+@settings(deadline=None)
+@given(planned_problems(), st.floats(0.0, 2.0), st.floats(0.0, 2.0))
+def test_noisy_bound_grows_with_delta(problem, d1, d2):
+    # deltas in units of the one that spends the target's noise share, so the
+    # noise term is never lost to rounding against the truncation term
+    pb, prof, n_steps = problem
+    unit = 1.0 / math.sqrt(min_shots(pb, prof, 1.0, n_steps))
+    low, high = sorted((d1, d2))
+    bound_low = global_error_bound_noisy(pb, prof, n_steps, low * unit)
+    bound_high = global_error_bound_noisy(pb, prof, n_steps, high * unit)
+    assert bound_low < bound_high if high - low > 1e-9 else bound_low <= bound_high
+
+
+@settings(deadline=None)
+@given(planned_problems())
+def test_noisy_step_count_is_noiseless_at_split_target(problem):
+    pb, prof, _ = problem
+    split = dataclasses.replace(pb, target_error=pb.target_error / (2 * prof.order + 1))
+    assert min_steps_noisy(pb, prof) == pytest.approx(min_steps_noiseless(split, prof), rel=1e-12)

@@ -79,6 +79,22 @@ def test_min_shots_infeasible_at_too_few_steps(option_pricing):
         min_shots(option_pricing.pb, prof, option_pricing.sigma, 10)
 
 
+@pytest.mark.parametrize("n_steps", [0.5, math.inf, math.nan])
+def test_min_shots_infeasible_outside_step_domain(option_pricing, n_steps):
+    with pytest.raises(InfeasibleShotsError, match="below 1 or not finite"):
+        min_shots(option_pricing.pb, prof_for(option_pricing, 2), option_pricing.sigma, n_steps)
+
+
+def test_min_shots_infeasible_where_growth_overflows():
+    # F and (1+F)**n both overflow, and dt**(p+1) would too
+    pb = ProblemBounds(lip_state=1.0, lip_time=1.0, field_bound=1.0, horizon=1e30, target_error=1e-3)
+    prof = MethodProfile(order=10, stages=16, a_max=1.0, b_max=1.0, error_const=5.0)
+    with pytest.raises(InfeasibleShotsError):
+        min_shots(pb, prof, 1.0, 10.0)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        min_shots(pb, prof, 0.0, 0.5)
+
+
 def test_noisy_chain_recovers_target_exactly(option_pricing, tuned):
     # plugging the minimal steps and shots back into the noisy bound returns
     # the target error: the shot formula inverts the bound exactly
@@ -284,10 +300,11 @@ def test_rows_to_csv_schema(classical):
     rows = budget_table(classical.pb, error_const=classical.error_const, p_range=[1, 2])
     text = rows_to_csv(rows)
     lines = text.strip().splitlines()
-    assert lines[0] == "p,s,N_tau,N_r,cost,N_circ,circuits,ratio"
+    assert lines[0] == "p,s,N_tau,N_r,cost,N_circ,circuits,ratio,flag"
     cells = lines[1].split(",")
     assert cells[0] == "1"
     assert cells[3] == ""  # no shots in noiseless mode
+    assert cells[8] == ""  # feasible rows carry an empty flag
     assert float(cells[4]) == pytest.approx(2.25e7, rel=0.015)
     # full-precision scientific notation: 16 digits after the point
     mantissa = cells[4].split("e")[0]
@@ -304,7 +321,8 @@ def test_rows_to_json_keys(option_pricing):
     )
     records = json.loads(rows_to_json(rows))
     assert [r["p"] for r in records] == [1, 2]
-    assert set(records[0]) == {"p", "s", "N_tau", "N_r", "cost", "N_circ", "circuits", "ratio"}
+    assert set(records[0]) == {"p", "s", "N_tau", "N_r", "cost", "N_circ", "circuits", "ratio", "flag"}
+    assert records[0]["flag"] == ""
     assert records[1]["N_circ"] == pytest.approx(1.62e28, rel=0.015)
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -82,6 +84,98 @@ def test_table_output_file(capsys, tmp_path):
     assert out == ""
     rows = parse_csv(target.read_text())
     assert len(rows) == 10
+
+
+# sha256 of stdout for the four README invocations, the JSON table of every
+# scenario and the tuned CSV table: these artifacts must stay byte-identical
+PINNED_DIGESTS = {
+    ("table", "--scenario", "classical"): "0eaa5253e900fed361ba096bd704638bdb807da239ae4baf0de8eab45bd786f1",
+    ("table", "--scenario", "option_pricing"): "51ad16bd16bbccfc1ecaa1038f6c7ef135effeee917e88d3790a81e7032963fe",
+    ("sweep", "--target", "epsilon", "--mode", "cost"):
+        "61a497677ee2a82dffd54f088f2c6546ebf7998bc6ee86b9143aff0d220cc518",
+    ("sweep", "--scenario", "option_pricing", "--target", "Sigma", "--mode", "ncirc"):
+        "826001333d08cef1565ef0191920aa21e606b494963a2f9ed213b6896263573a",
+    ("table", "--scenario", "classical", "--format", "json"):
+        "9674d2c3093128c7ba8cf1c0bd41ee675ed7286ace395259ecdc60cdfada6099",
+    ("table", "--scenario", "option_pricing", "--format", "json"):
+        "81c7ad61bf78308372176ab4d50001b1c4a4acbbd77c8ce530c381fda97851c2",
+    ("table", "--scenario", "tuned", "--format", "json"):
+        "d6d9edab6c31276af6823646a8276ded959a9efe8dc52423f0a7325bc1395f06",
+    ("table", "--scenario", "tuned"): "5f55ec401d0aee3e9834cb0f0a478739e150e4785d1f5d157ff6077475a91ecc",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_DIGESTS), ids="_".join)
+def test_pinned_artifacts_are_byte_identical(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[argv]
+
+
+def run_with_overrides(capsys, tmp_path, text, *argv):
+    path = tmp_path / "ov.txt"
+    path.write_text(text)
+    return run_cli(capsys, *argv, "--overrides", str(path))
+
+
+@pytest.mark.parametrize(
+    "horizon, flagged",
+    [
+        ("1e-3", list(range(2, 11))),  # closed-form step counts below 1
+        ("100", list(range(1, 11))),  # step counts overflow to inf
+        ("2", [9, 10]),  # the shot count overflows a float
+    ],
+)
+def test_table_flags_rows_without_a_shot_count(capsys, tmp_path, horizon, flagged):
+    code, out, err = run_with_overrides(capsys, tmp_path, f"T={horizon}\n", "table", "--scenario", "option_pricing")
+    assert (code, err) == (0, "")
+    rows = parse_csv(out)
+    assert [int(r["p"]) for r in rows if r["flag"] == "infeasible"] == flagged
+    for r in rows:
+        if r["flag"] == "infeasible":
+            assert all(math.isnan(float(r[k])) for k in ("N_r", "cost", "N_circ", "ratio"))
+        else:
+            assert r["flag"] == ""
+
+
+def test_sweep_flags_points_without_a_shot_count(capsys, tmp_path):
+    code, out, err = run_with_overrides(
+        capsys, tmp_path, "T=1e-3\n", "sweep", "--scenario", "option_pricing", "--target", "p", "--mode", "ncirc"
+    )
+    assert (code, err) == (0, "")
+    rows = parse_csv(out)
+    assert [r["feasible"] for r in rows] == ["true"] + ["false"] * 9
+    assert all(math.isnan(float(r["value"])) for r in rows[1:])
+
+
+def test_table_still_rejects_non_positive_sigma(capsys, tmp_path):
+    code, out, err = run_with_overrides(capsys, tmp_path, "Sigma=0\n", "table", "--scenario", "option_pricing")
+    assert code == 2
+    assert "sigma must be positive" in err
+    assert out == ""
+
+
+def test_override_nan_constant_exits_2(capsys, tmp_path):
+    code, out, err = run_with_overrides(capsys, tmp_path, "T=nan\n", "table")
+    assert code == 2
+    assert "horizon must be finite" in err
+    assert out == ""
+
+
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@pytest.mark.parametrize(
+    "argv", [("table",), ("sweep", "--target", "p")], ids=["table", "sweep"]
+)
+def test_json_is_strict_with_non_finite_cells(capsys, tmp_path, argv):
+    # T=1000 drives the classical step counts and costs past the float range
+    code, out, _ = run_with_overrides(capsys, tmp_path, "T=1000\n", *argv, "--scenario", "classical", "--format", "json")
+    assert code == 0
+    payload = json.loads(out, parse_constant=reject_constant)
+    cells = payload if argv[0] == "table" else payload["p"]
+    assert any(v is None for cell in cells for v in cell.values())
 
 
 # -- sweep ---------------------------------------------------------------------

@@ -164,3 +164,24 @@ def test_tableaus_are_immutable():
     t = builtin_tableau("rk4")
     with pytest.raises(ValueError):
         t.b[0] = 2.0
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_METHODS))
+def test_tableau_equality_is_by_value(name):
+    t = builtin_tableau(name)
+    copy = ButcherTableau(a=t.a.copy(), b=t.b.copy(), c=t.c.copy(), order=t.order, name="copy")
+    assert copy == t and not copy != t  # the name is not compared
+    assert hash(copy) == hash(t)
+    for other in sorted(BUILTIN_METHODS):
+        if other != name:
+            assert t != builtin_tableau(other)
+    assert t != ButcherTableau(a=t.a, b=t.b, c=t.c, order=t.order + 1)
+    assert t != name
+
+
+def test_tableau_hash_agrees_with_signed_zero():
+    euler = builtin_tableau("euler")
+    signed = ButcherTableau(a=[[-0.0]], b=[1.0], c=[-0.0], order=1)
+    assert signed == euler
+    assert hash(signed) == hash(euler)
+    assert len({euler, signed, builtin_tableau("rk4"), builtin_tableau("heun2")}) == 3
