@@ -150,9 +150,9 @@ def min_shots(pb: ProblemBounds, prof, sigma: float, n_steps: float) -> float:
     :class:`InfeasibleShotsError` when ``n_steps`` is below 1 or not
     finite, or when the bracket is non-positive, i.e. the truncation part
     alone already exhausts the target error; a count beyond the float
-    range raises ``OverflowError``.
+    range raises ``OverflowError``, wherever in the product it overflows.
     """
-    if sigma <= 0:
+    if not sigma > 0:  # NaN too
         raise ValueError("sigma must be positive")
     if not 1.0 <= n_steps < math.inf:
         raise InfeasibleShotsError(f"infeasible: n_steps={n_steps:.6g} is below 1 or not finite")
@@ -162,7 +162,10 @@ def min_shots(pb: ProblemBounds, prof, sigma: float, n_steps: float) -> float:
         raise InfeasibleShotsError(
             f"infeasible: truncation already exceeds target at n_steps={n_steps:.6g}"
         )
-    return 9.0 * sigma**2 / pb.lip_state**2 * bracket**-2
+    shots = 9.0 * sigma**2 / pb.lip_state**2 * bracket**-2
+    if not math.isfinite(shots):
+        raise OverflowError(f"shot count exceeds the float range at n_steps={n_steps:.6g}")
+    return shots
 
 
 def budget_row(pb: ProblemBounds, prof, sigma: float | None = None, dims: AnsatzDims | None = None) -> BudgetRow:

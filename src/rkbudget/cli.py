@@ -132,6 +132,8 @@ def _cmd_toy(args) -> int:
     nv_grid = _parse_range(args.nv)
     if any(nv < 1 for nv in nv_grid):
         raise CliError("nv values must be positive")
+    if not math.isfinite(args.theta):
+        raise CliError(f"--theta must be finite, got {args.theta}")
     seed = args.seed if args.seed is not None else _default_seed()
     if args.study == "kappa":
         points = toymodel.kappa_study(nv_grid, args.samples, theta=args.theta, seed=seed)
@@ -154,11 +156,18 @@ def _cmd_toy(args) -> int:
     # lip surface
     if len(nv_grid) != 1:
         raise CliError("lip study takes a single nv value")
+    if not (math.isfinite(args.lo) and math.isfinite(args.hi)):
+        raise CliError(f"--lo and --hi must be finite, got {args.lo} and {args.hi}")
+    if args.lo >= args.hi:
+        raise CliError(f"--lo must be below --hi, got {args.lo} >= {args.hi}")
+    if args.points < 2:
+        raise CliError(f"--points must be at least 2, got {args.points}")
     _, params = toymodel.sample_toy(nv_grid[0], theta=args.theta, rng=seed)
     grid = np.linspace(args.lo, args.hi, args.points)
     surface = toymodel.lip_surface(params, grid, grid)
     if args.format == "json":
-        payload = {"grid": grid.tolist(), "surface": [[None if math.isnan(v) else v for v in row] for row in surface]}
+        cells = [[None if math.isnan(v) else v for v in row] for row in surface.tolist()]
+        payload = {"grid": grid.tolist(), "surface": cells}
         _emit(args, json.dumps(payload, sort_keys=True))
     else:
         _emit(args, toymodel.lip_surface_to_csv(surface, grid, grid))

@@ -167,7 +167,9 @@ def apply_overrides(base: Scenario, overrides: Mapping[str, float] | str | Path)
     """Return a copy of ``base`` with selected constants replaced.
 
     ``overrides`` may be a mapping, a text blob of ``key=value`` lines or a
-    path to such a file.  Unknown keys are rejected.
+    path to such a file.  Unknown keys are rejected, and so are non-finite
+    constants, ``eta`` outside (0, 1) and fractional dimensions, each with a
+    message naming the key.
     """
     if isinstance(overrides, Path):
         overrides = parse_overrides(overrides.read_text())
@@ -175,11 +177,18 @@ def apply_overrides(base: Scenario, overrides: Mapping[str, float] | str | Path)
         overrides = parse_overrides(overrides)
     pb_kwargs, scalar_kwargs, dim_kwargs = {}, {}, {}
     for key, value in overrides.items():
+        value = float(value)
         if key in _PB_KEYS:
-            pb_kwargs[_PB_KEYS[key]] = float(value)
+            pb_kwargs[_PB_KEYS[key]] = value  # ProblemBounds checks these
         elif key in _SCALAR_KEYS:
-            scalar_kwargs[_SCALAR_KEYS[key]] = float(value)
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
+            if key == "eta" and not 0.0 < value < 1.0:
+                raise ValueError(f"eta must lie in (0, 1), got {value!r}")
+            scalar_kwargs[_SCALAR_KEYS[key]] = value
         elif key in _DIM_KEYS:
+            if not value.is_integer():
+                raise ValueError(f"{key} must be a whole number, got {value!r}")
             dim_kwargs[_DIM_KEYS[key]] = int(value)
         else:
             raise ValueError(f"unknown override key {key!r}")

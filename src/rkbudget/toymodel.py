@@ -164,6 +164,30 @@ def _study_rng(seed, nv: int, index: int) -> np.random.Generator:
     return np.random.default_rng((seed, nv, index))
 
 
+def _screened(nv: int, samples: int, theta: float, seed, measure) -> tuple[list, int]:
+    """Draw ``samples`` systems of dimension ``nv`` from their ``(seed, nv, i)``
+    streams and return ``measure(system, kappa)`` of every well-conditioned
+    draw, with the count of singular or ill-conditioned draws excluded."""
+    values = []
+    for i in range(samples):
+        system, _ = sample_toy(nv, theta, _study_rng(seed, nv, i))
+        try:
+            kappa = condition_number(system.a)
+        except SingularMatrixError:
+            continue
+        if kappa <= ILL_CONDITIONED_CUTOFF:
+            values.append(measure(system, kappa))
+    return values, samples - len(values)
+
+
+def _norms(system: ToySystem, kappa: float) -> tuple[float, float, float]:
+    return (
+        float(np.linalg.norm(system.a, "fro")),
+        float(np.linalg.norm(system.c)),
+        float(np.linalg.norm(np.linalg.solve(system.a, system.c))),
+    )
+
+
 def kappa_study(
     nv_grid: Iterable[int],
     samples: int,
@@ -178,23 +202,7 @@ def kappa_study(
     """
     if samples < 30:
         raise ValueError("need at least 30 samples per grid point")
-    points = []
-    for nv in nv_grid:
-        kappas = []
-        excluded = 0
-        for i in range(samples):
-            system, _ = sample_toy(nv, theta, _study_rng(seed, nv, i))
-            try:
-                kappa = condition_number(system.a)
-            except SingularMatrixError:
-                excluded += 1
-                continue
-            if kappa > ILL_CONDITIONED_CUTOFF:
-                excluded += 1
-                continue
-            kappas.append(kappa)
-        points.append(_summary(nv, kappas, excluded))
-    return points
+    return [_summary(nv, *_screened(nv, samples, theta, seed, lambda system, kappa: kappa)) for nv in nv_grid]
 
 
 def norm_study(
@@ -213,24 +221,9 @@ def norm_study(
         raise ValueError("need at least 30 samples per grid point")
     studies: dict[str, list[StudyPoint]] = {"norm_A": [], "norm_C": [], "norm_AinvC": []}
     for nv in nv_grid:
-        a_norms, c_norms, f_norms = [], [], []
-        excluded = 0
-        for i in range(samples):
-            system, _ = sample_toy(nv, theta, _study_rng(seed, nv, i))
-            try:
-                kappa = condition_number(system.a)
-            except SingularMatrixError:
-                excluded += 1
-                continue
-            if kappa > ILL_CONDITIONED_CUTOFF:
-                excluded += 1
-                continue
-            a_norms.append(float(np.linalg.norm(system.a, "fro")))
-            c_norms.append(float(np.linalg.norm(system.c)))
-            f_norms.append(float(np.linalg.norm(np.linalg.solve(system.a, system.c))))
-        studies["norm_A"].append(_summary(nv, a_norms, excluded))
-        studies["norm_C"].append(_summary(nv, c_norms, excluded))
-        studies["norm_AinvC"].append(_summary(nv, f_norms, excluded))
+        norms, excluded = _screened(nv, samples, theta, seed, _norms)
+        for k, study in enumerate(studies.values()):
+            study.append(_summary(nv, [row[k] for row in norms], excluded))
     return studies
 
 
@@ -256,24 +249,23 @@ def lip_surface(params: ToyParams, grid1: np.ndarray, grid2: np.ndarray) -> np.n
     """
     grid1 = np.asarray(grid1, dtype=float)
     grid2 = np.asarray(grid2, dtype=float)
-    cache: dict[float, np.ndarray | None] = {}
-
-    def solve_at(theta: float):
-        if theta not in cache:
-            try:
-                cache[theta] = np.linalg.solve(params.matrix(theta), params.vector(theta))
-            except np.linalg.LinAlgError:
-                cache[theta] = None
-        return cache[theta]
-
-    f1 = [solve_at(t) for t in grid1]
-    f2 = [solve_at(t) for t in grid2]
-    surface = np.full((len(grid1), len(grid2)), np.nan)
-    for i, (t1, fa) in enumerate(zip(grid1, f1)):
-        for j, (t2, fb) in enumerate(zip(grid2, f2)):
-            if fa is None or fb is None or t1 == t2:
-                continue
-            surface[i, j] = np.linalg.norm(fa - fb) / abs(t1 - t2)
+    # One solve per distinct input; a singular one leaves its row NaN.
+    thetas, index = np.unique(np.concatenate([grid1, grid2]), return_inverse=True)
+    solutions = np.full((len(thetas), params.n_params), np.nan)
+    for row, theta in zip(solutions, thetas):
+        try:
+            row[:] = np.linalg.solve(params.matrix(theta), params.vector(theta))
+        except np.linalg.LinAlgError:
+            pass
+    f1 = solutions[index[: len(grid1)]]
+    f2 = solutions[index[len(grid1) :]]
+    surface = np.empty((len(grid1), len(grid2)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for out, t1, fa in zip(surface, grid1, f1):
+            d = f2 - fa
+            # Row norms as dot products, like np.linalg.norm of one difference.
+            out[:] = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0]) / np.abs(t1 - grid2)
+    surface[grid1[:, None] == grid2] = np.nan  # undefined there, not merely 0/0
     return surface
 
 
@@ -337,8 +329,8 @@ def study_to_csv(points: Sequence[StudyPoint]) -> str:
 
 def lip_surface_to_csv(surface: np.ndarray, grid1: np.ndarray, grid2: np.ndarray) -> str:
     """Surface as a CSV grid; first row and column carry the axis values."""
-    out = io.StringIO()
-    out.write("theta1/theta2," + ",".join(f"{t:.16e}" for t in grid2) + "\n")
-    for t1, row in zip(grid1, surface):
-        out.write(f"{t1:.16e}," + ",".join(f"{v:.16e}" for v in row) + "\n")
-    return out.getvalue()
+    cells = ",".join(["%.16e"] * len(grid2))
+    lines = ["theta1/theta2," + cells % tuple(np.asarray(grid2, dtype=float).tolist()) + "\n"]
+    row_format = "%.16e," + cells + "\n"
+    lines += [row_format % (t1, *row.tolist()) for t1, row in zip(grid1, np.asarray(surface, dtype=float))]
+    return "".join(lines)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,6 +94,25 @@ def test_min_shots_infeasible_where_growth_overflows():
         min_shots(pb, prof, 1.0, 10.0)
     with pytest.raises(ValueError, match="sigma must be positive"):
         min_shots(pb, prof, 0.0, 0.5)
+
+
+def test_min_shots_overflow_in_the_final_product_is_flagged(option_pricing):
+    # T=2, order 8: bracket**-2 stays finite, 9 sigma^2 / L^2 times it does not
+    pb = replace(option_pricing.pb, horizon=2.0)
+    prof = prof_for(option_pricing, 8)
+    n_steps = min_steps_noisy(pb, prof)
+    fac, growth, truncation = budget._growth_terms(pb, prof, n_steps)
+    assert math.isfinite((pb.target_error / growth - truncation / fac) ** -2)
+    with pytest.raises(OverflowError, match="float range"):
+        min_shots(pb, prof, option_pricing.sigma, n_steps)
+    row = budget.budget_row(pb, prof, option_pricing.sigma, option_pricing.dims)
+    assert not row.feasible
+    assert math.isnan(row.n_shots)
+
+
+def test_min_shots_rejects_nan_sigma(option_pricing):
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        min_shots(option_pricing.pb, prof_for(option_pricing, 2), math.nan, 100.0)
 
 
 def test_noisy_chain_recovers_target_exactly(option_pricing, tuned):

@@ -87,7 +87,8 @@ def test_table_output_file(capsys, tmp_path):
 
 
 # sha256 of stdout for the four README invocations, the JSON table of every
-# scenario and the tuned CSV table: these artifacts must stay byte-identical
+# scenario, the tuned CSV table and seeded toy studies: these artifacts must
+# stay byte-identical
 PINNED_DIGESTS = {
     ("table", "--scenario", "classical"): "0eaa5253e900fed361ba096bd704638bdb807da239ae4baf0de8eab45bd786f1",
     ("table", "--scenario", "option_pricing"): "51ad16bd16bbccfc1ecaa1038f6c7ef135effeee917e88d3790a81e7032963fe",
@@ -102,6 +103,13 @@ PINNED_DIGESTS = {
     ("table", "--scenario", "tuned", "--format", "json"):
         "d6d9edab6c31276af6823646a8276ded959a9efe8dc52423f0a7325bc1395f06",
     ("table", "--scenario", "tuned"): "5f55ec401d0aee3e9834cb0f0a478739e150e4785d1f5d157ff6077475a91ecc",
+    ("toy", "lip", "--nv", "25", "--seed", "7"): "006aea15a664d7289a7e41a560804e81195e0c6c3e77ee3443762dde7ba242c0",
+    ("toy", "lip", "--nv", "25", "--seed", "7", "--format", "json"):
+        "5a8b2c4ec7dd27a172cc9ce7b65017210884f6bf257e2877236c54c6cf2bab84",
+    ("toy", "kappa", "--nv", "10:100:10", "--samples", "100", "--seed", "42"):
+        "87fac8a6f1779635789d42fe08a9b07841e37b9c9f7aab60424d53a7378754e3",
+    ("toy", "norms", "--nv", "25", "--samples", "100", "--seed", "1"):
+        "586d5e34bba1a63f3ea447172429fc9c460227244f6743c042924f885c15a916",
 }
 
 
@@ -123,7 +131,9 @@ def run_with_overrides(capsys, tmp_path, text, *argv):
     [
         ("1e-3", list(range(2, 11))),  # closed-form step counts below 1
         ("100", list(range(1, 11))),  # step counts overflow to inf
-        ("2", [9, 10]),  # the shot count overflows a float
+        # the shot count overflows a float: in bracket**-2 at orders 9-10,
+        # only in the final product 9 sigma^2 / L^2 * bracket**-2 at order 8
+        ("2", [8, 9, 10]),
     ],
 )
 def test_table_flags_rows_without_a_shot_count(capsys, tmp_path, horizon, flagged):
@@ -136,6 +146,7 @@ def test_table_flags_rows_without_a_shot_count(capsys, tmp_path, horizon, flagge
             assert all(math.isnan(float(r[k])) for k in ("N_r", "cost", "N_circ", "ratio"))
         else:
             assert r["flag"] == ""
+            assert all(math.isfinite(float(r[k])) for k in ("N_r", "cost", "N_circ"))
 
 
 def test_sweep_flags_points_without_a_shot_count(capsys, tmp_path):
@@ -159,6 +170,32 @@ def test_override_nan_constant_exits_2(capsys, tmp_path):
     code, out, err = run_with_overrides(capsys, tmp_path, "T=nan\n", "table")
     assert code == 2
     assert "horizon must be finite" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("Sigma=nan", "Sigma must be finite"),
+        ("Sigma=inf", "Sigma must be finite"),
+        ("S=-inf", "S must be finite"),
+        ("eta=nan", "eta must be finite"),
+        ("eta=7", "eta must lie in (0, 1)"),
+        ("eta=0", "eta must lie in (0, 1)"),
+        ("eta=1", "eta must lie in (0, 1)"),
+        ("K=inf", "K must be finite"),
+        ("a_max=nan", "a_max must be finite"),
+        ("N_V=2.5", "N_V must be a whole number"),
+        ("N_d=1.5", "N_d must be a whole number"),
+        ("N=inf", "N must be a whole number"),
+    ],
+)
+def test_override_rejects_bad_values_exits_2(capsys, tmp_path, text, message):
+    code, out, err = run_with_overrides(
+        capsys, tmp_path, text + "\n", "table", "--scenario", "option_pricing", "--format", "json"
+    )
+    assert code == 2
+    assert message in err
     assert out == ""
 
 
@@ -276,6 +313,37 @@ def test_toy_lip_requires_single_nv(capsys):
     code, _, err = run_cli(capsys, "toy", "lip", "--nv", "5:10:5")
     assert code == 2
     assert "single" in err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ("lip --lo nan", "--lo and --hi must be finite"),
+        ("lip --hi inf", "--lo and --hi must be finite"),
+        ("lip --lo=-inf", "--lo and --hi must be finite"),
+        ("lip --lo 5 --hi 5", "--lo must be below --hi"),
+        ("lip --lo 6 --hi 5", "--lo must be below --hi"),
+        ("lip --points 0", "--points must be at least 2"),
+        ("lip --points 1", "--points must be at least 2"),
+        ("lip --theta nan", "--theta must be finite"),
+        ("kappa --theta inf", "--theta must be finite"),
+        ("norms --theta=-inf", "--theta must be finite"),
+    ],
+)
+def test_toy_rejects_bad_inputs_exits_2(capsys, args, message):
+    study, *rest = args.split()
+    code, out, err = run_cli(capsys, "toy", study, "--nv", "4", "--samples", "30", *rest)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
+def test_toy_lip_two_points_is_the_smallest_grid(capsys):
+    code, out, _ = run_cli(capsys, "toy", "lip", "--nv", "3", "--points", "2", "--lo", "1", "--hi", "2", "--seed", "5")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 3
+    assert math.isfinite(float(lines[1].split(",")[2]))
 
 
 # -- validate --------------------------------------------------------------------

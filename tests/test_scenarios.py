@@ -266,3 +266,26 @@ def test_apply_overrides_from_file(tmp_path, classical):
     assert out.pb.target_error == 0.01
     assert out.pb.field_bound == 26.0
     assert out.pb.lip_time == classical.pb.lip_time
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"Sigma": math.nan}, "Sigma must be finite"),
+        ({"S": math.inf}, "S must be finite"),
+        ({"eta": -math.inf}, "eta must be finite"),
+        ({"eta": 1.5}, r"eta must lie in \(0, 1\)"),
+        ({"b_max": math.nan}, "b_max must be finite"),
+        ({"N_V": 2.5}, "N_V must be a whole number"),
+        ({"N": math.nan}, "N must be a whole number"),
+    ],
+)
+def test_apply_overrides_rejects_bad_values(option_pricing, overrides, message):
+    with pytest.raises(ValueError, match=message):
+        apply_overrides(option_pricing, overrides)
+
+
+def test_apply_overrides_takes_whole_number_dimensions(option_pricing):
+    out = apply_overrides(option_pricing, {"N_V": 10.0, "N_d": 2})
+    assert (out.dims.n_params, out.dims.n_strings) == (10, 2)
+    assert isinstance(out.dims.n_params, int)

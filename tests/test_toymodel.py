@@ -182,6 +182,93 @@ def test_lip_surface_mostly_below_moderate_threshold():
     assert np.mean(values <= 15.0) >= 0.5
 
 
+def lip_surface_reference(params, grid1, grid2):
+    # the per-cell loop lip_surface replaced, kept as the bitwise reference
+    cache = {}
+
+    def solve_at(theta):
+        if theta not in cache:
+            try:
+                cache[theta] = np.linalg.solve(params.matrix(theta), params.vector(theta))
+            except np.linalg.LinAlgError:
+                cache[theta] = None
+        return cache[theta]
+
+    f1 = [solve_at(t) for t in grid1]
+    f2 = [solve_at(t) for t in grid2]
+    surface = np.full((len(grid1), len(grid2)), np.nan)
+    for i, (t1, fa) in enumerate(zip(grid1, f1)):
+        for j, (t2, fb) in enumerate(zip(grid2, f2)):
+            if fa is None or fb is None or t1 == t2:
+                continue
+            surface[i, j] = np.linalg.norm(fa - fb) / abs(t1 - t2)
+    return surface
+
+
+def assert_bitwise_equal(a, b):
+    # bit patterns, so NaN cells compare too
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def sine_diagonal_params(nv):
+    # A(theta) = sin(theta) * I, C(theta) = 1: singular only at theta = 0
+    a = np.zeros((nv, nv, 5))
+    a[np.arange(nv), np.arange(nv), 3] = 1.0
+    a[np.arange(nv), np.arange(nv), 4] = 1.0
+    c = np.zeros((nv, 5))
+    c[:, 0] = 1.0
+    return ToyParams(a_coeffs=a, c_coeffs=c)
+
+
+@pytest.mark.parametrize(
+    "nv, grid1, grid2",
+    [
+        (25, np.linspace(0.0, 10.0, 40), np.linspace(0.0, 10.0, 40)),
+        (7, np.linspace(-2.0, 3.0, 13), np.linspace(0.1, 9.0, 17)),
+        (5, [0.5, 1.5, 0.5, 2.0, 2.0, 7.25], [2.0, 0.5, 3.0, 3.0, 1.5]),
+        (1, [0.0, 1.0, 1.0], [1.0, 0.0, 4.0]),
+    ],
+    ids=["square", "distinct-grids", "repeats", "scalar"],
+)
+def test_lip_surface_matches_per_cell_loop_bitwise(nv, grid1, grid2):
+    _, params = sample_toy(nv, rng=nv)
+    grid1, grid2 = np.asarray(grid1), np.asarray(grid2)
+    assert_bitwise_equal(lip_surface(params, grid1, grid2), lip_surface_reference(params, grid1, grid2))
+
+
+def test_lip_surface_singular_input_gives_nan_row_and_column():
+    params = sine_diagonal_params(3)
+    grid1 = np.array([-1.0, 0.0, 0.5, 0.5, 2.0])
+    grid2 = np.array([0.0, 0.5, 3.0, -1.0, 0.0])
+    surface = lip_surface(params, grid1, grid2)
+    assert_bitwise_equal(surface, lip_surface_reference(params, grid1, grid2))
+    singular = (grid1 == 0.0)[:, None] | (grid2 == 0.0)[None, :]
+    same = grid1[:, None] == grid2[None, :]
+    assert np.all(np.isnan(surface[singular | same]))
+    assert np.all(np.isfinite(surface[~(singular | same)]))
+    # f(t) = (1 / sin t) * ones(3): one closed-form cell
+    expected = math.sqrt(3.0) * abs(1.0 / math.sin(-1.0) - 1.0 / math.sin(3.0)) / 4.0
+    assert surface[0, 2] == pytest.approx(expected, rel=1e-14)
+
+
+def test_lip_surface_csv_matches_per_cell_formatting():
+    grid1 = np.array([0.0, 1.0, -0.0])
+    grid2 = np.array([0.5, 1e-300, 1.0, 3.0])
+    surface = np.array(
+        [
+            [math.nan, -math.nan, math.inf, -math.inf],
+            [0.0, -0.0, 5e-324, 1.7976931348623157e308],
+            [1.0 / 3.0, -2.5, 123456789.0, 1e-17],
+        ]
+    )
+    expected = "theta1/theta2," + ",".join(f"{t:.16e}" for t in grid2) + "\n"
+    for t1, row in zip(grid1, surface):
+        expected += f"{t1:.16e}," + ",".join(f"{v:.16e}" for v in row) + "\n"
+    assert lip_surface_to_csv(surface, grid1, grid2) == expected
+    assert "-0.0000000000000000e+00," in expected
+
+
 def test_lip_surface_csv_headers():
     params = constant_params(2)
     g1 = np.array([0.0, 1.0])
