@@ -110,6 +110,23 @@ PINNED_DIGESTS = {
         "87fac8a6f1779635789d42fe08a9b07841e37b9c9f7aab60424d53a7378754e3",
     ("toy", "norms", "--nv", "25", "--samples", "100", "--seed", "1"):
         "586d5e34bba1a63f3ea447172429fc9c460227244f6743c042924f885c15a916",
+    ("validate", "--method", "rk4", "--delta", "0", "--format", "json"):
+        "17b9cff75dcec38cd3322b5f65eafa56758da0d9e3753fd09eaae5a06c15c081",
+    ("validate", "--method", "euler", "--mode", "clipped", "--delta", "1e-4", "--trials", "50", "--format", "json"):
+        "53930726c4e7b4e27eb201ed2e98f0f8ec5cda11ed0748eb7064bd128c328fa1",
+    ("validate", "--method", "rk4", "--mode", "gaussian", "--delta", "1e-3", "--trials", "50", "--format", "json"):
+        "279e9d49178bf4be57d1aeb05f8edf0bbce2483e790e18df45e7aade49c25164",
+    ("convergence", "--method", "rk4"): "ecf708b8c1ae5b6917b92888db0758d61b7460f8895323a04bbe7dedb8a9e08e",
+    ("convergence", "--method", "kutta3", "--format", "json"):
+        "f091513e1023d21b0210f4af952ae8b4de0a8b38004c5dbadde4f2e59c851668",
+    ("sweep", "--target", "epsilon", "--mode", "cost", "--format", "json"):
+        "d6971ac3ff87d3aae1bf2d797a5b093114d324b28be5d711df442b5913e05c34",
+    ("sweep", "--scenario", "option_pricing", "--target", "Sigma", "--mode", "ncirc", "--format", "json"):
+        "f0c145402998d4cf90e43924cd420dc18433018963dc866a4ce0d432d29ea742",
+    ("toy", "kappa", "--nv", "10:30:10", "--samples", "30", "--seed", "42", "--format", "json"):
+        "660c535c5fabce79c773808666f5190c5bb49463aab0c972856d6d8608a74509",
+    ("toy", "norms", "--nv", "25", "--samples", "40", "--seed", "1", "--format", "json"):
+        "d5b0342603dd6d32f7cba8f76525074bcce26ff85fb77c353e3f0440ff7181e1",
 }
 
 
@@ -124,6 +141,24 @@ def run_with_overrides(capsys, tmp_path, text, *argv):
     path = tmp_path / "ov.txt"
     path.write_text(text)
     return run_cli(capsys, *argv, "--overrides", str(path))
+
+
+# the same, for tables whose overrides make rows infeasible (T=2) or push
+# cells past the float range (T=1000)
+PINNED_OVERRIDE_DIGESTS = {
+    ("T=2", "option_pricing", "csv"): "4298ddcb268b316c0ba7d93443ae8a13df70b99b42f902e7f6521b452666430e",
+    ("T=2", "option_pricing", "json"): "cab3494f2906496130bcd4af8dd52cd596a2dabf2760ceace421fdfd9af9b38c",
+    ("T=1000", "classical", "csv"): "18cdd8c8d0c5835406d3fe1897d390ac478032f643aaff4357f2f051cb0f4d2c",
+    ("T=1000", "classical", "json"): "6f0d6f0c1b22b68835f5b6d0413959467d47cc77fe032433157388dd100ec6cf",
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_OVERRIDE_DIGESTS), ids="_".join)
+def test_pinned_override_tables_are_byte_identical(capsys, tmp_path, key):
+    text, name, fmt = key
+    code, out, _ = run_with_overrides(capsys, tmp_path, text + "\n", "table", "--scenario", name, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OVERRIDE_DIGESTS[key]
 
 
 @pytest.mark.parametrize(

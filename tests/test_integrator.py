@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -264,6 +265,17 @@ def test_trajectory_csv_format():
     assert first[0] == "0"
     assert float(first[2]) == 1.0
     assert float(first[3]) == 2.0
+
+
+def test_trajectory_csv_is_byte_identical():
+    # pinned bytes of an rk4 trajectory whose first component starts at -0.0
+    def field(tau, y):
+        return np.stack([-0.0 * np.ones_like(y[..., 0]), -y[..., 1]], axis=-1)
+
+    traj = integrate(builtin_tableau("rk4"), field, np.array([-0.0, 1.0]), 0.0, 1.0, 8)
+    text = trajectory_to_csv(traj)
+    assert text.splitlines()[1] == "0,0.0000000000000000e+00,-0.0000000000000000e+00,1.0000000000000000e+00"
+    assert hashlib.sha256(text.encode()).hexdigest() == "5d94b8972037dac8661e2c76584f1b6d30a53b2c19dbe08b88224a8894c53e43"
 
 
 def test_trajectory_csv_rejects_a_batch():
