@@ -10,7 +10,6 @@ up for execution.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -18,6 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bounds import ProblemBounds, _expm1_safe, _growth_terms
+from .formats import csv_text, json_text
 from .tableaux import MethodProfile, min_stages
 
 __all__ = [
@@ -309,40 +309,16 @@ def argmin_order(rows: Sequence[BudgetRow]) -> int:
     return best.order
 
 
-def _row_record(row: BudgetRow) -> dict:
-    return {
-        "p": row.order,
-        "s": row.stages,
-        "N_tau": row.n_steps,
-        "N_r": row.n_shots,
-        "cost": row.cost,
-        "N_circ": row.circuit_evals,
-        "circuits": row.circuits,
-        "ratio": row.ratio,
-        "flag": "" if row.feasible else "infeasible",
-    }
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.16e}"
-    return str(value)
-
-
-def _json_cell(value):
-    return None if isinstance(value, float) and not math.isfinite(value) else value
+def _row_cells(row: BudgetRow) -> tuple:
+    """One row's cells in ``ROW_KEYS`` order."""
+    flag = "" if row.feasible else "infeasible"
+    return (row.order, row.stages, row.n_steps, row.n_shots, row.cost, row.circuit_evals, row.circuits, row.ratio, flag)
 
 
 def rows_to_csv(rows: Sequence[BudgetRow]) -> str:
     """Budget table as CSV with the canonical column set; the last column,
     ``flag``, reads ``infeasible`` on flagged rows and is empty otherwise."""
-    lines = [",".join(ROW_KEYS)]
-    for row in rows:
-        rec = _row_record(row)
-        lines.append(",".join(_csv_cell(rec[k]) for k in ROW_KEYS))
-    return "\n".join(lines) + "\n"
+    return csv_text(ROW_KEYS, map(_row_cells, rows))
 
 
 def rows_to_json(rows: Sequence[BudgetRow]) -> str:
@@ -351,5 +327,4 @@ def rows_to_json(rows: Sequence[BudgetRow]) -> str:
     Cells that do not apply, are infeasible or are not finite serialize as
     null, so the output is strict JSON.
     """
-    records = [{k: _json_cell(v) for k, v in _row_record(row).items()} for row in rows]
-    return json.dumps(records, indent=2, allow_nan=False)
+    return json_text([dict(zip(ROW_KEYS, _row_cells(row))) for row in rows], sort_keys=False)

@@ -15,16 +15,17 @@ Exit codes: 0 success, 1 validation failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 
 from . import budget, sensitivity, toymodel
-from .harness import report_to_json, validate_noiseless_bound, validate_noisy_bound
+from .formats import csv_text, json_text
+from .harness import report_record, report_to_json, validate_noiseless_bound, validate_noisy_bound
 from .integrator import empirical_order
 from .scenarios import SCENARIO_NAMES, apply_overrides, exp_ode, scenario
 from .tableaux import BUILTIN_METHODS, builtin_tableau
@@ -48,10 +49,7 @@ def _default_seed() -> int:
 
 
 def _load_scenario(args):
-    try:
-        sc = scenario(args.scenario)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    sc = scenario(args.scenario)
     if getattr(args, "overrides", None):
         path = Path(args.overrides)
         if not path.exists():
@@ -63,20 +61,18 @@ def _load_scenario(args):
     return sc
 
 
-def _parse_range(text: str) -> list[int]:
-    """Parse '4', 'lo:hi' or 'lo:hi:step' into a list of integers."""
-    parts = text.split(":")
+def _parse_range(option: str, text: str) -> list[int]:
+    """Parse '4', 'lo:hi' or 'lo:hi:step' (``hi`` included) into a non-empty list of integers."""
     try:
-        nums = [int(p) for p in parts]
+        nums = [int(p) for p in text.split(":")]
     except ValueError:
-        raise CliError(f"bad integer range {text!r}") from None
-    if len(nums) == 1:
-        return nums
-    if len(nums) == 2:
-        return list(range(nums[0], nums[1] + 1))
-    if len(nums) == 3:
-        return list(range(nums[0], nums[1] + 1, nums[2]))
-    raise CliError(f"bad integer range {text!r}")
+        nums = []
+    if not 1 <= len(nums) <= 3 or nums[2:] == [0]:
+        raise CliError(f"{option}: bad integer range {text!r}, expected n, lo:hi or lo:hi:step with a non-zero step")
+    values = nums if len(nums) == 1 else list(range(nums[0], nums[1] + 1, *nums[2:]))
+    if not values:
+        raise CliError(f"{option}: range {text!r} is empty")
+    return values
 
 
 def _emit(args, text: str) -> None:
@@ -88,7 +84,7 @@ def _emit(args, text: str) -> None:
 
 def _cmd_table(args) -> int:
     sc = _load_scenario(args)
-    orders = _parse_range(args.orders)
+    orders = _parse_range("--orders", args.orders)
     if any(p < 1 or p > 10 for p in orders):
         raise CliError("orders must lie within 1..10")
     rows = budget.budget_table(
@@ -106,30 +102,20 @@ def _cmd_table(args) -> int:
 
 def _cmd_sweep(args) -> int:
     sc = _load_scenario(args)
-    try:
-        spec = sensitivity.SweepSpec(
-            base=sc,
-            target=args.target,
-            mode=args.mode,
-            factors=sensitivity.default_factors(args.points),
-            order=args.order,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    spec = sensitivity.SweepSpec(
+        base=sc,
+        target=args.target,
+        mode=args.mode,
+        factors=sensitivity.default_factors(args.points),
+        order=args.order,
+    )
     curves = {args.target: sensitivity.sweep(spec)}
     _emit(args, sensitivity.curves_to_json(curves) if args.format == "json" else sensitivity.curves_to_csv(curves))
     return 0
 
 
-def _study_payload(points):
-    return [
-        {"N_V": p.n_params, "median": p.median, "q16": p.q16, "q84": p.q84, "excluded": p.excluded}
-        for p in points
-    ]
-
-
 def _cmd_toy(args) -> int:
-    nv_grid = _parse_range(args.nv)
+    nv_grid = _parse_range("--nv", args.nv)
     if any(nv < 1 for nv in nv_grid):
         raise CliError("nv values must be positive")
     if not math.isfinite(args.theta):
@@ -138,20 +124,19 @@ def _cmd_toy(args) -> int:
     if args.study == "kappa":
         points = toymodel.kappa_study(nv_grid, args.samples, theta=args.theta, seed=seed)
         if args.format == "json":
-            _emit(args, json.dumps(_study_payload(points), indent=2, sort_keys=True))
+            _emit(args, json_text([dict(zip(toymodel.STUDY_KEYS, astuple(p))) for p in points]))
         else:
             _emit(args, toymodel.study_to_csv(points))
         return 0
     if args.study == "norms":
         studies = toymodel.norm_study(nv_grid, args.samples, theta=args.theta, seed=seed)
         if args.format == "json":
-            _emit(args, json.dumps({k: _study_payload(v) for k, v in studies.items()}, indent=2, sort_keys=True))
+            payload = {name: [dict(zip(toymodel.STUDY_KEYS, astuple(p))) for p in points]
+                       for name, points in studies.items()}
+            _emit(args, json_text(payload))
         else:
-            lines = ["study,N_V,median,q16,q84,excluded"]
-            for name in sorted(studies):
-                for point_line in toymodel.study_to_csv(studies[name]).splitlines()[1:]:
-                    lines.append(f"{name},{point_line}")
-            _emit(args, "\n".join(lines) + "\n")
+            rows = [(name, *astuple(p)) for name in sorted(studies) for p in studies[name]]
+            _emit(args, csv_text(("study",) + toymodel.STUDY_KEYS, rows))
         return 0
     # lip surface
     if len(nv_grid) != 1:
@@ -166,9 +151,7 @@ def _cmd_toy(args) -> int:
     grid = np.linspace(args.lo, args.hi, args.points)
     surface = toymodel.lip_surface(params, grid, grid)
     if args.format == "json":
-        cells = [[None if math.isnan(v) else v for v in row] for row in surface.tolist()]
-        payload = {"grid": grid.tolist(), "surface": cells}
-        _emit(args, json.dumps(payload, sort_keys=True))
+        _emit(args, json_text({"grid": grid.tolist(), "surface": surface.tolist()}, indent=None))
     else:
         _emit(args, toymodel.lip_surface_to_csv(surface, grid, grid))
     return 0
@@ -176,10 +159,7 @@ def _cmd_toy(args) -> int:
 
 def _cmd_validate(args) -> int:
     sc = _load_scenario(args)
-    try:
-        tableau = builtin_tableau(args.method)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    tableau = builtin_tableau(args.method)
     seed = args.seed if args.seed is not None else _default_seed()
     mode = "clipped-gaussian" if args.mode == "clipped" else "gaussian"
     if args.delta == 0.0:
@@ -197,37 +177,28 @@ def _cmd_validate(args) -> int:
             allowance = args.eta + 3.0 * math.sqrt(args.eta * (1.0 - args.eta) / max(report.evaluations, 1))
             failed = report.exceedance_rate > allowance
     if args.format == "csv":
-        lines = ["key,value"]
-        payload = json.loads(report_to_json(report))
-        for key in sorted(payload):
-            if key in ("config", "seeds_sample"):
-                continue
-            lines.append(f"{key},{payload[key]}")
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, csv_text(("key", "value"), sorted(report_record(report).items())))
     else:
         _emit(args, report_to_json(report))
     return 1 if failed else 0
 
 
 def _cmd_convergence(args) -> int:
-    try:
-        tableau = builtin_tableau(args.method)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    tableau = builtin_tableau(args.method)
     steps = [int(s) for s in args.steps.split(",")]
     if len(steps) < 4:
         raise CliError("need at least 4 step counts")
     problem = exp_ode()
     slope = empirical_order(tableau, problem, steps, horizon=args.horizon)
     if args.format == "json":
-        _emit(args, json.dumps({"method": args.method, "slope": slope, "steps": steps}, sort_keys=True))
+        _emit(args, json_text({"method": args.method, "slope": slope, "steps": steps}, indent=None))
     else:
-        _emit(args, f"method,slope\n{args.method},{slope:.16e}\n")
+        _emit(args, csv_text(("method", "slope"), [(args.method, slope)]))
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="rkbudget", description=__doc__.splitlines()[0] if __doc__ else None)
+    parser = argparse.ArgumentParser(prog="rkbudget", description=__doc__.partition("\n")[0] if __doc__ else None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, scenario_default=None):

@@ -10,7 +10,6 @@ exceedance rate itself is the quantity under test.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -18,7 +17,8 @@ from typing import Iterable
 import numpy as np
 
 from .bounds import global_error_bound_noiseless, global_error_bound_noisy
-from .integrator import EvaluationOracle, NoiseSpec, integrate
+from .formats import json_text
+from .integrator import NoiseSpec, integrate
 from .scenarios import AnalyticProblem, Scenario, exp_ode
 from .tableaux import ButcherTableau, profile
 
@@ -28,6 +28,7 @@ __all__ = [
     "validate_noisy_bound",
     "shots_to_delta",
     "delta_to_shots",
+    "report_record",
     "report_to_json",
 ]
 
@@ -75,9 +76,8 @@ def validate_noiseless_bound(
     evaluations = 0
     n_steps_list = [int(n) for n in n_steps_list]
     for n in n_steps_list:
-        oracle = EvaluationOracle(problem.field)
-        traj = integrate(tableau, oracle, problem.y0, 0.0, sc.pb.horizon, n)
-        evaluations += oracle.evaluations
+        traj = integrate(tableau, problem.field, problem.y0, 0.0, sc.pb.horizon, n)
+        evaluations += n * tableau.stages
         realized = float(np.linalg.norm(traj.final - reference))
         bound = global_error_bound_noiseless(sc.pb, prof, n)
         worst = max(worst, realized / bound)
@@ -116,8 +116,8 @@ def validate_noisy_bound(
     trials are then stepped together as one batch, which the problem's field
     must accept.
     """
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
+    if not 0.0 <= delta < math.inf:  # NaN too
+        raise ValueError(f"delta must be finite and non-negative, got {delta}")
     if trials < 0:
         raise ValueError("trials must be non-negative")
     if delta == 0.0:
@@ -176,11 +176,9 @@ def delta_to_shots(sigma: float, delta: float) -> float:
     return (sigma / delta) ** 2
 
 
-def report_to_json(report: CampaignReport, sample_size: int = 10) -> str:
-    """Serialize a campaign report with a sample of its per-trial ``(seed, trial)`` streams."""
-    seed = report.config.get("seed")
-    payload = {
-        "config": report.config,
+def report_record(report: CampaignReport) -> dict:
+    """Scalar fields of a campaign report, keyed as in its artifacts."""
+    return {
         "trials": report.trials,
         "violations": report.violations,
         "violation_rate": report.violation_rate,
@@ -188,6 +186,11 @@ def report_to_json(report: CampaignReport, sample_size: int = 10) -> str:
         "delta_exceedances": report.delta_exceedances,
         "exceedance_rate": report.exceedance_rate,
         "worst_margin": report.worst_margin,
-        "seeds_sample": [[seed, t] for t in range(min(report.trials, sample_size))] if seed is not None else [],
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def report_to_json(report: CampaignReport, sample_size: int = 10) -> str:
+    """Serialize a campaign report with a sample of its per-trial ``(seed, trial)`` streams."""
+    seed = report.config.get("seed")
+    seeds_sample = [[seed, t] for t in range(min(report.trials, sample_size))] if seed is not None else []
+    return json_text({**report_record(report), "config": report.config, "seeds_sample": seeds_sample})

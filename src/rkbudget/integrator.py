@@ -10,12 +10,13 @@ below ``delta = sigma / sqrt(n_shots)`` with probability at least
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+from .formats import csv_text
 
 __all__ = [
     "NoiseSpec",
@@ -64,8 +65,8 @@ class NoiseSpec:
     mode: str = "gaussian"
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:  # NaN too
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if not 0.0 < self.eta < 1.0:
             raise ValueError("eta must lie in (0, 1)")
         if self.n_shots < 1:
@@ -202,8 +203,8 @@ def integrate(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0.0 < horizon < math.inf:  # NaN too
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
     dt = horizon / n_steps
     times = np.linspace(tau0, tau0 + horizon, n_steps + 1)
     y = np.atleast_1d(np.asarray(y0, dtype=float))
@@ -239,8 +240,7 @@ def empirical_order(
     floor = 64.0 * np.finfo(float).eps * max(1.0, float(np.linalg.norm(reference)))
     errors = []
     for n in steps:
-        oracle = EvaluationOracle(problem.field)
-        traj = integrate(tableau, oracle, problem.y0, tau0, horizon, n)
+        traj = integrate(tableau, problem.field, problem.y0, tau0, horizon, n)
         errors.append(float(np.linalg.norm(traj.final - reference)))
     errors = np.array(errors)
     if np.any(errors <= floor):
@@ -256,10 +256,6 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     """Render a trajectory as CSV with header ``step,tau,y_0,...,y_{dim-1}``."""
     if traj.states.ndim != 2:
         raise ValueError("trajectory_to_csv renders one trajectory; select a batch row with states[:, t]")
-    dim = traj.states.shape[1]
-    out = io.StringIO()
-    out.write("step,tau," + ",".join(f"y_{i}" for i in range(dim)) + "\n")
-    for k, (tau, state) in enumerate(zip(traj.times, traj.states)):
-        row = ",".join(f"{v:.16e}" for v in state)
-        out.write(f"{k},{tau:.16e},{row}\n")
-    return out.getvalue()
+    header = ["step", "tau"] + [f"y_{i}" for i in range(traj.states.shape[1])]
+    rows = enumerate(zip(traj.times.tolist(), traj.states.tolist()))
+    return csv_text(header, ((k, tau, *state) for k, (tau, state) in rows))

@@ -259,7 +259,9 @@ def heat_evolve(u0: np.ndarray, tau: float, dx: float) -> np.ndarray:
     offsets = np.arange(-half, half + 1) * dx
     kernel = np.exp(-(offsets**2) / (2.0 * tau))
     kernel /= kernel.sum()
-    return np.convolve(u0, kernel, mode="same")
+    # The central len(u0) values of the full convolution; mode="same" would
+    # return len(kernel) values when the kernel is the longer of the two.
+    return np.convolve(u0, kernel, mode="full")[half : half + len(u0)]
 
 
 def recover_price(p_x, gamma_inv: float, a: float, b: float, expiry: float, volatility: float, x) -> np.ndarray | float:

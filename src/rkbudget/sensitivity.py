@@ -10,15 +10,14 @@ coincide exactly; :func:`overlap_check` detects those pairs.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .budget import _json_cell, budget_row
+from .budget import budget_row
+from .formats import csv_text, json_text
 from .scenarios import _PB_KEYS, _SCALAR_KEYS, Scenario, apply_overrides
 from .tableaux import MethodProfile, min_stages
 
@@ -124,19 +123,14 @@ def overlap_check(curves: Mapping[str, Sequence[SweepPoint]], rtol: float = 1e-9
 
 def curves_to_csv(curves: Mapping[str, Sequence[SweepPoint]]) -> str:
     """Curves as CSV with columns ``target,factor,value,feasible``."""
-    out = io.StringIO()
-    out.write("target,factor,value,feasible\n")
-    for name in sorted(curves):
-        for p in curves[name]:
-            out.write(f"{name},{p.factor:.16e},{p.value:.16e},{str(p.feasible).lower()}\n")
-    return out.getvalue()
+    cells = ((name, p.factor, p.value, p.feasible) for name in sorted(curves) for p in curves[name])
+    return csv_text(("target", "factor", "value", "feasible"), cells)
 
 
 def curves_to_json(curves: Mapping[str, Sequence[SweepPoint]]) -> str:
     """Curves as strict JSON, one list of ``factor, value, feasible`` records
     per target; values that are not finite serialize as null."""
-    payload = {
-        name: [{"factor": p.factor, "value": _json_cell(p.value), "feasible": p.feasible} for p in points]
+    return json_text({
+        name: [{"factor": p.factor, "value": p.value, "feasible": p.feasible} for p in points]
         for name, points in curves.items()
-    }
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    })

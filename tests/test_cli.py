@@ -58,6 +58,25 @@ def test_table_orders_subrange(capsys):
     assert [r["p"] for r in rows] == ["2", "3", "4"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("table", "--orders", "5:3"), "--orders: range '5:3' is empty"),
+        (("table", "--orders", "1:10:0"), "--orders: bad integer range '1:10:0'"),
+        (("table", "--orders", "1:2:3:4"), "--orders: bad integer range '1:2:3:4'"),
+        (("table", "--orders", "x"), "--orders: bad integer range 'x'"),
+        (("toy", "kappa", "--nv", "10:5"), "--nv: range '10:5' is empty"),
+        (("toy", "kappa", "--nv", "10:20:0"), "--nv: bad integer range '10:20:0'"),
+        (("toy", "norms", "--nv", "20:10:5"), "--nv: range '20:10:5' is empty"),
+    ],
+)
+def test_bad_integer_ranges_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+    assert out == ""
+
+
 def test_table_unknown_scenario_exits_2(capsys):
     code, out, err = run_cli(capsys, "table", "--scenario", "nope")
     assert code == 2
@@ -434,6 +453,56 @@ def test_validate_gaussian_calibration(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["exceedance_rate"] <= 0.05 + 3 * (0.05 * 0.95 / payload["evaluations"]) ** 0.5
+
+
+def test_validate_csv_writes_floats_in_full_precision(capsys):
+    argv = ("validate", "--method", "euler", "--delta", "0", "--ntau", "10")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    as_map = {r["key"]: r["value"] for r in parse_csv(out)}
+    _, text, _ = run_cli(capsys, *argv, "--format", "json")
+    payload = json.loads(text)
+    assert set(as_map) == set(payload) - {"config", "seeds_sample"}
+    assert (as_map["evaluations"], as_map["trials"], as_map["violations"]) == ("10", "1", "0")
+    assert as_map["exceedance_rate"] == "0.0000000000000000e+00"
+    for key in ("violation_rate", "exceedance_rate", "worst_margin"):
+        assert as_map[key] == "%.16e" % payload[key]
+        assert float(as_map[key]) == payload[key]
+
+
+# sha256 of validate CSV stdout: the noiseless, clipped and gaussian reports
+# with %.16e float cells
+VALIDATE_CSV_DIGESTS = {
+    ("--method", "rk4", "--delta", "0"): "96077aee5d0ecb4c0402ab229f891bb97ea18710086f3b08dee4e4c85995b071",
+    ("--method", "euler", "--mode", "clipped", "--delta", "1e-4", "--trials", "50"):
+        "85b07712910e4c7f75cc90286053b744a620ce1871cd7a74106ca149df1d1ed6",
+    ("--method", "rk4", "--mode", "gaussian", "--delta", "1e-3", "--trials", "50"):
+        "db1f0e19933e339e754ec6073e27ecc6c2276fef68258faad064ef4bc396b4b9",
+}
+
+
+@pytest.mark.parametrize("argv", list(VALIDATE_CSV_DIGESTS), ids="_".join)
+def test_validate_csv_is_byte_identical(capsys, argv):
+    code, out, _ = run_cli(capsys, "validate", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VALIDATE_CSV_DIGESTS[argv]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("validate", "--method", "euler", "--delta", "nan"), "delta must be finite and non-negative, got nan"),
+        (("validate", "--method", "euler", "--delta", "inf"), "delta must be finite and non-negative, got inf"),
+        (("convergence", "--method", "euler", "--horizon", "nan"), "horizon must be finite and positive, got nan"),
+        (("convergence", "--method", "euler", "--horizon", "inf"), "horizon must be finite and positive, got inf"),
+    ],
+    ids=["validate-delta-nan", "validate-delta-inf", "convergence-horizon-nan", "convergence-horizon-inf"],
+)
+def test_non_finite_inputs_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert out == ""
 
 
 def test_validate_csv_output(capsys):

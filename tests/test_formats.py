@@ -1,0 +1,93 @@
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import rkbudget
+from rkbudget.formats import csv_text, json_text
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+cells = st.one_of(st.none(), st.booleans(), st.integers(), finite_floats)
+
+
+@given(st.lists(st.lists(cells, min_size=1, max_size=6), max_size=5))
+def test_csv_cells_render_as_specified_and_floats_read_back_bit_for_bit(rows):
+    text = csv_text(["c"] * 6, rows)
+    lines = text.split("\n")
+    assert lines[0] == ",".join(["c"] * 6)
+    assert lines[-1] == ""  # one trailing newline
+    assert len(lines) == len(rows) + 2
+    for line, row in zip(lines[1:], rows):
+        for cell, value in zip(line.split(","), row, strict=True):
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, bool):
+                assert cell == ("true" if value else "false")
+            elif isinstance(value, int):
+                assert cell == str(value)
+            else:
+                assert cell == "%.16e" % value
+                assert float(cell).hex() == value.hex()  # hex keeps the sign of -0.0
+
+
+def test_csv_special_cells():
+    text = csv_text(("a", "b", "c", "d", "e"), [(-0.0, 5e-324, math.inf, math.nan, np.float64(0.1))])
+    assert text == (
+        "a,b,c,d,e\n"
+        "-0.0000000000000000e+00,4.9406564584124654e-324,inf,nan,1.0000000000000001e-01\n"
+    )
+    assert csv_text(("x",), []) == "x\n"
+
+
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+json_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=5))
+json_payloads = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.dictionaries(st.text(max_size=5), inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+def assert_read_back(value, back):
+    if isinstance(value, float):
+        if math.isfinite(value):
+            assert isinstance(back, float) and back.hex() == value.hex()
+        else:
+            assert back is None
+    elif isinstance(value, dict):
+        assert set(back) == set(value)
+        for key in value:
+            assert_read_back(value[key], back[key])
+    elif isinstance(value, (list, tuple)):
+        assert isinstance(back, list) and len(back) == len(value)
+        for v, b in zip(value, back):
+            assert_read_back(v, b)
+    else:
+        assert type(back) is type(value) and back == value
+
+
+@given(json_payloads, st.sampled_from([None, 2]), st.booleans())
+def test_json_is_strict_and_reads_non_finite_floats_back_as_null(payload, indent, sort_keys):
+    text = json_text(payload, indent=indent, sort_keys=sort_keys)
+    assert_read_back(payload, json.loads(text, parse_constant=reject_constant))
+
+
+def test_json_layouts():
+    payload = {"b": 1, "a": [1.5, math.nan, np.float64(-math.inf), np.float64(0.25)]}
+    assert json_text(payload) == '{\n  "a": [\n    1.5,\n    null,\n    null,\n    0.25\n  ],\n  "b": 1\n}'
+    assert json_text(payload, indent=None, sort_keys=False) == '{"b": 1, "a": [1.5, null, null, 0.25]}'
+
+
+@pytest.mark.parametrize("needle", ["json.dumps", ".16e"])
+def test_only_the_formats_module_writes_artifact_formats(needle):
+    package = Path(rkbudget.__file__).parent
+    offenders = [p.name for p in sorted(package.glob("*.py")) if p.name != "formats.py" and needle in p.read_text()]
+    assert offenders == []

@@ -174,6 +174,12 @@ def test_noise_block_must_be_used_up(classical, monkeypatch):
         validate_noisy_bound(classical, builtin_tableau("heun2"), n_steps=10, delta=1e-3, trials=3, seed=1)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -1e-3])
+def test_noisy_campaign_rejects_a_non_finite_or_negative_delta(classical, delta):
+    with pytest.raises(ValueError, match="delta must be finite and non-negative"):
+        validate_noisy_bound(classical, builtin_tableau("euler"), n_steps=10, delta=delta, trials=3)
+
+
 def test_noisy_campaign_rejects_negative_trials(classical):
     with pytest.raises(ValueError, match="trials must be non-negative"):
         validate_noisy_bound(classical, builtin_tableau("euler"), n_steps=10, delta=1e-3, trials=-5)

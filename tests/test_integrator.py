@@ -222,6 +222,18 @@ def test_noise_spec_validation():
     assert spec.delta == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_noise_spec_rejects_non_finite_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma must be finite and positive"):
+        NoiseSpec(sigma=sigma, eta=0.05)
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0])
+def test_integrate_rejects_a_non_finite_or_non_positive_horizon(horizon):
+    with pytest.raises(ValueError, match="horizon must be finite and positive"):
+        integrate(builtin_tableau("euler"), half_field, np.array([1.0]), 0.0, horizon, 10)
+
+
 def test_non_finite_field_aborts_with_index():
     def exploding(tau, y):
         return np.full_like(y, np.nan) if tau > 1.0 else half_field(tau, y)

@@ -191,6 +191,27 @@ def test_heat_evolve_semigroup():
     assert np.max(np.abs(two_hops - one_hop)) <= 1e-6
 
 
+def test_heat_evolve_kernel_wider_than_the_grid():
+    # dx=0.1, tau=0.1: the kernel spans 65 points, the grid 11
+    u0 = np.exp(-np.linspace(-1.0, 1.0, 11) ** 2)
+    out = heat_evolve(u0, 0.1, 0.1)
+    assert out.shape == u0.shape
+    # the padded grid is longer than the kernel; zero terms only change the
+    # summation order, so the two agree to rounding
+    pad = 40
+    padded = heat_evolve(np.pad(u0, pad), 0.1, 0.1)
+    np.testing.assert_allclose(out, padded[pad : pad + len(u0)], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [65, 66, 200])
+def test_heat_evolve_matches_same_mode_when_the_grid_covers_the_kernel(n):
+    u0 = np.random.default_rng(n).random(n)
+    offsets = np.arange(-32, 33) * 0.1
+    kernel = np.exp(-(offsets**2) / 0.2)
+    kernel /= kernel.sum()
+    np.testing.assert_array_equal(heat_evolve(u0, 0.1, 0.1), np.convolve(u0, kernel, mode="same"))
+
+
 def test_heat_evolve_rejects_bad_input():
     with pytest.raises(ValueError):
         heat_evolve(np.ones(10), -0.1, 0.01)
