@@ -79,8 +79,9 @@ class AnsatzDims:
 
 @dataclass(frozen=True)
 class BudgetRow:
-    """One order's resource requirements; ``feasible`` is False when the
-    order has no shot count (see :func:`budget_row`)."""
+    """One order's resource requirements; ``feasible`` is False when a
+    noisy order has no finite shot count, cost or circuit budget (see
+    :func:`budget_row`)."""
 
     order: int
     stages: int
@@ -173,8 +174,9 @@ def budget_row(pb: ProblemBounds, prof, sigma: float | None = None, dims: Ansatz
 
     A noisy row whose shot count cannot be computed (step count below 1 or
     not finite, truncation exceeding the target, or a count beyond the
-    float range) is flagged infeasible with NaN shot, cost and circuit
-    cells.  The ratio is left NaN: it compares against order 1, which only
+    float range), or whose cost or circuit budget lies beyond the float
+    range, is flagged infeasible with NaN shot, cost and circuit cells.
+    The ratio is left NaN: it compares against order 1, which only
     :func:`budget_table` knows.
     """
     feasible = True
@@ -186,11 +188,13 @@ def budget_row(pb: ProblemBounds, prof, sigma: float | None = None, dims: Ansatz
         n_steps = min_steps_noisy(pb, prof)
         try:
             n_shots = min_shots(pb, prof, sigma, n_steps)
+            cost = prof.stages * n_steps * n_shots
             circuit_evals = None if dims is None else circuit_budget(n_steps, prof.stages, n_shots, dims)
+            if math.isinf(cost) or (circuit_evals is not None and math.isinf(circuit_evals)):
+                raise OverflowError(f"cost or circuit budget exceeds the float range at n_steps={n_steps:.6g}")
         except (InfeasibleShotsError, OverflowError):
-            n_shots = circuit_evals = math.nan
+            n_shots = cost = circuit_evals = math.nan
             feasible = False
-        cost = prof.stages * n_steps * n_shots
     return BudgetRow(
         order=prof.order,
         stages=prof.stages,

@@ -7,7 +7,8 @@ surrogate model), ``validate`` (bound-dominance campaigns) and
 stdout or a file, numbers in full-precision scientific notation, and every
 random quantity is driven by an explicit seed (default fixed, overridable
 via the RKBUDGET_SEED environment variable), so identical invocations
-produce identical bytes.
+produce identical bytes.  The argument parser is built once per process, on
+the first call of :func:`main`.
 
 Exit codes: 0 success, 1 validation failure, 2 usage or configuration error.
 """
@@ -15,6 +16,7 @@ Exit codes: 0 success, 1 validation failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -186,8 +188,8 @@ def _cmd_validate(args) -> int:
 def _cmd_convergence(args) -> int:
     tableau = builtin_tableau(args.method)
     steps = [int(s) for s in args.steps.split(",")]
-    if len(steps) < 4:
-        raise CliError("need at least 4 step counts")
+    if len(set(steps)) < 4:
+        raise CliError(f"--steps: need at least 4 step counts, all distinct, got {args.steps!r}")
     problem = exp_ode()
     slope = empirical_order(tableau, problem, steps, horizon=args.horizon)
     if args.format == "json":
@@ -253,9 +255,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Safe to share: parse_args leaves the parser unchanged and returns a new
+    # Namespace, and defaults that depend on the environment (the seed) are
+    # read by the commands at call time, not stored in the parser.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:

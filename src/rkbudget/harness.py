@@ -164,15 +164,19 @@ def validate_noisy_bound(
 
 def shots_to_delta(sigma: float, n_shots: float) -> float:
     """Per-evaluation noise bound implied by a shot count: ``sigma / sqrt(n_shots)``."""
-    if sigma <= 0 or n_shots <= 0:
-        raise ValueError("sigma and n_shots must be positive")
+    if not 0.0 < sigma < math.inf:  # NaN too
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    if not 0.0 < n_shots < math.inf:
+        raise ValueError(f"n_shots must be finite and positive, got {n_shots}")
     return sigma / math.sqrt(n_shots)
 
 
 def delta_to_shots(sigma: float, delta: float) -> float:
     """Shot count needed for a target noise bound: ``(sigma / delta)**2``."""
-    if sigma <= 0 or delta <= 0:
-        raise ValueError("sigma and delta must be positive")
+    if not 0.0 < sigma < math.inf:  # NaN too
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and positive, got {delta}")
     return (sigma / delta) ** 2
 
 

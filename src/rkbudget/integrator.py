@@ -177,12 +177,15 @@ def rk_step(tableau, oracle: Callable, tau_n: float, y_n: np.ndarray, dt: float)
     if dt <= 0:
         raise ValueError("dt must be positive")
     y_n = np.atleast_1d(np.asarray(y_n, dtype=float))
-    ks = np.empty((tableau.stages,) + y_n.shape)
-    flat = ks.reshape(tableau.stages, -1)
-    for i in range(tableau.stages):
+    stages = tableau.stages
+    ks = np.empty((stages,) + y_n.shape)
+    flat = ks.reshape(stages, -1)
+    for i in range(stages):
         y_stage = y_n if i == 0 else y_n + dt * (tableau.a[i, :i] @ flat[:i]).reshape(y_n.shape)
         k = np.asarray(oracle(tau_n + tableau.c[i] * dt, y_stage), dtype=float)
-        if not np.all(np.isfinite(k)):
+        # Checked per stage, before the next stage state is built from it, so
+        # a field never sees a state derived from a non-finite value.
+        if not np.isfinite(k).all():
             raise StepFailureError(f"non-finite field value at stage {i + 1}", stage=i + 1)
         ks[i] = k
     return y_n + dt * (tableau.b @ flat).reshape(y_n.shape)
@@ -234,8 +237,8 @@ def empirical_order(
     to the machine-precision floor, where no meaningful slope exists.
     """
     steps = sorted(int(n) for n in steps)
-    if len(steps) < 4:
-        raise ValueError("need at least 4 grid points for a slope estimate")
+    if len(set(steps)) < 4:
+        raise ValueError(f"need at least 4 distinct step counts for a slope estimate, got {steps}")
     reference = np.atleast_1d(np.asarray(problem.exact(tau0 + horizon), dtype=float))
     floor = 64.0 * np.finfo(float).eps * max(1.0, float(np.linalg.norm(reference)))
     errors = []

@@ -110,6 +110,24 @@ def test_min_shots_overflow_in_the_final_product_is_flagged(option_pricing):
     assert math.isnan(row.n_shots)
 
 
+def test_budget_row_flags_a_cost_or_circuit_budget_beyond_the_float_range(option_pricing):
+    # T=1.3, order 9: shots and cost are finite (cost ~1e257); ~1e52 more
+    # circuits per evaluation push only the circuit budget past the float range
+    pb = replace(option_pricing.pb, horizon=1.3)
+    prof = prof_for(option_pricing, 9)
+    row = budget.budget_row(pb, prof, option_pricing.sigma)
+    assert row.feasible and math.isfinite(row.cost)
+    row = budget.budget_row(pb, prof, option_pricing.sigma, AnsatzDims(n_params=10**26, n_strings=1, n_pauli=1))
+    assert not row.feasible
+    assert all(math.isnan(v) for v in (row.n_shots, row.cost, row.circuit_evals))
+    assert math.isfinite(row.n_steps) and math.isfinite(row.circuits)
+    # order 10: the cost itself overflows, with or without circuit dimensions
+    row = budget.budget_row(pb, prof_for(option_pricing, 10), option_pricing.sigma)
+    assert not row.feasible
+    assert math.isfinite(min_shots(pb, prof_for(option_pricing, 10), option_pricing.sigma, row.n_steps))
+    assert math.isnan(row.cost)
+
+
 def test_min_shots_rejects_nan_sigma(option_pricing):
     with pytest.raises(ValueError, match="sigma must be positive"):
         min_shots(option_pricing.pb, prof_for(option_pricing, 2), math.nan, 100.0)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from rkbudget.cli import main
+from rkbudget import cli
+from rkbudget.cli import DEFAULT_SEED, SEED_ENV_VAR, main
 
 
 def run_cli(capsys, *argv):
@@ -201,6 +202,21 @@ def test_table_flags_rows_without_a_shot_count(capsys, tmp_path, horizon, flagge
         else:
             assert r["flag"] == ""
             assert all(math.isfinite(float(r[k])) for k in ("N_r", "cost", "N_circ"))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_flags_rows_whose_cost_overflows(capsys, tmp_path, fmt):
+    # T=1.3: order 10 has a finite shot count (~5.1e292), but its cost and
+    # circuit budget lie beyond the float range
+    code, out, err = run_with_overrides(
+        capsys, tmp_path, "T=1.3\n", "table", "--scenario", "option_pricing", "--format", fmt
+    )
+    assert (code, err) == (0, "")
+    rows = parse_csv(out) if fmt == "csv" else json.loads(out, parse_constant=reject_constant)
+    assert [int(r["p"]) for r in rows if r["flag"] == "infeasible"] == [10]
+    for r in rows:
+        cells = [math.nan if r[k] is None else float(r[k]) for k in ("N_r", "cost", "N_circ", "ratio")]
+        assert all(map(math.isnan, cells)) if r["flag"] else all(map(math.isfinite, cells))
 
 
 def test_sweep_flags_points_without_a_shot_count(capsys, tmp_path):
@@ -541,6 +557,13 @@ def test_convergence_needs_enough_steps(capsys):
     assert "4 step counts" in err
 
 
+def test_convergence_rejects_repeated_steps(capsys):
+    code, out, err = run_cli(capsys, "convergence", "--method", "euler", "--steps", "64,64,64,64")
+    assert code == 2
+    assert err == "error: --steps: need at least 4 step counts, all distinct, got '64,64,64,64'\n"
+    assert out == ""
+
+
 # -- argparse-level failures -------------------------------------------------------
 
 
@@ -554,3 +577,71 @@ def test_missing_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+# -- one parser per process ------------------------------------------------------
+
+
+def test_options_do_not_leak_between_calls(capsys):
+    code, out, _ = run_cli(capsys, "table", "--orders", "3")
+    assert code == 0
+    assert [r["p"] for r in parse_csv(out)] == ["3"]
+    code, out, _ = run_cli(capsys, "table")
+    assert code == 0
+    assert [r["p"] for r in parse_csv(out)] == [str(p) for p in range(1, 11)]
+
+
+@pytest.mark.parametrize("env_seed", [None, "77"], ids=["default", "env"])
+def test_seed_does_not_leak_between_calls(capsys, monkeypatch, env_seed):
+    argv = ("validate", "--method", "euler", "--delta", "1e-4", "--trials", "5", "--ntau", "10", "--format", "json")
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    _, seeded, _ = run_cli(capsys, *argv, "--seed", "5")
+    assert json.loads(seeded)["config"]["seed"] == 5
+    # the environment is read per call, not when the parser was built
+    expected_seed = DEFAULT_SEED
+    if env_seed is not None:
+        monkeypatch.setenv(SEED_ENV_VAR, env_seed)
+        expected_seed = int(env_seed)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["config"]["seed"] == expected_seed
+    _, explicit, _ = run_cli(capsys, *argv, "--seed", str(expected_seed))
+    assert out == explicit
+
+
+@pytest.mark.parametrize(
+    "bad_argv",
+    [("table", "--scenario", "tuned", "--bogus"), ("sweep", "--target", "nope"), ("table", "--orders")],
+    ids=["unknown-flag", "bad-choice", "missing-value"],
+)
+def test_usage_error_between_calls_leaves_later_output_unchanged(capsys, bad_argv):
+    argv = ("table", "--scenario", "classical")
+    cli._parser.cache_clear()
+    _, fresh, _ = run_cli(capsys, *argv)
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(bad_argv))
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == fresh
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[argv]
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    calls = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        calls.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    assert run_cli(capsys, "table", "--orders", "2")[0] == 0
+    assert run_cli(capsys, "convergence", "--method", "euler", "--format", "json")[0] == 0
+    assert len(calls) == 1
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert cli.build_parser() is not cli.build_parser()

@@ -37,6 +37,18 @@ def test_shot_delta_roundtrip():
         delta_to_shots(1.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_shot_delta_conversions_reject_non_finite_inputs(bad):
+    with pytest.raises(ValueError, match="sigma must be finite and positive"):
+        shots_to_delta(bad, 4.0)
+    with pytest.raises(ValueError, match="n_shots must be finite and positive"):
+        shots_to_delta(1.0, bad)
+    with pytest.raises(ValueError, match="sigma must be finite and positive"):
+        delta_to_shots(bad, 1.0)
+    with pytest.raises(ValueError, match="delta must be finite and positive"):
+        delta_to_shots(1.0, bad)
+
+
 def test_noiseless_dominance_euler(classical):
     report = validate_noiseless_bound(classical, builtin_tableau("euler"), [1000])
     assert report.trials == 1

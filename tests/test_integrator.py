@@ -267,6 +267,13 @@ def test_empirical_order_needs_four_points():
         empirical_order(builtin_tableau("euler"), exp_ode(), [8, 16, 32], horizon=1.0)
 
 
+def test_empirical_order_needs_four_distinct_step_counts():
+    with pytest.raises(ValueError, match="4 distinct step counts"):
+        empirical_order(builtin_tableau("euler"), exp_ode(), [64, 64, 64, 64], horizon=5.0)
+    with pytest.raises(ValueError, match="4 distinct step counts"):
+        empirical_order(builtin_tableau("euler"), exp_ode(), [32, 64, 64, 128], horizon=5.0)
+
+
 def test_trajectory_csv_format():
     traj = integrate(builtin_tableau("euler"), EvaluationOracle(half_field), np.array([1.0, 2.0]), 0.0, 1.0, 2)
     text = trajectory_to_csv(traj)
