@@ -123,6 +123,8 @@ def _cmd_toy(args) -> int:
     if not math.isfinite(args.theta):
         raise CliError(f"--theta must be finite, got {args.theta}")
     seed = args.seed if args.seed is not None else _default_seed()
+    if args.study != "lip" and args.samples < 30:
+        raise CliError(f"--samples: need at least 30 samples per grid point, got {args.samples}")
     if args.study == "kappa":
         points = toymodel.kappa_study(nv_grid, args.samples, theta=args.theta, seed=seed)
         if args.format == "json":
@@ -187,9 +189,14 @@ def _cmd_validate(args) -> int:
 
 def _cmd_convergence(args) -> int:
     tableau = builtin_tableau(args.method)
-    steps = [int(s) for s in args.steps.split(",")]
+    try:
+        steps = [int(s) for s in args.steps.split(",")]
+    except ValueError:
+        raise CliError(f"--steps: expected comma-separated integers, got {args.steps!r}") from None
     if len(set(steps)) < 4:
         raise CliError(f"--steps: need at least 4 step counts, all distinct, got {args.steps!r}")
+    if min(steps) < 1:
+        raise CliError(f"--steps: step counts must be at least 1, got {args.steps!r}")
     problem = exp_ode()
     slope = empirical_order(tableau, problem, steps, horizon=args.horizon)
     if args.format == "json":

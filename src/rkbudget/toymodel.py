@@ -10,11 +10,21 @@ with amplitudes near one and frequencies/phases near zero.  Sampling many
 such systems gives working estimates for condition numbers, norms and the
 Lipschitz landscape of ``A^{-1} C``, and an empirical oracle for the
 first-order perturbation bound of linear solves.
+
+The condition-number and norm studies measure their draws in chunks of
+consecutive draws, with stacked LAPACK calls, on one thread per CPU the
+process may run on.  Each draw has its own seeded stream and each chunk's
+results go back to their slots, so the results of a study do not depend on
+the number of these threads (the BLAS library's own threading is another
+matter: OpenBLAS factorizes matrices of 10^4 entries or more on several
+threads, which can round differently from one).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import astuple, dataclass
 from typing import Iterable, Sequence
 
@@ -115,19 +125,25 @@ class StudyPoint:
 STUDY_KEYS = ("N_V", "median", "q16", "q84", "excluded")
 
 
-def _entries(coeffs: np.ndarray, theta: float) -> np.ndarray:
+def _entries(coeffs: np.ndarray, theta) -> np.ndarray:
+    # theta broadcasts against the entry shape: a scalar, or e.g. (T, 1, 1) for T matrices.
     a1, a2, a3, a4, a5 = np.moveaxis(coeffs, -1, 0)
     return a1 * np.cos(a2 * theta + a3) + a4 * np.sin(a5 * theta)
 
 
+# Per-plane mean and spread of the coefficients (amp1, freq1, phase, amp2, freq2).
+_PLANE_MEAN = np.array([_AMP_MEAN, _FREQ_MEAN, _FREQ_MEAN, _AMP_MEAN, _FREQ_MEAN])
+_PLANE_SD = np.array([_AMP_SD, _FREQ_SD, _FREQ_SD, _AMP_SD, _FREQ_SD])
+
+
 def _draw_coeffs(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    out = np.empty(shape + (5,))
-    out[..., 0] = rng.normal(_AMP_MEAN, _AMP_SD, shape)
-    out[..., 1] = rng.normal(_FREQ_MEAN, _FREQ_SD, shape)
-    out[..., 2] = rng.normal(_FREQ_MEAN, _FREQ_SD, shape)
-    out[..., 3] = rng.normal(_AMP_MEAN, _AMP_SD, shape)
-    out[..., 4] = rng.normal(_FREQ_MEAN, _FREQ_SD, shape)
-    return out
+    # One fill of the five planes in turn: the same stream and the same bits
+    # as five rng.normal(mean, sd, shape) calls, which compute mean + sd * z.
+    planes = rng.standard_normal((5,) + shape)
+    scale = (5,) + (1,) * len(shape)
+    planes *= _PLANE_SD.reshape(scale)
+    planes += _PLANE_MEAN.reshape(scale)
+    return np.moveaxis(planes, 0, -1)
 
 
 def sample_toy(
@@ -170,28 +186,163 @@ def _study_rng(seed, nv: int, index: int) -> np.random.Generator:
     return np.random.default_rng((seed, nv, index))
 
 
-def _screened(nv: int, samples: int, theta: float, seed, measure) -> tuple[list, int]:
-    """Draw ``samples`` systems of dimension ``nv`` from their ``(seed, nv, i)``
-    streams and return ``measure(system, kappa)`` of every well-conditioned
-    draw, with the count of singular or ill-conditioned draws excluded."""
-    values = []
-    for i in range(samples):
-        system, _ = sample_toy(nv, theta, _study_rng(seed, nv, i))
+# Matrix entries per chunk of study draws (256 kB per stacked array): small
+# enough to keep each worker's temporaries small, large enough to amortize the
+# per-call overhead over the draws of small dimensions.
+_CHUNK_ENTRIES = 1 << 15
+
+
+def _workers() -> int:
+    """Threads of a study pool: one per CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _norm_each(stack: np.ndarray) -> np.ndarray:
+    # 2-norm of each item (Frobenius for matrices) as a dot product, bitwise
+    # equal to np.linalg.norm of that item; np.linalg.norm(axis=...) is not.
+    d = stack.reshape(len(stack), math.prod(stack.shape[1:]))
+    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+
+
+def _each_matrix(op, *stacks: np.ndarray) -> np.ndarray:
+    """``op`` on stacks whose items are one matrix (or system) each, returning
+    one item of the last stack's shape per matrix.  When LAPACK rejects a
+    singular matrix, retries item by item and leaves NaN for the singular ones."""
+    try:
+        return op(*stacks)
+    except np.linalg.LinAlgError:
+        out = np.full(stacks[-1].shape, np.nan)
+        for k, items in enumerate(zip(*stacks)):
+            try:
+                out[k] = op(*items)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _solve(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Solutions of ``a[k] x = c[k]``, NaN for a singular ``a[k]``."""
+    return _each_matrix(lambda m, v: np.linalg.solve(m, v[..., None])[..., 0], a, c)
+
+
+def _screen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frobenius norms and condition numbers of a stack of matrices.
+
+    Equal to ``condition_number`` matrix by matrix, except that a singular
+    matrix gets a NaN condition number instead of raising.
+    """
+    norm_a = _norm_each(a)
+    return norm_a, norm_a * _norm_each(_each_matrix(np.linalg.inv, a))
+
+
+def _measure(a: np.ndarray, c: np.ndarray, norms: bool) -> np.ndarray:
+    """One row per system ``a[k] x = c[k]``: the condition number of
+    ``a[k]``, then with ``norms`` ``||A||_F``, ``||C||_2`` and
+    ``||A^{-1}C||_2``.  Singular and ill-conditioned systems get NaN rows."""
+    norm_a, kappa = _screen(a)
+    keep = kappa <= ILL_CONDITIONED_CUTOFF  # false for singular (NaN) and overflowing condition numbers
+    rows = np.full((len(a), 4 if norms else 1), np.nan)
+    rows[keep, 0] = kappa[keep]
+    if norms:
+        rows[keep, 1:] = np.stack([norm_a[keep], _norm_each(c[keep]), _norm_each(_solve(a[keep], c[keep]))], axis=1)
+    return rows
+
+
+def _measure_chunk(nv: int, start: int, stop: int, theta: float, seed, norms: bool) -> np.ndarray:
+    """:func:`_measure` of the study draws ``start..stop-1`` of dimension ``nv``."""
+    a = np.empty((stop - start, nv, nv))
+    c = np.empty((stop - start, nv))
+    for k, i in enumerate(range(start, stop)):
+        rng = _study_rng(seed, nv, i)
+        a[k] = _entries(_draw_coeffs(rng, (nv, nv)), theta)
+        c[k] = _entries(_draw_coeffs(rng, (nv,)), theta)
+    if not (np.isfinite(a).all() and np.isfinite(c).all()):
+        raise ValueError("system entries must be finite")
+    return _measure(a, c, norms)
+
+
+def _in_parallel(fn, items: list) -> list:
+    """``[fn(item) for item in items]``, computed by the calling thread and up
+    to ``_workers() - 1`` pool threads, each taking the next item in turn."""
+    # Imported here: concurrent.futures pulls in logging, ~30 ms of every CLI start.
+    from concurrent.futures import ThreadPoolExecutor
+
+    results = [None] * len(items)
+    todo = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                j = next(todo, None)
+            if j is None:
+                return
+            results[j] = fn(items[j])
+
+    # The calling thread works too: each extra thread holds its own allocator
+    # arena, about 1 MB of peak memory.
+    helpers = min(_workers(), len(items)) - 1
+    with ThreadPoolExecutor(max(1, helpers)) as pool:
+        futures = [pool.submit(drain) for _ in range(helpers)]
         try:
-            kappa = condition_number(system.a)
-        except SingularMatrixError:
-            continue
-        if kappa <= ILL_CONDITIONED_CUTOFF:
-            values.append(measure(system, kappa))
-    return values, samples - len(values)
+            drain()
+        finally:
+            for future in futures:
+                future.result()
+    return results
 
 
-def _norms(system: ToySystem, kappa: float) -> tuple[float, float, float]:
-    return (
-        float(np.linalg.norm(system.a, "fro")),
-        float(np.linalg.norm(system.c)),
-        float(np.linalg.norm(np.linalg.solve(system.a, system.c))),
-    )
+def _study(nv_grid: Iterable[int], samples: int, theta: float, seed, norms: bool) -> list[tuple[int, np.ndarray, int]]:
+    """``(nv, measures, excluded)`` per dimension of the grid, the measures of
+    the well-conditioned draws in index order.
+
+    Each dimension's draws are split into chunks of consecutive indices and
+    measured on all usable CPUs (numpy releases the GIL in the sampling, the
+    trigonometry and LAPACK).  Every draw comes from its own ``(seed, nv, i)``
+    stream and every chunk's rows go back to their slots, so the result
+    does not depend on the number of workers or their schedule.
+    """
+    if samples < 30:
+        raise ValueError("need at least 30 samples per grid point")
+    grid = list(nv_grid)
+    if any(nv < 1 for nv in grid):
+        raise ValueError("n_params must be at least 1")
+    if not grid:
+        return []
+    chunks = []
+    for nv in grid:
+        size = max(1, _CHUNK_ENTRIES // (nv * nv))
+        chunks += [(nv, start, min(start + size, samples)) for start in range(0, samples, size)]
+    measured = _in_parallel(lambda chunk: _measure_chunk(*chunk, theta, seed, norms), chunks)
+    # Chunks run in grid order, then draw order: one block of rows per dimension.
+    rows = np.concatenate(measured).reshape(len(grid), samples, -1)
+    _check_first_draw(grid[0], theta, seed, rows[0, 0, 0])
+    out = []
+    for nv, draws in zip(grid, rows):
+        kept = draws[~np.isnan(draws[:, 0])]
+        out.append((nv, kept[:, 1:] if norms else kept[:, 0], samples - len(kept)))
+    return out
+
+
+def _check_first_draw(nv: int, theta: float, seed, kappa: float) -> None:
+    """Measure draw 0 again through ``sample_toy`` and ``condition_number``
+    and raise if the stacked screen gave it another condition number.
+
+    Study artifacts are defined draw by draw, and stacked LAPACK calls are
+    not promised to match single ones bit for bit on every BLAS build.
+    """
+    system, _ = sample_toy(nv, theta, _study_rng(seed, nv, 0))
+    try:
+        expected = condition_number(system.a)
+    except SingularMatrixError:
+        expected = math.nan
+    if not expected <= ILL_CONDITIONED_CUTOFF:
+        expected = math.nan
+    if not (expected == kappa or math.isnan(expected) and math.isnan(kappa)):
+        raise RuntimeError(f"stacked condition number {kappa!r} of draw 0 at N_V={nv} differs from {expected!r}")
 
 
 def kappa_study(
@@ -206,9 +357,7 @@ def kappa_study(
     ``ILL_CONDITIONED_CUTOFF``, or outright singular) are excluded from the
     statistics and reported in the ``excluded`` count.
     """
-    if samples < 30:
-        raise ValueError("need at least 30 samples per grid point")
-    return [_summary(nv, *_screened(nv, samples, theta, seed, lambda system, kappa: kappa)) for nv in nv_grid]
+    return [_summary(nv, kappas, excluded) for nv, kappas, excluded in _study(nv_grid, samples, theta, seed, False)]
 
 
 def norm_study(
@@ -223,25 +372,21 @@ def norm_study(
     ``norm_AinvC``; draws excluded for ill conditioning are dropped from
     all three, so the per-dimension counts line up.
     """
-    if samples < 30:
-        raise ValueError("need at least 30 samples per grid point")
     studies: dict[str, list[StudyPoint]] = {"norm_A": [], "norm_C": [], "norm_AinvC": []}
-    for nv in nv_grid:
-        norms, excluded = _screened(nv, samples, theta, seed, _norms)
+    for nv, rows, excluded in _study(nv_grid, samples, theta, seed, True):
         for k, study in enumerate(studies.values()):
-            study.append(_summary(nv, [row[k] for row in norms], excluded))
+            study.append(_summary(nv, rows[:, k], excluded))
     return studies
 
 
-def _summary(nv: int, values: list[float], excluded: int) -> StudyPoint:
-    if not values:
+def _summary(nv: int, values: np.ndarray, excluded: int) -> StudyPoint:
+    if not len(values):
         return StudyPoint(n_params=nv, median=math.nan, q16=math.nan, q84=math.nan, excluded=excluded)
-    arr = np.array(values)
     return StudyPoint(
         n_params=nv,
-        median=float(np.median(arr)),
-        q16=float(np.quantile(arr, 0.16)),
-        q84=float(np.quantile(arr, 0.84)),
+        median=float(np.median(values)),
+        q16=float(np.quantile(values, 0.16)),
+        q84=float(np.quantile(values, 0.84)),
         excluded=excluded,
     )
 
@@ -255,22 +400,19 @@ def lip_surface(params: ToyParams, grid1: np.ndarray, grid2: np.ndarray) -> np.n
     """
     grid1 = np.asarray(grid1, dtype=float)
     grid2 = np.asarray(grid2, dtype=float)
-    # One solve per distinct input; a singular one leaves its row NaN.
+    # One stacked solve per chunk of distinct inputs; a singular one leaves its row NaN.
     thetas, index = np.unique(np.concatenate([grid1, grid2]), return_inverse=True)
-    solutions = np.full((len(thetas), params.n_params), np.nan)
-    for row, theta in zip(solutions, thetas):
-        try:
-            row[:] = np.linalg.solve(params.matrix(theta), params.vector(theta))
-        except np.linalg.LinAlgError:
-            pass
+    size = max(1, _CHUNK_ENTRIES // params.n_params**2)
+    solutions = np.concatenate([
+        _solve(_entries(params.a_coeffs, t[:, None, None]), _entries(params.c_coeffs, t[:, None]))
+        for t in np.split(thetas, range(size, len(thetas), size))
+    ])
     f1 = solutions[index[: len(grid1)]]
     f2 = solutions[index[len(grid1) :]]
     surface = np.empty((len(grid1), len(grid2)))
     with np.errstate(divide="ignore", invalid="ignore"):
         for out, t1, fa in zip(surface, grid1, f1):
-            d = f2 - fa
-            # Row norms as dot products, like np.linalg.norm of one difference.
-            out[:] = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0]) / np.abs(t1 - grid2)
+            out[:] = _norm_each(f2 - fa) / np.abs(t1 - grid2)
     surface[grid1[:, None] == grid2] = np.nan  # undefined there, not merely 0/0
     return surface
 

@@ -408,6 +408,15 @@ def test_toy_rejects_bad_inputs_exits_2(capsys, args, message):
     assert out == ""
 
 
+@pytest.mark.parametrize("study", ["kappa", "norms"])
+@pytest.mark.parametrize("samples", ["5", "-3", "29"])
+def test_toy_too_few_samples_exits_2_naming_the_option(capsys, study, samples):
+    code, out, err = run_cli(capsys, "toy", study, "--nv", "10", "--samples", samples)
+    assert code == 2
+    assert err == f"error: --samples: need at least 30 samples per grid point, got {samples}\n"
+    assert out == ""
+
+
 def test_toy_lip_two_points_is_the_smallest_grid(capsys):
     code, out, _ = run_cli(capsys, "toy", "lip", "--nv", "3", "--points", "2", "--lo", "1", "--hi", "2", "--seed", "5")
     assert code == 0
@@ -561,6 +570,22 @@ def test_convergence_rejects_repeated_steps(capsys):
     code, out, err = run_cli(capsys, "convergence", "--method", "euler", "--steps", "64,64,64,64")
     assert code == 2
     assert err == "error: --steps: need at least 4 step counts, all distinct, got '64,64,64,64'\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("steps", ["8,a,16,32", "8,16,32,", "8,16.0,32,64"])
+def test_convergence_non_integer_steps_exit_2_naming_the_option(capsys, steps):
+    code, out, err = run_cli(capsys, "convergence", "--method", "euler", "--steps", steps)
+    assert code == 2
+    assert err == f"error: --steps: expected comma-separated integers, got {steps!r}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("steps", ["0,8,16,32", "8,16,32,-64"])
+def test_convergence_non_positive_steps_exit_2_naming_the_option(capsys, steps):
+    code, out, err = run_cli(capsys, "convergence", "--method", "euler", "--steps", steps)
+    assert code == 2
+    assert err == f"error: --steps: step counts must be at least 1, got {steps!r}\n"
     assert out == ""
 
 

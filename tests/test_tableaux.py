@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rkbudget.tableaux import (
     BUILTIN_METHODS,
@@ -141,6 +147,27 @@ def test_tableau_file_roundtrip(tmp_path, name):
     np.testing.assert_array_equal(loaded.b, t.b)
     np.testing.assert_array_equal(loaded.c, t.c)
     assert validate_tableau(loaded).ok
+
+
+@st.composite
+def any_tableau(draw):
+    s = draw(st.integers(1, 8))
+    entries = st.floats(allow_nan=False, allow_subnormal=True)
+    a = np.tril(draw(arrays(np.float64, (s, s), elements=entries)), k=-1)
+    b = draw(arrays(np.float64, s, elements=entries))
+    c = draw(arrays(np.float64, s, elements=entries))
+    return ButcherTableau(a=a, b=b, c=c, order=draw(st.integers(1, 10)))
+
+
+@given(any_tableau())
+def test_tableau_file_roundtrip_any_values(tableau):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.tab"
+        write_tableau_file(path, tableau)
+        loaded = read_tableau_file(path)
+    assert loaded == tableau
+    for x, y in ((loaded.a, tableau.a), (loaded.b, tableau.b), (loaded.c, tableau.c)):
+        assert [v.hex() for v in x.ravel().tolist()] == [v.hex() for v in y.ravel().tolist()]  # signs of zeros too
 
 
 def test_tableau_file_manual_text(tmp_path):

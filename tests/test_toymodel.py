@@ -1,9 +1,13 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from rkbudget import toymodel
 from rkbudget.toymodel import (
+    ILL_CONDITIONED_CUTOFF,
     SingularMatrixError,
     ToyParams,
     condition_number,
@@ -147,6 +151,198 @@ def test_norm_study_solution_cap():
     studies = norm_study(grid, samples=60, seed=2)
     hits = sum(p.q84 <= 60.0 for p in studies["norm_AinvC"])
     assert hits >= 0.8 * len(grid)
+
+
+# -- the chunked study pipeline ---------------------------------------------------
+
+
+def per_draw_reference(nv, samples, theta, seed):
+    # the per-draw loop the chunked pipeline replaced: kept condition numbers
+    # and norm rows in draw order, and the excluded count
+    kappas, norms = [], []
+    for i in range(samples):
+        system, _ = sample_toy(nv, theta, (seed, nv, i))
+        try:
+            kappa = condition_number(system.a)
+        except SingularMatrixError:
+            continue
+        if kappa <= ILL_CONDITIONED_CUTOFF:
+            kappas.append(kappa)
+            solution = np.linalg.solve(system.a, system.c)
+            norms.append([np.linalg.norm(system.a, "fro"), np.linalg.norm(system.c), np.linalg.norm(solution)])
+    return np.array(kappas), np.array(norms).reshape(-1, 3), samples - len(kappas)
+
+
+def assert_study_matches_reference(grid, samples, theta, seed):
+    kappa_out = toymodel._study(grid, samples, theta, seed, norms=False)
+    norm_out = toymodel._study(grid, samples, theta, seed, norms=True)
+    for nv, (k_nv, kappas, k_excluded), (n_nv, norms, n_excluded) in zip(grid, kappa_out, norm_out, strict=True):
+        ref_kappas, ref_norms, ref_excluded = per_draw_reference(nv, samples, theta, seed)
+        assert k_nv == n_nv == nv
+        assert k_excluded == n_excluded == ref_excluded
+        assert_bitwise_equal(kappas, ref_kappas)
+        assert_bitwise_equal(norms, ref_norms)
+    kappa_points = kappa_study(grid, samples, theta, seed)
+    norm_points = norm_study(grid, samples, theta, seed)
+    for j, nv in enumerate(grid):
+        _, kappas, excluded = kappa_out[j]
+        assert kappa_points[j] == toymodel._summary(nv, kappas, excluded)
+        _, norms, excluded = norm_out[j]
+        for k, key in enumerate(("norm_A", "norm_C", "norm_AinvC")):
+            assert norm_points[key][j] == toymodel._summary(nv, norms[:, k], excluded)
+
+
+@pytest.mark.parametrize("workers", [None, 1, 3], ids=["cpus", "one-worker", "three-workers"])
+def test_study_pipeline_matches_per_draw_loop_bitwise(monkeypatch, workers):
+    if workers is not None:
+        monkeypatch.setattr(toymodel, "_workers", lambda: workers)
+    assert_study_matches_reference(list(range(1, 13)), 30, 0.5, 42)
+
+
+@pytest.mark.parametrize("workers", [None, 1], ids=["cpus", "one-worker"])
+def test_study_pipeline_matches_per_draw_loop_over_several_chunks(monkeypatch, workers):
+    if workers is not None:
+        monkeypatch.setattr(toymodel, "_workers", lambda: workers)
+    nv, samples = 100, 30
+    draws_per_chunk = max(1, toymodel._CHUNK_ENTRIES // nv**2)
+    assert samples > 2 * draws_per_chunk  # three chunks or more
+    assert_study_matches_reference([nv], samples, 1.25, 7)
+
+
+def test_study_pipeline_chunk_boundaries_do_not_show(monkeypatch):
+    # one to a few draws per chunk at small dimensions: many chunk boundaries
+    monkeypatch.setattr(toymodel, "_CHUNK_ENTRIES", 40)
+    assert_study_matches_reference([1, 3, 5, 7], 31, -2.0, 3)
+
+
+@pytest.mark.parametrize("nv, chunks", [(2, 1), (100, 10)])
+def test_study_threads_never_outnumber_chunks(monkeypatch, nv, chunks):
+    alive = []
+    measure_chunk = toymodel._measure_chunk
+
+    def recording(*args):
+        alive.append(threading.active_count())
+        return measure_chunk(*args)
+
+    monkeypatch.setattr(toymodel, "_measure_chunk", recording)
+    monkeypatch.setattr(toymodel, "_workers", lambda: 64)
+    monkeypatch.setattr(toymodel, "_CHUNK_ENTRIES", 3 * 100**2)
+    before = threading.active_count()
+    kappa_study([nv], 30, seed=1)
+    assert len(alive) == chunks
+    assert max(alive) <= before + chunks - 1  # the calling thread is one of the workers
+    assert threading.active_count() == before  # the pool is gone after the call
+
+
+def test_parallel_map_under_thread_switch_stress(monkeypatch):
+    # more workers than cores and a short switch interval: every item is
+    # computed exactly once and lands in its own slot
+    monkeypatch.setattr(toymodel, "_workers", lambda: 16)
+    calls = []
+
+    def square(x):
+        calls.append(x)
+        return np.square(np.full(64, float(x))).sum()
+
+    outcome = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=lambda: outcome.update(results=toymodel._in_parallel(square, list(range(2000)))))
+        worker.start()
+        worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert sorted(calls) == list(range(2000))
+    assert outcome["results"] == [64.0 * x * x for x in range(2000)]
+
+
+def test_parallel_map_raises_a_worker_error(monkeypatch):
+    monkeypatch.setattr(toymodel, "_workers", lambda: 4)
+
+    def fail_on_seven(x):
+        if x == 7:
+            raise ValueError("seven")
+        return x
+
+    with pytest.raises(ValueError, match="seven"):
+        toymodel._in_parallel(fail_on_seven, list(range(40)))
+
+
+def screening_stack():
+    rng = np.random.default_rng(21)
+    regular = [rng.normal(size=(3, 3)) + 3.0 * np.eye(3) for _ in range(3)]
+    singular = np.ones((3, 3))  # exact zero pivot: LAPACK raises
+    ill = np.diag([1.0, 1.0, 1e-13])  # condition number ~1.4e13
+    near = np.diag([1.0, 1.0, 2e-12])  # condition number ~7.1e11, just kept
+    a = np.stack([regular[0], singular, regular[1], ill, regular[2], near])
+    c = rng.normal(size=(6, 3))
+    return a, c
+
+
+def test_screen_falls_back_per_matrix_on_a_singular_stack():
+    a, c = screening_stack()
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(a)  # the stacked inverse fails, so the fallback runs
+    norm_a, kappa = toymodel._screen(a)
+    with pytest.raises(SingularMatrixError):
+        condition_number(a[1])
+    assert math.isnan(kappa[1])
+    for k in (0, 2, 3, 4, 5):
+        assert kappa[k] == condition_number(a[k])
+        assert norm_a[k] == np.linalg.norm(a[k], "fro")
+    assert kappa[3] > ILL_CONDITIONED_CUTOFF > kappa[5] > ILL_CONDITIONED_CUTOFF / 10
+
+
+def test_measure_excludes_singular_and_ill_conditioned_systems():
+    a, c = screening_stack()
+    rows = toymodel._measure(a, c, norms=True)
+    assert_bitwise_equal(toymodel._measure(a, c, norms=False), rows[:, :1])
+    kept = ~np.isnan(rows[:, 0])
+    assert kept.tolist() == [True, False, True, False, True, True]
+    assert np.all(np.isnan(rows[~kept]))
+    for k in np.flatnonzero(kept):
+        expected = [
+            condition_number(a[k]),
+            np.linalg.norm(a[k], "fro"),
+            np.linalg.norm(c[k]),
+            np.linalg.norm(np.linalg.solve(a[k], c[k])),
+        ]
+        assert rows[k].tolist() == expected
+
+
+def test_solve_falls_back_per_system_on_a_singular_stack():
+    a, c = screening_stack()
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(a, c[..., None])
+    x = toymodel._solve(a, c)
+    assert np.all(np.isnan(x[1]))
+    for k in (0, 2, 3, 4, 5):
+        assert_bitwise_equal(x[k], np.linalg.solve(a[k], c[k]))
+
+
+def test_lip_surface_singular_theta_in_a_stacked_solve_gives_nan():
+    # theta = 0 makes A(theta) = sin(theta) I exactly singular inside a chunk of regular thetas
+    params = sine_diagonal_params(4)
+    grid = np.array([-0.5, 0.0, 0.5, 1.0])
+    surface = lip_surface(params, grid, grid)
+    assert_bitwise_equal(surface, lip_surface_reference(params, grid, grid))
+    assert np.all(np.isnan(surface[1])) and np.all(np.isnan(surface[:, 1]))
+    regular = np.ix_([0, 2, 3], [0, 2, 3])
+    assert np.isfinite(surface[regular]).sum() == 6  # everything off the diagonal
+
+
+@pytest.mark.parametrize("study", [kappa_study, norm_study])
+def test_study_rejects_bad_dimension(study):
+    with pytest.raises(ValueError, match="at least 1"):
+        study([10, 0], samples=30)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_study_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="finite"):
+        kappa_study([2], 30, theta=math.inf)
 
 
 # -- Lipschitz landscape -------------------------------------------------------
