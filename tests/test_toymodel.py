@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -200,44 +201,58 @@ def test_study_pipeline_matches_per_draw_loop_bitwise(monkeypatch, workers):
 
 
 @pytest.mark.parametrize("workers", [None, 1], ids=["cpus", "one-worker"])
-def test_study_pipeline_matches_per_draw_loop_over_several_chunks(monkeypatch, workers):
+@pytest.mark.parametrize("nv", [50, 100], ids=["pooled", "blas-threaded"])
+def test_study_pipeline_matches_per_draw_loop_over_several_chunks(monkeypatch, workers, nv):
     if workers is not None:
         monkeypatch.setattr(toymodel, "_workers", lambda: workers)
-    nv, samples = 100, 30
+    samples = 30
     draws_per_chunk = max(1, toymodel._CHUNK_ENTRIES // nv**2)
     assert samples > 2 * draws_per_chunk  # three chunks or more
     assert_study_matches_reference([nv], samples, 1.25, 7)
 
 
-def test_study_pipeline_chunk_boundaries_do_not_show(monkeypatch):
-    # one to a few draws per chunk at small dimensions: many chunk boundaries
-    monkeypatch.setattr(toymodel, "_CHUNK_ENTRIES", 40)
-    assert_study_matches_reference([1, 3, 5, 7], 31, -2.0, 3)
+def test_study_pipeline_mixed_grid_keeps_grid_order(monkeypatch):
+    # pooled and BLAS-threaded dimensions are measured in two passes; the
+    # rows still come back in grid order, repeated dimensions included
+    monkeypatch.setattr(toymodel, "_workers", lambda: 3)
+    assert_study_matches_reference([100, 3, 101, 3, 40], 30, 0.5, 11)
 
 
-@pytest.mark.parametrize("nv, chunks", [(2, 1), (100, 10)])
-def test_study_threads_never_outnumber_chunks(monkeypatch, nv, chunks):
-    alive = []
+def record_measuring_threads(monkeypatch) -> list:
+    threads = []
     measure_chunk = toymodel._measure_chunk
 
     def recording(*args):
-        alive.append(threading.active_count())
+        threads.append((threading.current_thread(), threading.active_count()))
         return measure_chunk(*args)
 
     monkeypatch.setattr(toymodel, "_measure_chunk", recording)
     monkeypatch.setattr(toymodel, "_workers", lambda: 64)
-    monkeypatch.setattr(toymodel, "_CHUNK_ENTRIES", 3 * 100**2)
+    return threads
+
+
+def test_study_threads_never_outnumber_chunks(monkeypatch):
+    threads = record_measuring_threads(monkeypatch)
+    monkeypatch.setattr(toymodel, "_CHUNK_ENTRIES", 3 * 50**2)
     before = threading.active_count()
-    kappa_study([nv], 30, seed=1)
-    assert len(alive) == chunks
-    assert max(alive) <= before + chunks - 1  # the calling thread is one of the workers
+    kappa_study([2, 50], 30, seed=1)
+    assert len(threads) == 1 + 10  # one chunk at N_V = 2, ten of three draws at N_V = 50
+    assert max(alive for _, alive in threads) <= before + 10  # the calling thread is one of the workers
     assert threading.active_count() == before  # the pool is gone after the call
 
 
-def test_parallel_map_under_thread_switch_stress(monkeypatch):
+def test_study_leaves_blas_threaded_dimensions_to_the_calling_thread(monkeypatch):
+    threads = record_measuring_threads(monkeypatch)
+    monkeypatch.setattr(toymodel, "_CHUNK_ENTRIES", 3 * 100**2)
+    before = threading.active_count()
+    kappa_study([100, 120], 30, seed=1)
+    assert len(threads) == 10 + 15
+    assert all(thread is threading.current_thread() and alive == before for thread, alive in threads)
+
+
+def test_parallel_map_under_thread_switch_stress():
     # more workers than cores and a short switch interval: every item is
     # computed exactly once and lands in its own slot
-    monkeypatch.setattr(toymodel, "_workers", lambda: 16)
     calls = []
 
     def square(x):
@@ -248,7 +263,7 @@ def test_parallel_map_under_thread_switch_stress(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        worker = threading.Thread(target=lambda: outcome.update(results=toymodel._in_parallel(square, list(range(2000)))))
+        worker = threading.Thread(target=lambda: outcome.update(results=toymodel._in_parallel(square, list(range(2000)), 16)))
         worker.start()
         worker.join(timeout=60)
     finally:
@@ -258,16 +273,31 @@ def test_parallel_map_under_thread_switch_stress(monkeypatch):
     assert outcome["results"] == [64.0 * x * x for x in range(2000)]
 
 
-def test_parallel_map_raises_a_worker_error(monkeypatch):
-    monkeypatch.setattr(toymodel, "_workers", lambda: 4)
-
+def test_parallel_map_raises_a_worker_error():
     def fail_on_seven(x):
         if x == 7:
             raise ValueError("seven")
         return x
 
     with pytest.raises(ValueError, match="seven"):
-        toymodel._in_parallel(fail_on_seven, list(range(40)))
+        toymodel._in_parallel(fail_on_seven, list(range(40)), 4)
+
+
+def test_parallel_map_stops_handing_out_items_when_the_caller_fails():
+    # the calling thread's first item raises (as a KeyboardInterrupt would):
+    # the helper finishes the item it holds and takes no further ones
+    caller = threading.current_thread()
+    done = []
+
+    def slow_unless_caller(x):
+        if threading.current_thread() is caller:
+            raise ValueError("caller")
+        time.sleep(0.002)
+        done.append(x)
+
+    with pytest.raises(ValueError, match="caller"):
+        toymodel._in_parallel(slow_unless_caller, list(range(500)), 2)
+    assert len(done) <= 5  # without the stop, the helper computes all the other 499
 
 
 def screening_stack():
