@@ -210,10 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rkbudget", description=__doc__.partition("\n")[0] if __doc__ else None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scenario_default=None):
+    def add_common(p, scenario_default=None, seeded=False):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=None, help=f"master seed (default {DEFAULT_SEED}, env {SEED_ENV_VAR})")
+        if seeded:
+            p.add_argument("--seed", type=int, default=None, help=f"master seed (default {DEFAULT_SEED}, env {SEED_ENV_VAR})")
         if scenario_default is not None:
             p.add_argument("--scenario", default=scenario_default, help=f"one of {SCENARIO_NAMES}")
             p.add_argument("--overrides", default=None, help="key=value override file applied to the scenario")
@@ -233,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_toy = sub.add_parser("toy", help="random-surrogate studies (kappa, norms, lip)")
     p_toy.add_argument("study", choices=("kappa", "norms", "lip"))
-    add_common(p_toy)
+    add_common(p_toy, seeded=True)
     p_toy.add_argument("--nv", required=True, help="dimension or range, e.g. 25 or 10:100:10")
     p_toy.add_argument("--samples", type=int, default=100)
     p_toy.add_argument("--theta", type=float, default=0.5)
@@ -243,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_toy.set_defaults(func=_cmd_toy)
 
     p_val = sub.add_parser("validate", help="bound-dominance campaign on the benchmark ODE")
-    add_common(p_val, scenario_default="classical")
+    add_common(p_val, scenario_default="classical", seeded=True)
     p_val.add_argument("--method", required=True, choices=sorted(BUILTIN_METHODS))
     p_val.add_argument("--mode", choices=("clipped", "gaussian"), default="clipped")
     p_val.add_argument("--delta", type=float, default=0.0, help="per-evaluation noise bound (0 disables noise)")

@@ -125,10 +125,7 @@ class EvaluationOracle:
     ):
         self.f = f
         self.noise = noise
-        if isinstance(rng, np.random.Generator):
-            self._rng = rng
-        else:
-            self._rng = np.random.default_rng(rng)
+        self._rng = np.random.default_rng(rng)
         self.evaluations = 0
         self.delta_exceedances = 0
 

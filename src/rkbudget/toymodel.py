@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import astuple, dataclass
 from typing import Iterable, Sequence
 
@@ -159,8 +158,7 @@ def sample_toy(
     """
     if n_params < 1:
         raise ValueError("n_params must be at least 1")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     params = ToyParams(a_coeffs=_draw_coeffs(rng, (n_params, n_params)), c_coeffs=_draw_coeffs(rng, (n_params,)))
     return params.system(theta), params
 
@@ -273,46 +271,20 @@ def _measure_chunk(nv: int, start: int, stop: int, theta: float, seed, norms: bo
 
 
 def _in_parallel(fn, items: list, workers: int) -> list:
-    """``[fn(item) for item in items]``, computed by the calling thread and up
-    to ``workers - 1`` pool threads, each taking the next item in turn.
+    """``[fn(item) for item in items]``, on a pool of up to ``workers`` threads.
 
-    The first error, or an interrupt of the calling thread, stops the handing
-    out of items; it is raised once the items already taken are done.
+    With one worker or fewer than two items, ``fn`` runs on the calling
+    thread and no thread is started.  Otherwise the first error, an
+    interrupt included, reaches the caller and cancels the items not yet
+    started.
     """
+    if workers < 2 or len(items) < 2:
+        return [fn(item) for item in items]
     # Imported here: concurrent.futures pulls in logging, ~30 ms of every CLI start.
-    from concurrent.futures import ThreadPoolExecutor, wait
+    from concurrent.futures import ThreadPoolExecutor
 
-    results = [None] * len(items)
-    todo = iter(range(len(items)))
-    lock = threading.Lock()
-    stop = False
-
-    def drain():
-        nonlocal stop
-        try:
-            while True:
-                with lock:
-                    j = None if stop else next(todo, None)
-                if j is None:
-                    return
-                results[j] = fn(items[j])
-        except BaseException:
-            stop = True
-            raise
-
-    # The calling thread works too: each extra thread holds its own allocator
-    # arena, about 1 MB of peak memory.
-    helpers = min(workers, len(items)) - 1
-    with ThreadPoolExecutor(max(1, helpers)) as pool:
-        futures = [pool.submit(drain) for _ in range(helpers)]
-        try:
-            drain()
-        finally:
-            stop = True  # nothing is left to hand out after a normal return
-            wait(futures)
-        for future in futures:
-            future.result()
-    return results
+    with ThreadPoolExecutor(min(workers, len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
 def _study(nv_grid: Iterable[int], samples: int, theta: float, seed, norms: bool) -> list[tuple[int, np.ndarray, int]]:

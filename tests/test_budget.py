@@ -1,14 +1,18 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rkbudget.budget as budget
 from rkbudget.bounds import ProblemBounds, global_error_bound_noiseless, global_error_bound_noisy
 from rkbudget.budget import (
+    ROW_KEYS,
     AnsatzDims,
+    BudgetRow,
     InfeasibleShotsError,
     argmin_order,
     budget_table,
@@ -362,6 +366,48 @@ def test_rows_to_json_keys(option_pricing):
     assert set(records[0]) == {"p", "s", "N_tau", "N_r", "cost", "N_circ", "circuits", "ratio", "flag"}
     assert records[0]["flag"] == ""
     assert records[1]["N_circ"] == pytest.approx(1.62e28, rel=0.015)
+
+
+optional_floats = st.none() | st.floats()
+budget_rows = st.builds(
+    BudgetRow,
+    order=st.integers(1, 10),
+    stages=st.integers(1, 20),
+    n_steps=st.floats(),
+    n_shots=optional_floats,
+    cost=st.floats(),
+    circuit_evals=optional_floats,
+    circuits=optional_floats,
+    ratio=st.floats(),
+    feasible=st.booleans(),
+)
+
+
+@given(st.lists(budget_rows, max_size=4))
+def test_budget_rows_read_back_from_csv_and_json(rows):
+    lines = rows_to_csv(rows).split("\n")
+    assert lines[0] == ",".join(ROW_KEYS)
+    assert lines[-1] == ""
+    records = json.loads(rows_to_json(rows))
+    for line, record, row in zip(lines[1:-1], records, rows, strict=True):
+        *values, feasible = astuple(row)
+        *cells, flag = line.split(",")
+        assert flag == record["flag"] == ("" if feasible else "infeasible")
+        assert list(record) == list(ROW_KEYS)
+        for cell, back, value in zip(cells, [record[key] for key in ROW_KEYS[:-1]], values, strict=True):
+            if value is None:
+                assert cell == ""
+                assert back is None
+            elif isinstance(value, int):
+                assert int(cell) == back == value
+                assert type(back) is int
+            else:
+                # the CSV writes a NaN without its sign or payload
+                assert math.isnan(float(cell)) if math.isnan(value) else float(cell).hex() == value.hex()
+                if math.isfinite(value):
+                    assert type(back) is float and back.hex() == value.hex()
+                else:
+                    assert back is None
 
 
 # -- self-consistency of the step formula (noiseless) -------------------------

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -602,6 +606,31 @@ def test_missing_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("table",), ("sweep", "--target", "epsilon"), ("convergence", "--method", "euler")],
+    ids=["table", "sweep", "convergence"],
+)
+def test_seed_is_rejected_by_commands_without_randomness(capsys, argv):
+    # only toy and validate draw random numbers
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--seed", "5"])
+    assert excinfo.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_importing_the_cli_leaves_out_the_thread_pool_and_logging():
+    # concurrent.futures pulls in logging, tens of milliseconds of every CLI
+    # start; the toy studies import it on first use of their pool
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, rkbudget.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 # -- one parser per process ------------------------------------------------------

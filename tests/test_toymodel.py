@@ -237,7 +237,7 @@ def test_study_threads_never_outnumber_chunks(monkeypatch):
     before = threading.active_count()
     kappa_study([2, 50], 30, seed=1)
     assert len(threads) == 1 + 10  # one chunk at N_V = 2, ten of three draws at N_V = 50
-    assert max(alive for _, alive in threads) <= before + 10  # the calling thread is one of the workers
+    assert max(alive for _, alive in threads) <= before + 11  # one thread per chunk at most
     assert threading.active_count() == before  # the pool is gone after the call
 
 
@@ -283,21 +283,32 @@ def test_parallel_map_raises_a_worker_error():
         toymodel._in_parallel(fail_on_seven, list(range(40)), 4)
 
 
-def test_parallel_map_stops_handing_out_items_when_the_caller_fails():
-    # the calling thread's first item raises (as a KeyboardInterrupt would):
-    # the helper finishes the item it holds and takes no further ones
-    caller = threading.current_thread()
+@pytest.mark.parametrize("error", [ValueError("one"), KeyboardInterrupt()], ids=["error", "interrupt"])
+def test_parallel_map_stops_handing_out_items_when_an_item_fails(error):
     done = []
 
-    def slow_unless_caller(x):
-        if threading.current_thread() is caller:
-            raise ValueError("caller")
-        time.sleep(0.002)
+    def slow_unless_one(x):
+        if x == 1:
+            raise error
+        time.sleep(0.005)
         done.append(x)
 
-    with pytest.raises(ValueError, match="caller"):
-        toymodel._in_parallel(slow_unless_caller, list(range(500)), 2)
-    assert len(done) <= 5  # without the stop, the helper computes all the other 499
+    with pytest.raises(type(error)):
+        toymodel._in_parallel(slow_unless_one, list(range(500)), 2)
+    assert len(done) < 50  # the items not yet started are cancelled, not computed
+
+
+@pytest.mark.parametrize("workers, items", [(1, [0, 1, 2]), (4, [5]), (4, [])], ids=["one-worker", "one-item", "no-item"])
+def test_parallel_map_without_a_pool_runs_on_the_calling_thread(workers, items):
+    before = threading.active_count()
+    seen = []
+
+    def record(x):
+        seen.append((threading.current_thread(), threading.active_count()))
+        return -x
+
+    assert toymodel._in_parallel(record, items, workers) == [-x for x in items]
+    assert seen == [(threading.current_thread(), before)] * len(items)
 
 
 def screening_stack():
