@@ -11,6 +11,7 @@ below ``delta = sigma / sqrt(n_shots)`` with probability at least
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -167,25 +168,37 @@ def rk_step(tableau, oracle: Callable, tau_n: float, y_n: np.ndarray, dt: float)
     """Advance one step: ``y + dt * sum_i b_i k_i`` with the staged recursion for ``k_i``.
 
     ``y_n`` is one state ``(dim,)`` or a batch ``(trials, dim)``; the oracle
-    receives stage states of the same shape.  Stage sums contract the
-    stages of a flat ``(stages, size)`` buffer, so a batch row is stepped by
-    the same arithmetic as a lone state, up to BLAS summation order.
+    receives stage states of the same shape.  The stages live in one flat
+    ``(stages, size)`` buffer, which a lone state uses as it is and a batch
+    views as ``(stages, trials, dim)``.  Stage sums contract the rows of that
+    buffer with the tableau's precomputed ``stage_rows``, so a batch row is
+    stepped by the same arithmetic as a lone state, up to BLAS summation
+    order.  Each stage costs one field call and a few small numpy calls.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    y_n = np.atleast_1d(np.asarray(y_n, dtype=float))
-    stages = tableau.stages
-    ks = np.empty((stages,) + y_n.shape)
-    flat = ks.reshape(stages, -1)
-    for i in range(stages):
-        y_stage = y_n if i == 0 else y_n + dt * (tableau.a[i, :i] @ flat[:i]).reshape(y_n.shape)
-        k = np.asarray(oracle(tau_n + tableau.c[i] * dt, y_stage), dtype=float)
+    if not 0.0 < dt < math.inf:  # NaN too
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    y_n = np.asarray(y_n, dtype=float)
+    if y_n.ndim == 0:
+        y_n = y_n.reshape(1)
+    batch = y_n.ndim > 1
+    rows = tableau.stage_rows
+    flat = np.empty((len(rows), y_n.size))
+    ks = flat.reshape((len(rows),) + y_n.shape) if batch else flat
+    zeros = np.zeros(y_n.size)
+    y_stage = y_n
+    for i, (a_row, c_i) in enumerate(rows):
+        if i:
+            incr = dt * (a_row @ flat[:i])
+            y_stage = y_n + (incr.reshape(y_n.shape) if batch else incr)
+        ks[i] = oracle(tau_n + c_i * dt, y_stage)
+        # Exact: 0 * x is +-0 for finite x, however large, and NaN for +-inf
+        # or NaN.  vdot, unlike matmul, warns of no invalid value at inf * 0.
         # Checked per stage, before the next stage state is built from it, so
         # a field never sees a state derived from a non-finite value.
-        if not np.isfinite(k).all():
+        if not math.isfinite(np.vdot(flat[i], zeros)):
             raise StepFailureError(f"non-finite field value at stage {i + 1}", stage=i + 1)
-        ks[i] = k
-    return y_n + dt * (tableau.b @ flat).reshape(y_n.shape)
+    incr = dt * (tableau.b @ flat)
+    return y_n + (incr.reshape(y_n.shape) if batch else incr)
 
 
 def integrate(
@@ -200,22 +213,31 @@ def integrate(
 
     ``y0`` is one state ``(dim,)`` or a batch ``(trials, dim)``; the
     trajectory's states then have shape ``(n_steps + 1,) + y0.shape``.
+    The inputs are checked once here; each step is one :func:`rk_step` call.
     """
+    try:
+        n_steps = operator.index(n_steps)
+    except TypeError:
+        raise ValueError(f"n_steps must be an integer, got {n_steps!r}") from None
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     if not 0.0 < horizon < math.inf:  # NaN too
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    if not math.isfinite(tau0):
+        raise ValueError(f"tau0 must be finite, got {tau0}")
+    y = np.atleast_1d(np.asarray(y0, dtype=float))
+    if not np.isfinite(y).all():
+        raise ValueError("y0 must be finite")
     dt = horizon / n_steps
     times = np.linspace(tau0, tau0 + horizon, n_steps + 1)
-    y = np.atleast_1d(np.asarray(y0, dtype=float))
     states = np.empty((n_steps + 1,) + y.shape)
     states[0] = y
-    for n in range(n_steps):
+    for n, tau_n in enumerate(times[:-1].tolist(), start=1):
         try:
-            y = rk_step(tableau, oracle, times[n], y, dt)
+            y = rk_step(tableau, oracle, tau_n, y, dt)
         except StepFailureError as exc:
-            raise StepFailureError(f"integration aborted at step {n + 1}: {exc}", step=n + 1, stage=exc.stage) from exc
-        states[n + 1] = y
+            raise StepFailureError(f"integration aborted at step {n}: {exc}", step=n, stage=exc.stage) from exc
+        states[n] = y
     return Trajectory(times=times, states=states)
 
 

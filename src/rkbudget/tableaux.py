@@ -58,6 +58,11 @@ class ButcherTableau:
         Claimed convergence order of the method.
     name : str, optional
         Identifier used in reports and CLI output.
+
+    ``stage_rows`` holds, per stage ``i``, the coupling row ``a[i, :i]`` as
+    a read-only view and the node ``c[i]`` as a Python float.  They are
+    built once here, so a step does not slice ``a`` or index ``c`` at every
+    stage; they are not fields and take no part in eq, hash or repr.
     """
 
     a: np.ndarray
@@ -79,6 +84,7 @@ class ButcherTableau:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "stage_rows", tuple((a[i, :i], c_i) for i, c_i in enumerate(c.tolist())))
 
     @property
     def stages(self) -> int:

@@ -151,6 +151,19 @@ PINNED_DIGESTS = {
         "660c535c5fabce79c773808666f5190c5bb49463aab0c972856d6d8608a74509",
     ("toy", "norms", "--nv", "25", "--samples", "40", "--seed", "1", "--format", "json"):
         "d5b0342603dd6d32f7cba8f76525074bcce26ff85fb77c353e3f0440ff7181e1",
+    # 1000-step noiseless dominance and default convergence runs of the
+    # methods the pins above leave out; recorded before the stage rows moved
+    # into the tableau, to hold the stepping loop's bytes
+    ("validate", "--method", "euler", "--delta", "0", "--ntau", "1000", "--format", "json"):
+        "c7a0335408e2ff37d35dc30d310db5a9c227dc8699eec49639e2c95e02e924ab",
+    ("validate", "--method", "heun2", "--delta", "0", "--ntau", "1000", "--format", "json"):
+        "14a1fe9824620817b64eb866752c6cec19b7ca1f10667819dcf1e5250df3b123",
+    ("validate", "--method", "kutta3", "--delta", "0", "--ntau", "1000", "--format", "json"):
+        "ccc5a743f1511cf54d667f2c4930d8aff51915654e199ed41f09f5733124e15d",
+    ("convergence", "--method", "euler", "--format", "json"):
+        "a3447ba3fbdf56705a241248ae92f9599d8b77aa29c10d1172e0a691ff72ba02",
+    ("convergence", "--method", "heun2", "--format", "json"):
+        "9b62538b2dfd8aa50abd0fbf412a8b816126c72d4151038039e8b14423a5e370",
 }
 
 

@@ -1,8 +1,12 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rkbudget.integrator import (
     NOISE_MODES,
@@ -17,7 +21,7 @@ from rkbudget.integrator import (
     trajectory_to_csv,
 )
 from rkbudget.scenarios import AnalyticProblem, exp_ode
-from rkbudget.tableaux import BUILTIN_METHODS, builtin_tableau
+from rkbudget.tableaux import BUILTIN_METHODS, ButcherTableau, builtin_tableau
 
 
 def half_field(tau, y):
@@ -303,3 +307,263 @@ def test_trajectory_csv_rejects_a_batch():
         trajectory_to_csv(traj)
     row = trajectory_to_csv(Trajectory(times=traj.times, states=traj.states[:, 1]))
     assert row.splitlines()[0] == "step,tau,y_0,y_1"
+
+
+# --------------------------------------------------------------------------
+# The stepping loop against a frozen copy of its earlier, slower form
+# --------------------------------------------------------------------------
+
+
+def reference_rk_step(tableau, oracle, tau_n, y_n, dt):
+    """Frozen copy of ``rk_step`` as it was before the tableau owned its stage
+    rows: ``atleast_1d`` input, ``a[i, :i]`` and ``c[i] * dt`` taken at every
+    stage, and an ``np.isfinite(k).all()`` check before the stage is stored."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    y_n = np.atleast_1d(np.asarray(y_n, dtype=float))
+    stages = tableau.stages
+    ks = np.empty((stages,) + y_n.shape)
+    flat = ks.reshape(stages, -1)
+    for i in range(stages):
+        y_stage = y_n if i == 0 else y_n + dt * (tableau.a[i, :i] @ flat[:i]).reshape(y_n.shape)
+        k = np.asarray(oracle(tau_n + tableau.c[i] * dt, y_stage), dtype=float)
+        if not np.isfinite(k).all():
+            raise StepFailureError(f"non-finite field value at stage {i + 1}", stage=i + 1)
+        ks[i] = k
+    return y_n + dt * (tableau.b @ flat).reshape(y_n.shape)
+
+
+def reference_integrate(tableau, oracle, y0, tau0, horizon, n_steps):
+    """Frozen copy of ``integrate`` from the same revision as :func:`reference_rk_step`."""
+    dt = horizon / n_steps
+    times = np.linspace(tau0, tau0 + horizon, n_steps + 1)
+    y = np.atleast_1d(np.asarray(y0, dtype=float))
+    states = np.empty((n_steps + 1,) + y.shape)
+    states[0] = y
+    for n in range(n_steps):
+        try:
+            y = reference_rk_step(tableau, oracle, times[n], y, dt)
+        except StepFailureError as exc:
+            raise StepFailureError(f"integration aborted at step {n + 1}: {exc}", step=n + 1, stage=exc.stage) from exc
+        states[n + 1] = y
+    return Trajectory(times=times, states=states)
+
+
+HEAT_POINTS = 401
+
+
+def heat_field(tau, u):
+    # method-of-lines second differences on [-5, 5] with zero boundary data
+    dx = 10.0 / (HEAT_POINTS - 1)
+    lap = -2.0 * u
+    lap[..., 1:] += u[..., :-1]
+    lap[..., :-1] += u[..., 1:]
+    return (0.5 / (dx * dx)) * lap
+
+
+STEPPED_PROBLEMS = {
+    # name: (field, y0, tau0, horizon)
+    "dim1": (wavy_field, np.array([0.8]), 0.3, 2.0),
+    "dim3": (wavy_field, np.array([1.0, -0.5, 2.0]), 0.3, 2.0),
+    "batch5x2": (wavy_field, np.linspace(-1.0, 1.5, 10).reshape(5, 2), 0.3, 2.0),
+    "heat401": (heat_field, np.exp(-np.linspace(-5.0, 5.0, HEAT_POINTS) ** 2), 0.0, 1e-3),
+}
+
+
+@pytest.mark.parametrize("n_steps", [1, 7, 1000])
+@pytest.mark.parametrize("problem", sorted(STEPPED_PROBLEMS))
+@pytest.mark.parametrize("name", sorted(BUILTIN_METHODS))
+def test_stepping_is_bitwise_the_frozen_reference(name, problem, n_steps):
+    field, y0, tau0, horizon = STEPPED_PROBLEMS[problem]
+    t = builtin_tableau(name)
+    ref = reference_integrate(t, field, y0, tau0, horizon, n_steps)
+    got = integrate(t, field, y0, tau0, horizon, n_steps)
+    assert got.states.shape == ref.states.shape == (n_steps + 1,) + y0.shape
+    assert got.states.tobytes() == ref.states.tobytes()
+    assert got.times.tobytes() == ref.times.tobytes()
+
+
+@st.composite
+def explicit_tableaux(draw):
+    s = draw(st.integers(1, 6))
+    entries = st.floats(-2.0, 2.0, allow_subnormal=True)
+    a = np.tril(draw(arrays(np.float64, (s, s), elements=entries)), k=-1)
+    b = draw(arrays(np.float64, s, elements=entries))
+    c = draw(arrays(np.float64, s, elements=entries))
+    return ButcherTableau(a=a, b=b, c=c, order=1)
+
+
+def calm_field(tau, y):
+    return -0.7 * y + math.cos(tau)
+
+
+@settings(deadline=None)
+@given(
+    explicit_tableaux(),
+    st.sampled_from([(1,), (3,), (5, 2)]),
+    st.integers(1, 12),
+    st.floats(-3.0, 3.0),
+)
+def test_random_tableaux_step_bitwise_like_the_frozen_reference(tableau, shape, n_steps, tau0):
+    y0 = np.linspace(-1.0, 2.0, math.prod(shape)).reshape(shape)
+    ref = reference_integrate(tableau, calm_field, y0, tau0, 1.5, n_steps)
+    got = integrate(tableau, calm_field, y0, tau0, 1.5, n_steps)
+    assert got.states.tobytes() == ref.states.tobytes()
+
+
+def poisoned_field(bad, at_call, row=None):
+    """``wavy_field`` whose ``at_call``-th evaluation holds ``bad`` (in one batch
+    row if ``row`` is given); it asserts that every state it receives is finite."""
+    calls = []
+
+    def field(tau, y):
+        assert np.isfinite(y).all(), f"call {len(calls) + 1} received a non-finite state"
+        calls.append(tau)
+        out = wavy_field(tau, y)
+        if len(calls) == at_call:
+            if row is None:
+                out[-1] = bad
+            else:
+                out[row, -1] = bad
+        return out
+
+    return field, calls
+
+
+BAD_VALUES = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+def test_a_non_finite_stage_stops_the_step_at_that_stage(stage, bad):
+    # step 2 of rk4: calls 5-8 are its stages
+    field, calls = poisoned_field(bad, 4 + stage)
+    with warnings.catch_warnings(), pytest.raises(StepFailureError) as excinfo:
+        warnings.simplefilter("error")  # the check itself raises no RuntimeWarning
+        integrate(builtin_tableau("rk4"), field, np.array([1.0, 0.5]), 0.0, 1.0, 5)
+    assert (excinfo.value.step, excinfo.value.stage) == (2, stage)
+    assert str(excinfo.value) == f"integration aborted at step 2: non-finite field value at stage {stage}"
+    assert len(calls) == 4 + stage  # no later stage was evaluated
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+def test_a_non_finite_stage_in_one_batch_row_stops_the_batch(stage, bad):
+    field, calls = poisoned_field(bad, stage, row=2)
+    with warnings.catch_warnings(), pytest.raises(StepFailureError) as excinfo:
+        warnings.simplefilter("error")
+        integrate(builtin_tableau("rk4"), field, np.ones((4, 2)), 0.0, 1.0, 5)
+    assert (excinfo.value.step, excinfo.value.stage) == (1, stage)
+    assert len(calls) == stage
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(BUILTIN_METHODS))
+def test_step_failures_match_the_frozen_reference(name, bad):
+    t = builtin_tableau(name)
+    for at_call in range(1, 3 * t.stages + 1):
+        failures = []
+        for run in (reference_integrate, integrate):
+            field, calls = poisoned_field(bad, at_call)
+            with pytest.raises(StepFailureError) as excinfo:
+                run(t, field, np.array([1.0, 0.5]), 0.0, 1.0, 5)
+            failures.append((excinfo.value.step, excinfo.value.stage, str(excinfo.value), len(calls)))
+        assert failures[0] == failures[1]
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_METHODS))
+def test_a_large_finite_stage_is_not_a_failure(name):
+    def huge(tau, y):
+        return np.full_like(y, 1e308)
+
+    with np.errstate(over="ignore"):
+        assert np.full(3, 1e308).sum() == math.inf  # a sum-based check would trip here
+    t = builtin_tableau(name)
+    y = rk_step(t, huge, 0.0, np.zeros(3), 1e-3)
+    assert np.isfinite(y).all()
+    assert y.tobytes() == reference_rk_step(t, huge, 0.0, np.zeros(3), 1e-3).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_METHODS))
+def test_a_scalar_field_value_broadcasts_over_a_batch(name):
+    def constant(tau, y):
+        return 2.0
+
+    t = builtin_tableau(name)
+    got = integrate(t, constant, np.ones((3, 1)), 0.0, 1.0, 4)
+    assert got.states.shape == (5, 3, 1)
+    assert got.states.tobytes() == reference_integrate(t, constant, np.ones((3, 1)), 0.0, 1.0, 4).states.tobytes()
+    np.testing.assert_allclose(got.final, 3.0, rtol=1e-15)
+
+
+def test_integrate_steps_through_the_module_level_rk_step(monkeypatch):
+    """``integrate`` makes exactly one call of ``integrator.rk_step`` per step.
+
+    The benchmark's traced runs time the ``integrator.rk_step`` span by
+    patching that module attribute (``bench/spans.py``, ROADMAP item 3); a
+    stepping loop that bypassed it would leave the span empty.
+    """
+    from rkbudget import integrator
+
+    calls = []
+    step = integrator.rk_step
+
+    def counting_rk_step(*args, **kwargs):
+        calls.append(args[2])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(integrator, "rk_step", counting_rk_step)
+    traj = integrate(builtin_tableau("heun2"), half_field, np.array([1.0]), 0.0, 2.0, 13)
+    assert len(calls) == 13
+    assert calls == traj.times[:-1].tolist()
+
+
+# --------------------------------------------------------------------------
+# Bad stepping inputs are rejected up front with a precise ValueError
+# --------------------------------------------------------------------------
+
+
+def never_called(tau, y):
+    raise AssertionError("the field must not be evaluated")
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+def test_rk_step_rejects_a_non_finite_or_non_positive_dt(dt):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            rk_step(builtin_tableau("heun2"), never_called, 0.0, np.array([1.0]), dt)
+
+
+@pytest.mark.parametrize("tau0", [math.nan, math.inf, -math.inf])
+def test_integrate_rejects_a_non_finite_tau0(tau0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="tau0 must be finite"):
+            integrate(builtin_tableau("euler"), never_called, np.array([1.0]), tau0, 1.0, 10)
+
+
+@pytest.mark.parametrize("n_steps", [2.5, 10.0, "10", None])
+def test_integrate_rejects_a_fractional_or_non_integer_step_count(n_steps):
+    with pytest.raises(ValueError, match="n_steps must be an integer"):
+        integrate(builtin_tableau("euler"), never_called, np.array([1.0]), 0.0, 1.0, n_steps)
+
+
+def test_integrate_accepts_numpy_integer_step_counts():
+    traj = integrate(builtin_tableau("euler"), half_field, np.array([1.0]), 0.0, 1.0, np.int64(4))
+    assert traj.n_steps == 4
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+def test_integrate_rejects_a_non_finite_initial_state(shape, bad):
+    y0 = np.ones(shape)
+    y0.flat[-1] = bad
+    with pytest.raises(ValueError, match="y0 must be finite"):
+        integrate(builtin_tableau("rk4"), never_called, y0, 0.0, 1.0, 10)
+
+
+def test_a_scalar_initial_state_is_one_component():
+    traj = integrate(builtin_tableau("euler"), half_field, 1.0, 0.0, 1.0, 2)
+    assert traj.states.shape == (3, 1)
+    assert rk_step(builtin_tableau("euler"), half_field, 0.0, 1.0, 0.5).shape == (1,)

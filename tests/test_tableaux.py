@@ -206,6 +206,24 @@ def test_tableau_equality_is_by_value(name):
     assert t != name
 
 
+@given(any_tableau())
+def test_stage_rows_are_read_only_views_of_a_and_float_nodes(tableau):
+    assert len(tableau.stage_rows) == tableau.stages
+    for i, (a_row, c_i) in enumerate(tableau.stage_rows):
+        assert a_row.base is tableau.a
+        assert not a_row.flags.writeable
+        assert a_row.tobytes() == tableau.a[i, :i].tobytes()
+        assert type(c_i) is float and c_i.hex() == float(tableau.c[i]).hex()
+
+
+def test_stage_rows_leave_repr_eq_and_hash_alone():
+    t = builtin_tableau("rk4")
+    assert "stage_rows" not in repr(t)
+    assert repr(t).startswith("ButcherTableau(a=array(")
+    rebuilt = ButcherTableau(a=t.a, b=t.b, c=t.c, order=t.order, name=t.name)
+    assert rebuilt == t and hash(rebuilt) == hash(t) and repr(rebuilt) == repr(t)
+
+
 def test_tableau_hash_agrees_with_signed_zero():
     euler = builtin_tableau("euler")
     signed = ButcherTableau(a=[[-0.0]], b=[1.0], c=[-0.0], order=1)
