@@ -33,6 +33,7 @@ __all__ = [
     "SCENARIO_NAMES",
     "scenario",
     "apply_overrides",
+    "override_value",
     "parse_overrides",
     "exp_ode",
     "bs_transform",
@@ -201,6 +202,15 @@ def apply_overrides(base: Scenario, overrides: Mapping[str, float] | str | Path)
         dims = out.dims if out.dims is not None else AnsatzDims(n_params=1, n_strings=1, n_pauli=1)
         out = replace(out, dims=replace(dims, **dim_kwargs))
     return out
+
+
+def override_value(sc: Scenario, key: str) -> float | None:
+    """The value on ``sc`` of the constant a ``ProblemBounds`` or scalar
+    override ``key`` sets (``None`` where ``sc`` leaves it unset), so that
+    ``override_value(apply_overrides(sc, {key: v}), key) == v``."""
+    if key in _PB_KEYS:
+        return getattr(sc.pb, _PB_KEYS[key])
+    return getattr(sc, _SCALAR_KEYS[key])
 
 
 def exp_ode() -> AnalyticProblem:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .budget import budget_row
 from .formats import csv_text, json_text
-from .scenarios import _PB_KEYS, _SCALAR_KEYS, Scenario, apply_overrides
+from .scenarios import Scenario, apply_overrides, override_value
 from .tableaux import MethodProfile, min_stages
 
 __all__ = ["SweepSpec", "SweepPoint", "SWEEP_TARGETS", "default_factors", "sweep", "overlap_check", "curves_to_csv",
@@ -89,7 +89,7 @@ def sweep(spec: SweepSpec) -> list[SweepPoint]:
     if spec.target == "p":
         return [_point(spec.base, p, spec.mode, float(p)) for p in range(1, 11)]
     key = spec.target
-    value = getattr(spec.base.pb, _PB_KEYS[key]) if key in _PB_KEYS else getattr(spec.base, _SCALAR_KEYS[key])
+    value = override_value(spec.base, key)
     return [
         _point(apply_overrides(spec.base, {key: value * factor}), spec.order, spec.mode, factor)
         for factor in map(float, spec.factors)

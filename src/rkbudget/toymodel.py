@@ -12,20 +12,17 @@ Lipschitz landscape of ``A^{-1} C``, and an empirical oracle for the
 first-order perturbation bound of linear solves.
 
 The condition-number and norm studies measure their draws in chunks of
-consecutive draws, with stacked LAPACK calls, on one thread per CPU the
-process may run on.  Dimensions whose matrices have 10^4 entries or more
-are left to the BLAS library's own threads and measured one chunk at a
-time.  Each draw has its own seeded stream and each chunk's results go back
-to their slots, so the results of a study do not depend on the number of
-these threads (the BLAS library's own threading is another matter:
-OpenBLAS factorizes matrices of 10^4 entries or more on several threads,
-which can round differently from one).
+consecutive draws, one chunk after another, with stacked LAPACK calls; the
+chunks bound the memory a study holds at once.  Each draw has its own
+seeded stream, so the results do not depend on the chunk size.  They can
+depend on the BLAS library's threading: OpenBLAS factorizes matrices of
+10^4 entries or more on several threads, which can round differently from
+one.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import astuple, dataclass
 from typing import Iterable, Sequence
 
@@ -187,23 +184,9 @@ def _study_rng(seed, nv: int, index: int) -> np.random.Generator:
 
 
 # Matrix entries per chunk of study draws (256 kB per stacked array): small
-# enough to keep each worker's temporaries small, large enough to amortize the
+# enough to bound the memory of a study, large enough to amortize the
 # per-call overhead over the draws of small dimensions.
 _CHUNK_ENTRIES = 1 << 15
-
-# OpenBLAS factorizes a matrix of this many entries or more on its own
-# threads.  Study threads on top of those slow each other down (two 100x100
-# inverses at a time on two cores take twice as long as one after the other),
-# so such dimensions are measured on the calling thread alone.
-_BLAS_THREADED_ENTRIES = 10**4
-
-
-def _workers() -> int:
-    """Threads of a study pool: one per CPU this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
 
 
 def _norm_each(stack: np.ndarray) -> np.ndarray:
@@ -270,34 +253,12 @@ def _measure_chunk(nv: int, start: int, stop: int, theta: float, seed, norms: bo
     return _measure(a, c, norms)
 
 
-def _in_parallel(fn, items: list, workers: int) -> list:
-    """``[fn(item) for item in items]``, on a pool of up to ``workers`` threads.
-
-    With one worker or fewer than two items, ``fn`` runs on the calling
-    thread and no thread is started.  Otherwise the first error, an
-    interrupt included, reaches the caller and cancels the items not yet
-    started.
-    """
-    if workers < 2 or len(items) < 2:
-        return [fn(item) for item in items]
-    # Imported here: concurrent.futures pulls in logging, ~30 ms of every CLI start.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 def _study(nv_grid: Iterable[int], samples: int, theta: float, seed, norms: bool) -> list[tuple[int, np.ndarray, int]]:
     """``(nv, measures, excluded)`` per dimension of the grid, the measures of
     the well-conditioned draws in index order.
 
-    Each dimension's draws are split into chunks of consecutive indices.
-    Dimensions below ``_BLAS_THREADED_ENTRIES`` matrix entries are measured
-    on all usable CPUs (numpy releases the GIL in the sampling, the
-    trigonometry and LAPACK), larger ones on the calling thread.  Every draw
-    comes from its own ``(seed, nv, i)`` stream and every chunk's rows go
-    back to their slots, so the result does not depend on the number of
-    workers or their schedule.
+    Each dimension's draws are measured in chunks of consecutive indices,
+    each draw from its own ``(seed, nv, i)`` stream.
     """
     if samples < 30:
         raise ValueError("need at least 30 samples per grid point")
@@ -309,17 +270,9 @@ def _study(nv_grid: Iterable[int], samples: int, theta: float, seed, norms: bool
     chunks = []
     for nv in grid:
         size = max(1, _CHUNK_ENTRIES // (nv * nv))
-        chunks += [(nv, start, min(start + size, samples)) for start in range(0, samples, size)]
-
-    def measure(chunk):
-        return _measure_chunk(*chunk, theta, seed, norms)
-
-    pooled = [chunk for chunk in chunks if chunk[0] ** 2 < _BLAS_THREADED_ENTRIES]
-    alone = [chunk for chunk in chunks if chunk[0] ** 2 >= _BLAS_THREADED_ENTRIES]
-    measured = dict(zip(pooled, _in_parallel(measure, pooled, _workers())))
-    measured.update(zip(alone, _in_parallel(measure, alone, 1)))
-    # Chunks are listed in grid order, then draw order: one block of rows per dimension.
-    rows = np.concatenate([measured[chunk] for chunk in chunks]).reshape(len(grid), samples, -1)
+        for start in range(0, samples, size):
+            chunks.append(_measure_chunk(nv, start, min(start + size, samples), theta, seed, norms))
+    rows = np.concatenate(chunks).reshape(len(grid), samples, -1)
     _check_first_draw(grid[0], theta, seed, rows[0, 0, 0])
     out = []
     for nv, draws in zip(grid, rows):

@@ -636,7 +636,7 @@ def test_seed_is_rejected_by_commands_without_randomness(capsys, argv):
 
 def test_importing_the_cli_leaves_out_the_thread_pool_and_logging():
     # concurrent.futures pulls in logging, tens of milliseconds of every CLI
-    # start; the toy studies import it on first use of their pool
+    # start, so no module the CLI imports may pull either in
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

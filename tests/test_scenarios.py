@@ -9,11 +9,13 @@ from rkbudget.scenarios import (
     bs_transform,
     exp_ode,
     heat_evolve,
+    override_value,
     parse_overrides,
     payoff,
     recover_price,
     scenario,
 )
+from rkbudget.sensitivity import SWEEP_TARGETS
 
 
 def bs_call_price(s, strike, rate, vol, expiry):
@@ -310,3 +312,10 @@ def test_apply_overrides_takes_whole_number_dimensions(option_pricing):
     out = apply_overrides(option_pricing, {"N_V": 10.0, "N_d": 2})
     assert (out.dims.n_params, out.dims.n_strings) == (10, 2)
     assert isinstance(out.dims.n_params, int)
+
+
+@pytest.mark.parametrize("key", [target for target in SWEEP_TARGETS if target != "p"])
+def test_override_value_reads_what_apply_overrides_sets(option_pricing, key):
+    value = override_value(option_pricing, key)
+    assert apply_overrides(option_pricing, {key: value}) == option_pricing
+    assert override_value(apply_overrides(option_pricing, {key: 0.75 * value}), key) == 0.75 * value

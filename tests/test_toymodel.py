@@ -1,7 +1,5 @@
 import math
-import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -193,32 +191,24 @@ def assert_study_matches_reference(grid, samples, theta, seed):
             assert norm_points[key][j] == toymodel._summary(nv, norms[:, k], excluded)
 
 
-@pytest.mark.parametrize("workers", [None, 1, 3], ids=["cpus", "one-worker", "three-workers"])
-def test_study_pipeline_matches_per_draw_loop_bitwise(monkeypatch, workers):
-    if workers is not None:
-        monkeypatch.setattr(toymodel, "_workers", lambda: workers)
+def test_study_pipeline_matches_per_draw_loop_bitwise():
     assert_study_matches_reference(list(range(1, 13)), 30, 0.5, 42)
 
 
-@pytest.mark.parametrize("workers", [None, 1], ids=["cpus", "one-worker"])
-@pytest.mark.parametrize("nv", [50, 100], ids=["pooled", "blas-threaded"])
-def test_study_pipeline_matches_per_draw_loop_over_several_chunks(monkeypatch, workers, nv):
-    if workers is not None:
-        monkeypatch.setattr(toymodel, "_workers", lambda: workers)
+@pytest.mark.parametrize("nv", [50, 100], ids=["nv50", "nv100"])
+def test_study_pipeline_matches_per_draw_loop_over_several_chunks(nv):
     samples = 30
     draws_per_chunk = max(1, toymodel._CHUNK_ENTRIES // nv**2)
     assert samples > 2 * draws_per_chunk  # three chunks or more
     assert_study_matches_reference([nv], samples, 1.25, 7)
 
 
-def test_study_pipeline_mixed_grid_keeps_grid_order(monkeypatch):
-    # pooled and BLAS-threaded dimensions are measured in two passes; the
-    # rows still come back in grid order, repeated dimensions included
-    monkeypatch.setattr(toymodel, "_workers", lambda: 3)
+def test_study_pipeline_mixed_grid_keeps_grid_order():
+    # rows come back in grid order, repeated dimensions included
     assert_study_matches_reference([100, 3, 101, 3, 40], 30, 0.5, 11)
 
 
-def record_measuring_threads(monkeypatch) -> list:
+def test_study_measures_every_chunk_on_the_calling_thread(monkeypatch):
     threads = []
     measure_chunk = toymodel._measure_chunk
 
@@ -227,88 +217,12 @@ def record_measuring_threads(monkeypatch) -> list:
         return measure_chunk(*args)
 
     monkeypatch.setattr(toymodel, "_measure_chunk", recording)
-    monkeypatch.setattr(toymodel, "_workers", lambda: 64)
-    return threads
-
-
-def test_study_threads_never_outnumber_chunks(monkeypatch):
-    threads = record_measuring_threads(monkeypatch)
     monkeypatch.setattr(toymodel, "_CHUNK_ENTRIES", 3 * 50**2)
     before = threading.active_count()
     kappa_study([2, 50], 30, seed=1)
     assert len(threads) == 1 + 10  # one chunk at N_V = 2, ten of three draws at N_V = 50
-    assert max(alive for _, alive in threads) <= before + 11  # one thread per chunk at most
-    assert threading.active_count() == before  # the pool is gone after the call
-
-
-def test_study_leaves_blas_threaded_dimensions_to_the_calling_thread(monkeypatch):
-    threads = record_measuring_threads(monkeypatch)
-    monkeypatch.setattr(toymodel, "_CHUNK_ENTRIES", 3 * 100**2)
-    before = threading.active_count()
-    kappa_study([100, 120], 30, seed=1)
-    assert len(threads) == 10 + 15
-    assert all(thread is threading.current_thread() and alive == before for thread, alive in threads)
-
-
-def test_parallel_map_under_thread_switch_stress():
-    # more workers than cores and a short switch interval: every item is
-    # computed exactly once and lands in its own slot
-    calls = []
-
-    def square(x):
-        calls.append(x)
-        return np.square(np.full(64, float(x))).sum()
-
-    outcome = {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        worker = threading.Thread(target=lambda: outcome.update(results=toymodel._in_parallel(square, list(range(2000)), 16)))
-        worker.start()
-        worker.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not worker.is_alive()
-    assert sorted(calls) == list(range(2000))
-    assert outcome["results"] == [64.0 * x * x for x in range(2000)]
-
-
-def test_parallel_map_raises_a_worker_error():
-    def fail_on_seven(x):
-        if x == 7:
-            raise ValueError("seven")
-        return x
-
-    with pytest.raises(ValueError, match="seven"):
-        toymodel._in_parallel(fail_on_seven, list(range(40)), 4)
-
-
-@pytest.mark.parametrize("error", [ValueError("one"), KeyboardInterrupt()], ids=["error", "interrupt"])
-def test_parallel_map_stops_handing_out_items_when_an_item_fails(error):
-    done = []
-
-    def slow_unless_one(x):
-        if x == 1:
-            raise error
-        time.sleep(0.005)
-        done.append(x)
-
-    with pytest.raises(type(error)):
-        toymodel._in_parallel(slow_unless_one, list(range(500)), 2)
-    assert len(done) < 50  # the items not yet started are cancelled, not computed
-
-
-@pytest.mark.parametrize("workers, items", [(1, [0, 1, 2]), (4, [5]), (4, [])], ids=["one-worker", "one-item", "no-item"])
-def test_parallel_map_without_a_pool_runs_on_the_calling_thread(workers, items):
-    before = threading.active_count()
-    seen = []
-
-    def record(x):
-        seen.append((threading.current_thread(), threading.active_count()))
-        return -x
-
-    assert toymodel._in_parallel(record, items, workers) == [-x for x in items]
-    assert seen == [(threading.current_thread(), before)] * len(items)
+    assert threads == [(threading.current_thread(), before)] * len(threads)
+    assert threading.active_count() == before
 
 
 def screening_stack():
