@@ -1,5 +1,6 @@
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -191,16 +192,33 @@ def assert_study_matches_reference(grid, samples, theta, seed):
             assert norm_points[key][j] == toymodel._summary(nv, norms[:, k], excluded)
 
 
-def test_study_pipeline_matches_per_draw_loop_bitwise():
-    assert_study_matches_reference(list(range(1, 13)), 30, 0.5, 42)
+def on_threads(workers, check):
+    # workers=None runs the check on the calling thread; otherwise on that
+    # many threads at once, so a study shares no state with another caller's
+    if workers is None:
+        check()
+        return
+    barrier = threading.Barrier(workers)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(lambda: (barrier.wait(timeout=60), check())) for _ in range(workers)]
+        for future in futures:
+            future.result(timeout=300)
 
 
-@pytest.mark.parametrize("nv", [50, 100], ids=["nv50", "nv100"])
-def test_study_pipeline_matches_per_draw_loop_over_several_chunks(nv):
+@pytest.mark.parametrize("workers", [None, 1, 3], ids=["cpus", "one-worker", "three-workers"])
+def test_study_pipeline_matches_per_draw_loop_bitwise(workers):
+    on_threads(workers, lambda: assert_study_matches_reference(list(range(1, 13)), 30, 0.5, 42))
+
+
+# no concurrent callers here: at 10^4 entries or more OpenBLAS factorizes on
+# several threads, and concurrent calls may leave it fewer to round with
+@pytest.mark.parametrize("workers", [None, 1], ids=["cpus", "one-worker"])
+@pytest.mark.parametrize("nv", [50, 100], ids=["pooled", "blas-threaded"])
+def test_study_pipeline_matches_per_draw_loop_over_several_chunks(workers, nv):
     samples = 30
     draws_per_chunk = max(1, toymodel._CHUNK_ENTRIES // nv**2)
     assert samples > 2 * draws_per_chunk  # three chunks or more
-    assert_study_matches_reference([nv], samples, 1.25, 7)
+    on_threads(workers, lambda: assert_study_matches_reference([nv], samples, 1.25, 7))
 
 
 def test_study_pipeline_mixed_grid_keeps_grid_order():
