@@ -18,7 +18,8 @@ import numpy as np
 
 from .bounds import global_error_bound_noiseless, global_error_bound_noisy
 from .formats import json_text
-from .integrator import NoiseSpec, integrate
+from ._streams import KeyedStreams
+from .integrator import NOISE_MODES, NoiseSpec, integrate
 from .scenarios import AnalyticProblem, Scenario, exp_ode
 from .tableaux import ButcherTableau, profile
 
@@ -110,26 +111,34 @@ def validate_noisy_bound(
 ) -> CampaignReport:
     """Run seeded noisy integrations and count bound violations.
 
-    ``delta == 0`` falls back to a single noiseless check.  Trial ``t``
-    draws all of its perturbations up front from the random stream keyed by
-    ``(seed, t)``, so reports do not depend on how trials are scheduled; the
-    trials are then stepped together as one batch, which the problem's field
-    must accept.
+    ``delta == 0`` falls back to a single noiseless check, after the same
+    checks of ``trials``, ``eta`` and ``mode``.  Trial ``t`` draws all of its
+    perturbations up front from the stream ``np.random.default_rng((seed,
+    t))``, so reports do not depend on how trials are scheduled; the trials
+    are then stepped together as one batch, which the problem's field must
+    accept.  The streams are unchanged, but built for all trials in one pass
+    by :class:`~rkbudget._streams.KeyedStreams` instead of one
+    ``default_rng`` per trial; ``tests/test_streams.py`` holds its states
+    and draws to ``default_rng`` bit for bit.
     """
     if not 0.0 <= delta < math.inf:  # NaN too
         raise ValueError(f"delta must be finite and non-negative, got {delta}")
     if trials < 0:
-        raise ValueError("trials must be non-negative")
+        raise ValueError(f"trials must be non-negative, got {trials}")
+    if not 0.0 < eta < 1.0:  # NaN too
+        raise ValueError(f"eta must lie in (0, 1), got {eta}")
+    if mode not in NOISE_MODES:
+        raise ValueError(f"mode must be one of {NOISE_MODES}, got {mode!r}")
     if delta == 0.0:
         return validate_noiseless_bound(sc, tableau, [n_steps], problem=problem)
+    noise = NoiseSpec.from_delta(delta, eta=eta, mode=mode)
     problem = problem if problem is not None else exp_ode()
     prof = profile(tableau, sc.error_const)
     reference = problem.exact(sc.pb.horizon)
     bound = global_error_bound_noisy(sc.pb, prof, n_steps, delta)
     y0 = np.atleast_1d(np.asarray(problem.y0, dtype=float))
-    noise = NoiseSpec.from_delta(delta, eta=eta, mode=mode)
-    rngs = [np.random.default_rng((seed, t)) for t in range(trials)]
-    block, exceedances = noise.perturbations(rngs, n_steps * tableau.stages, y0.size)
+    streams = KeyedStreams((seed,), range(trials))
+    block, exceedances = noise.perturbations(streams, n_steps * tableau.stages, y0.size)
     calls = 0
 
     def noisy_field(tau, y):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -32,6 +32,12 @@ __all__ = [
 ]
 
 NOISE_MODES = ("gaussian", "clipped-gaussian")
+# Per-evaluation noise bounds whose draw norms sqrt(x @ x) are exact to
+# rounding.  A normal from numpy's ziggurat has |z| < 14, so a draw's squared
+# norm stays below 196 * delta**2 and cannot overflow; the squares of draws
+# whose norm is near delta stay normal floats, so neither the exceedance test
+# nor the clipping factor sees an underflow.
+DELTA_RANGE = (1e-150, 1e150)
 
 
 class StepFailureError(RuntimeError):
@@ -74,16 +80,28 @@ class NoiseSpec:
             raise ValueError("n_shots must be a positive integer")
         if self.mode not in NOISE_MODES:
             raise ValueError(f"mode must be one of {NOISE_MODES}")
+        if not DELTA_RANGE[0] <= self.delta <= DELTA_RANGE[1]:
+            raise ValueError(
+                f"delta = sigma / sqrt(n_shots) must lie in [{DELTA_RANGE[0]:g}, {DELTA_RANGE[1]:g}], where the"
+                f" perturbation norms neither underflow nor overflow; got {self.delta:g}"
+            )
 
     @property
     def delta(self) -> float:
         return self.sigma / math.sqrt(self.n_shots)
 
-    def perturbations(self, rngs: Sequence[np.random.Generator], count: int, dim: int) -> tuple[np.ndarray, int]:
+    def perturbations(self, rngs: Collection[np.random.Generator], count: int, dim: int) -> tuple[np.ndarray, int]:
         """Perturbations for ``count`` evaluations of a ``dim``-component field per stream.
 
-        Stream ``i`` draws its ``(count, dim)`` block in one call, which equals
-        ``count`` successive draws of ``dim`` components.  Returns the
+        Stream ``i`` fills row ``i`` of the block with ``(count, dim)``
+        standard normals in one call, which equals ``count`` successive draws
+        of ``dim`` components.  One scaling of the whole block then gives, bit
+        for bit, what ``rng.normal(0.0, scale)`` draws from each stream.  The
+        streams are consumed in order, so ``rngs`` may be a
+        :class:`~rkbudget._streams.KeyedStreams` that re-seeds one generator
+        per row; ``tests/test_streams.py`` holds its streams to
+        ``np.random.default_rng`` bit for bit, and ``tests/test_integrator.py``
+        this block to per-evaluation ``rng.normal`` draws.  Returns the
         ``(len(rngs), count, dim)`` block, clipped onto the delta sphere in
         clipped mode, and the number of draws whose norm exceeded delta.
         """
@@ -93,7 +111,11 @@ class NoiseSpec:
         scale = delta * math.sqrt(self.eta / dim)
         block = np.empty((len(rngs), count, dim))
         for row, rng in zip(block, rngs):
-            row[...] = rng.normal(0.0, scale, size=(count, dim))
+            rng.standard_normal(out=row)
+        # normal(0.0, scale) computes 0.0 + scale * z; adding 0.0 turns a
+        # -0.0 product into +0.0 as it does.
+        block *= scale
+        block += 0.0
         # Row norms as dot products, like np.linalg.norm of a single draw, so
         # that a block and per-evaluation draws clip alike bit for bit.
         norms = np.sqrt((block[..., None, :] @ block[..., :, None])[..., 0, 0])

@@ -22,12 +22,14 @@ one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import astuple, dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ._streams import KeyedStreams
 from .formats import FLOAT_FORMAT, csv_text
 
 __all__ = [
@@ -177,12 +179,6 @@ def condition_number(a: np.ndarray) -> float:
     return kappa
 
 
-def _study_rng(seed, nv: int, index: int) -> np.random.Generator:
-    # Streams keyed by (seed, dimension, draw index): deterministic and
-    # independent of evaluation order.
-    return np.random.default_rng((seed, nv, index))
-
-
 # Matrix entries per chunk of study draws (256 kB per stacked array): small
 # enough to bound the memory of a study, large enough to amortize the
 # per-call overhead over the draws of small dimensions.
@@ -240,12 +236,14 @@ def _measure(a: np.ndarray, c: np.ndarray, norms: bool) -> np.ndarray:
     return rows
 
 
-def _measure_chunk(nv: int, start: int, stop: int, theta: float, seed, norms: bool) -> np.ndarray:
-    """:func:`_measure` of the study draws ``start..stop-1`` of dimension ``nv``."""
-    a = np.empty((stop - start, nv, nv))
-    c = np.empty((stop - start, nv))
-    for k, i in enumerate(range(start, stop)):
-        rng = _study_rng(seed, nv, i)
+def _measure_chunk(
+    nv: int, streams: Iterator[np.random.Generator], count: int, theta: float, norms: bool
+) -> np.ndarray:
+    """:func:`_measure` of the next ``count`` study draws of dimension ``nv``,
+    one from each of the next ``count`` streams."""
+    a = np.empty((count, nv, nv))
+    c = np.empty((count, nv))
+    for k, rng in enumerate(itertools.islice(streams, count)):
         a[k] = _entries(_draw_coeffs(rng, (nv, nv)), theta)
         c[k] = _entries(_draw_coeffs(rng, (nv,)), theta)
     if not (np.isfinite(a).all() and np.isfinite(c).all()):
@@ -258,7 +256,8 @@ def _study(nv_grid: Iterable[int], samples: int, theta: float, seed, norms: bool
     the well-conditioned draws in index order.
 
     Each dimension's draws are measured in chunks of consecutive indices,
-    each draw from its own ``(seed, nv, i)`` stream.
+    draw ``i`` from the stream ``np.random.default_rng((seed, nv, i))``:
+    deterministic and independent of evaluation order.
     """
     if samples < 30:
         raise ValueError("need at least 30 samples per grid point")
@@ -270,8 +269,9 @@ def _study(nv_grid: Iterable[int], samples: int, theta: float, seed, norms: bool
     chunks = []
     for nv in grid:
         size = max(1, _CHUNK_ENTRIES // (nv * nv))
+        streams = iter(KeyedStreams((seed, nv), range(samples)))
         for start in range(0, samples, size):
-            chunks.append(_measure_chunk(nv, start, min(start + size, samples), theta, seed, norms))
+            chunks.append(_measure_chunk(nv, streams, min(size, samples - start), theta, norms))
     rows = np.concatenate(chunks).reshape(len(grid), samples, -1)
     _check_first_draw(grid[0], theta, seed, rows[0, 0, 0])
     out = []
@@ -290,9 +290,11 @@ def _check_first_draw(nv: int, theta: float, seed, kappa: float) -> None:
     matrix as a single one.  The bitwise tests against the per-draw loop
     guard the stacked path.  It is here because the benchmark's layer probe
     reaches ``condition_number`` only through the studies; once the probe
-    calls it directly, this check goes.
+    calls it directly, this check goes.  Its draw comes from
+    ``np.random.default_rng``, not from the studies' stream builder, so it
+    also cross-checks that builder's first stream.
     """
-    system, _ = sample_toy(nv, theta, _study_rng(seed, nv, 0))
+    system, _ = sample_toy(nv, theta, (seed, nv, 0))
     try:
         expected = condition_number(system.a)
     except SingularMatrixError:

@@ -164,6 +164,14 @@ PINNED_DIGESTS = {
         "a3447ba3fbdf56705a241248ae92f9599d8b77aa29c10d1172e0a691ff72ba02",
     ("convergence", "--method", "heun2", "--format", "json"):
         "9b62538b2dfd8aa50abd0fbf412a8b816126c72d4151038039e8b14423a5e370",
+    # seeds of several 32-bit words, recorded with one default_rng per stream,
+    # before the streams were built in one vectorised pass
+    ("validate", "--method", "euler", "--mode", "clipped", "--delta", "1e-4", "--trials", "50", "--seed", "4294967297",
+     "--format", "json"): "b524cd685538e371b65fce464eae8bc81c8eeee248b57e769f3b3b74a927b65a",
+    ("validate", "--method", "rk4", "--mode", "gaussian", "--delta", "1e-3", "--trials", "50", "--seed", "4294967297",
+     "--format", "json"): "2581a74decdfaf21ca27cbaf76a5e9484cb76bc965237d3c12c00ab280c09e1f",
+    ("toy", "kappa", "--nv", "10:50:10", "--samples", "30", "--seed", "18446744073709551619"):
+        "dd4d7f22950505e0cc2a4f992bdf113458eb2b2c739616c839f488cebe761945",
 }
 
 
@@ -544,6 +552,29 @@ def test_non_finite_inputs_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert err == f"error: {message}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--delta", "0", "--eta", "1.5"), "eta must lie in (0, 1), got 1.5"),
+        (("--delta", "0", "--eta", "nan"), "eta must lie in (0, 1), got nan"),
+        (("--delta", "0", "--eta", "0"), "eta must lie in (0, 1), got 0.0"),
+        (("--delta", "0", "--trials", "-5"), "trials must be non-negative, got -5"),
+        (("--delta", "1e-4", "--eta", "1.5"), "eta must lie in (0, 1), got 1.5"),
+        (("--delta", "1e-170"), "delta = sigma / sqrt(n_shots) must lie in [1e-150, 1e+150]"),
+        (("--delta", "1e300"), "delta = sigma / sqrt(n_shots) must lie in [1e-150, 1e+150]"),
+        (("--delta", "1e-4", "--seed", "-1"), "expected non-negative integer"),
+    ],
+    ids=["noiseless-eta-1.5", "noiseless-eta-nan", "noiseless-eta-0", "noiseless-trials", "noisy-eta",
+         "delta-below-range", "delta-above-range", "negative-seed"],
+)
+def test_validate_rejects_bad_inputs_with_or_without_noise(capsys, argv, message):
+    code, out, err = run_cli(capsys, "validate", "--method", "euler", "--trials", "5", *argv)
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
     assert out == ""
 
 

@@ -1,5 +1,8 @@
 import json
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -197,6 +200,62 @@ def test_noisy_campaign_rejects_negative_trials(classical):
         validate_noisy_bound(classical, builtin_tableau("euler"), n_steps=10, delta=1e-3, trials=-5)
     empty = validate_noisy_bound(classical, builtin_tableau("euler"), n_steps=10, delta=1e-3, trials=0)
     assert (empty.trials, empty.evaluations, empty.worst_margin) == (0, 0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(eta=1.5), r"eta must lie in \(0, 1\), got 1.5"),
+        (dict(eta=math.nan), r"eta must lie in \(0, 1\), got nan"),
+        (dict(eta=0.0), r"eta must lie in \(0, 1\), got 0.0"),
+        (dict(trials=-5), "trials must be non-negative, got -5"),
+        (dict(mode="uniform"), "mode must be one of"),
+    ],
+    ids=["eta-1.5", "eta-nan", "eta-0", "trials-negative", "mode"],
+)
+@pytest.mark.parametrize("delta", [0.0, 1e-3], ids=["noiseless", "noisy"])
+def test_campaign_checks_its_inputs_before_the_noiseless_fallback(classical, delta, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        validate_noisy_bound(classical, builtin_tableau("euler"), n_steps=10, delta=delta, **kwargs)
+
+
+@pytest.mark.parametrize("delta", [1e-170, 1e300])
+def test_noisy_campaign_rejects_a_delta_outside_the_exact_norm_range(classical, delta):
+    with pytest.raises(ValueError, match=r"must lie in \[1e-150, 1e\+150\]"):
+        validate_noisy_bound(classical, builtin_tableau("euler"), n_steps=10, delta=delta, trials=3)
+
+
+@pytest.mark.parametrize(
+    "seed, error, message",
+    [(-1, ValueError, "expected non-negative integer"), (1.5, TypeError, "seed must be integer")],
+)
+def test_noisy_campaign_rejects_a_bad_seed_as_default_rng_does(classical, seed, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        validate_noisy_bound(classical, builtin_tableau("euler"), n_steps=10, delta=1e-3, trials=3, seed=seed)
+
+
+def test_concurrent_campaigns_give_the_sequential_reports(classical):
+    # each call builds its own generator, so campaigns on several threads at
+    # once draw their own streams
+    configs = [("euler", "clipped-gaussian", 3), ("rk4", "gaussian", 4), ("heun2", "clipped-gaussian", 2**32 + 1)]
+
+    def run(config):
+        name, mode, seed = config
+        return validate_noisy_bound(classical, builtin_tableau(name), 40, 1e-3, trials=60, seed=seed, mode=mode)
+
+    sequential = [run(config) for config in configs]
+    workers = 2 * len(configs)
+    barrier = threading.Barrier(workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            jobs = [configs[k % len(configs)] for k in range(workers)]
+            futures = [pool.submit(lambda c=c: (barrier.wait(timeout=60), run(c))[1]) for c in jobs]
+            reports = [future.result(timeout=300) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports == sequential * 2
 
 
 def test_noisy_campaign_rejects_zero_dimensional_problem(classical):

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rkbudget._streams import KeyedStreams
 from rkbudget.integrator import (
+    DELTA_RANGE,
     NOISE_MODES,
     DegenerateSlopeError,
     EvaluationOracle,
@@ -162,6 +164,25 @@ def test_block_draw_keeps_streams_apart():
     assert exceeded == 0
 
 
+def test_block_draw_turns_a_negative_zero_draw_into_zero_as_normal_does():
+    # From this PCG64 state the next output is 0x101: ziggurat index 1, sign
+    # bit set and a zero mantissa, so standard_normal gives -0.0 and
+    # normal(0.0, scale) gives 0.0 + scale * -0.0 = +0.0
+    inc, mult = 1, 0x2360ED051FC65DA44385DF649FCCF645
+    state = (0x101 - inc) * pow(mult, -1, 1 << 128) % (1 << 128)
+
+    def rng():
+        g = np.random.Generator(np.random.PCG64(0))
+        g.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                 "has_uint32": 0, "uinteger": 0}
+        return g
+
+    assert math.copysign(1.0, rng().standard_normal()) == -1.0
+    spec = NoiseSpec.from_delta(1e-3, mode="gaussian")
+    block, _ = spec.perturbations([rng()], 3, 1)
+    assert block.tobytes() == rng().normal(0.0, spec.delta * math.sqrt(spec.eta), (1, 3, 1)).tobytes()
+
+
 def test_noise_rejects_zero_dimensional_field():
     oracle = EvaluationOracle(lambda tau, y: np.zeros(0), noise=NoiseSpec.from_delta(1e-3), rng=1)
     with pytest.raises(ValueError, match="zero-dimensional"):
@@ -230,6 +251,28 @@ def test_noise_spec_validation():
 def test_noise_spec_rejects_non_finite_sigma(sigma):
     with pytest.raises(ValueError, match="sigma must be finite and positive"):
         NoiseSpec(sigma=sigma, eta=0.05)
+
+
+@pytest.mark.parametrize("delta", [1e-170, DELTA_RANGE[0] / 2, DELTA_RANGE[1] * 2, 1e300])
+def test_noise_spec_rejects_a_delta_outside_the_exact_norm_range(delta):
+    # squared draws underflow below the range and overflow above it, so the
+    # exceedance counts and the clipping would go wrong
+    message = r"delta = sigma / sqrt\(n_shots\) must lie in \[1e-150, 1e\+150\]"
+    with pytest.raises(ValueError, match=message):
+        NoiseSpec.from_delta(delta)
+    with pytest.raises(ValueError, match=message):
+        NoiseSpec(sigma=3.0 * delta, eta=0.05, n_shots=9)
+
+
+@pytest.mark.parametrize("delta", DELTA_RANGE, ids=["low-end", "high-end"])
+def test_draw_norms_are_exact_at_both_ends_of_the_delta_range(delta):
+    # the same 1000 x 400 draws exceed at either end as at delta = 1, and
+    # clipping keeps every one of them within delta
+    streams = KeyedStreams((20240817,), range(1000))
+    _, unit_exceeded = NoiseSpec.from_delta(1.0).perturbations(streams, 400, 1)
+    block, exceeded = NoiseSpec.from_delta(delta).perturbations(streams, 400, 1)
+    assert exceeded == unit_exceeded > 0
+    assert np.abs(block).max() <= delta * (1 + 1e-15)
 
 
 @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0])
