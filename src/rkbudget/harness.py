@@ -18,7 +18,7 @@ import numpy as np
 
 from .bounds import global_error_bound_noiseless, global_error_bound_noisy
 from .formats import json_text
-from ._streams import KeyedStreams
+from ._streams import KeyedStreams, _words
 from .integrator import NOISE_MODES, NoiseSpec, integrate
 from .scenarios import AnalyticProblem, Scenario, exp_ode
 from .tableaux import ButcherTableau, profile
@@ -112,14 +112,15 @@ def validate_noisy_bound(
     """Run seeded noisy integrations and count bound violations.
 
     ``delta == 0`` falls back to a single noiseless check, after the same
-    checks of ``trials``, ``eta`` and ``mode``.  Trial ``t`` draws all of its
-    perturbations up front from the stream ``np.random.default_rng((seed,
-    t))``, so reports do not depend on how trials are scheduled; the trials
-    are then stepped together as one batch, which the problem's field must
-    accept.  The streams are unchanged, but built for all trials in one pass
-    by :class:`~rkbudget._streams.KeyedStreams` instead of one
-    ``default_rng`` per trial; ``tests/test_streams.py`` holds its states
-    and draws to ``default_rng`` bit for bit.
+    checks of ``trials``, ``eta``, ``mode`` and ``seed``.  Trial ``t`` draws
+    all of its perturbations up front from the stream
+    ``np.random.default_rng((seed, t))``, so reports do not depend on how
+    trials are scheduled; the trials are then stepped together as one
+    batch, which the problem's field must accept.  The streams are
+    unchanged, but built for all trials in one pass by
+    :class:`~rkbudget._streams.KeyedStreams` instead of one ``default_rng``
+    per trial; ``tests/test_streams.py`` holds its states and draws to
+    ``default_rng`` bit for bit.
     """
     if not 0.0 <= delta < math.inf:  # NaN too
         raise ValueError(f"delta must be finite and non-negative, got {delta}")
@@ -129,6 +130,7 @@ def validate_noisy_bound(
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
     if mode not in NOISE_MODES:
         raise ValueError(f"mode must be one of {NOISE_MODES}, got {mode!r}")
+    _words(seed)  # the streams' own seed check, without building them
     if delta == 0.0:
         return validate_noiseless_bound(sc, tableau, [n_steps], problem=problem)
     noise = NoiseSpec.from_delta(delta, eta=eta, mode=mode)

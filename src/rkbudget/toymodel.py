@@ -11,13 +11,14 @@ such systems gives working estimates for condition numbers, norms and the
 Lipschitz landscape of ``A^{-1} C``, and an empirical oracle for the
 first-order perturbation bound of linear solves.
 
-The condition-number and norm studies measure their draws in chunks of
-consecutive draws, one chunk after another, with stacked LAPACK calls; the
-chunks bound the memory a study holds at once.  Each draw has its own
-seeded stream, so the results do not depend on the chunk size.  They can
-depend on the BLAS library's threading: OpenBLAS factorizes matrices of
-10^4 entries or more on several threads, which can round differently from
-one.
+:func:`condition_number` measures one matrix or a stack of them; one matrix
+is a stack of one.  The condition-number and norm studies measure their
+draws in chunks of consecutive draws, one chunk after another, with one
+``condition_number`` call and stacked LAPACK calls per chunk; the chunks
+bound the memory a study holds at once.  Each draw has its own seeded
+stream, so the results do not depend on the chunk size.  They can depend
+on the BLAS library's threading: OpenBLAS factorizes matrices of 10^4
+entries or more on several threads, which can round differently from one.
 """
 
 from __future__ import annotations
@@ -162,23 +163,6 @@ def sample_toy(
     return params.system(theta), params
 
 
-def condition_number(a: np.ndarray) -> float:
-    """Frobenius-norm condition number ``||A||_F * ||A^{-1}||_F``.
-
-    Always at least the dimension (equality for scaled identities).
-    Raises :class:`SingularMatrixError` for singular input.
-    """
-    a = np.asarray(a, dtype=float)
-    try:
-        a_inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("matrix is singular") from exc
-    kappa = float(np.linalg.norm(a, "fro") * np.linalg.norm(a_inv, "fro"))
-    if not math.isfinite(kappa):
-        raise SingularMatrixError("matrix is numerically singular")
-    return kappa
-
-
 # Matrix entries per chunk of study draws (256 kB per stacked array): small
 # enough to bound the memory of a study, large enough to amortize the
 # per-call overhead over the draws of small dimensions.
@@ -213,26 +197,43 @@ def _solve(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return _each_matrix(lambda m, v: np.linalg.solve(m, v[..., None])[..., 0], a, c)
 
 
-def _screen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Frobenius norms and condition numbers of a stack of matrices.
+def condition_number(a: np.ndarray) -> float | np.ndarray:
+    """Frobenius-norm condition number ``||A||_F * ||A^{-1}||_F`` of one
+    ``(n, n)`` matrix, or of each matrix of a ``(k, n, n)`` stack.
 
-    Equal to ``condition_number`` matrix by matrix, except that a singular
-    matrix gets a NaN condition number instead of raising.
+    Always at least the dimension (equality for scaled identities).  A stack
+    is inverted with one stacked call and gives an array: NaN for a singular
+    matrix, inf where the product overflows.  One matrix is measured as a
+    stack of one and gives a float; it raises :class:`SingularMatrixError`
+    where a stack would give NaN or inf.
     """
-    norm_a = _norm_each(a)
-    return norm_a, norm_a * _norm_each(_each_matrix(np.linalg.inv, a))
+    a = np.asarray(a, dtype=float)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected an (n, n) matrix or a (k, n, n) stack, got shape {a.shape}")
+    stack = a[None] if a.ndim == 2 else a
+    with np.errstate(over="ignore"):  # an overflowing product is reported as inf
+        kappa = _norm_each(stack) * _norm_each(_each_matrix(np.linalg.inv, stack))
+    if a.ndim == 3:
+        return kappa
+    kappa = float(kappa[0])
+    if math.isnan(kappa):
+        raise SingularMatrixError("matrix is singular")
+    if math.isinf(kappa):
+        raise SingularMatrixError("matrix is numerically singular")
+    return kappa
 
 
 def _measure(a: np.ndarray, c: np.ndarray, norms: bool) -> np.ndarray:
     """One row per system ``a[k] x = c[k]``: the condition number of
     ``a[k]``, then with ``norms`` ``||A||_F``, ``||C||_2`` and
     ``||A^{-1}C||_2``.  Singular and ill-conditioned systems get NaN rows."""
-    norm_a, kappa = _screen(a)
+    kappa = condition_number(a)
     keep = kappa <= ILL_CONDITIONED_CUTOFF  # false for singular (NaN) and overflowing condition numbers
     rows = np.full((len(a), 4 if norms else 1), np.nan)
     rows[keep, 0] = kappa[keep]
     if norms:
-        rows[keep, 1:] = np.stack([norm_a[keep], _norm_each(c[keep]), _norm_each(_solve(a[keep], c[keep]))], axis=1)
+        a, c = a[keep], c[keep]
+        rows[keep, 1:] = np.stack([_norm_each(a), _norm_each(c), _norm_each(_solve(a, c))], axis=1)
     return rows
 
 
@@ -273,36 +274,11 @@ def _study(nv_grid: Iterable[int], samples: int, theta: float, seed, norms: bool
         for start in range(0, samples, size):
             chunks.append(_measure_chunk(nv, streams, min(size, samples - start), theta, norms))
     rows = np.concatenate(chunks).reshape(len(grid), samples, -1)
-    _check_first_draw(grid[0], theta, seed, rows[0, 0, 0])
     out = []
     for nv, draws in zip(grid, rows):
         kept = draws[~np.isnan(draws[:, 0])]
         out.append((nv, kept[:, 1:] if norms else kept[:, 0], samples - len(kept)))
     return out
-
-
-def _check_first_draw(nv: int, theta: float, seed, kappa: float) -> None:
-    """Measure draw 0 again through ``sample_toy`` and ``condition_number``
-    and raise if the stacked screen gave it another condition number.
-
-    A stopgap, not a correctness guarantee: it looks at one draw of one
-    dimension, and numpy's stacked inverse calls the same LAPACK routine per
-    matrix as a single one.  The bitwise tests against the per-draw loop
-    guard the stacked path.  It is here because the benchmark's layer probe
-    reaches ``condition_number`` only through the studies; once the probe
-    calls it directly, this check goes.  Its draw comes from
-    ``np.random.default_rng``, not from the studies' stream builder, so it
-    also cross-checks that builder's first stream.
-    """
-    system, _ = sample_toy(nv, theta, (seed, nv, 0))
-    try:
-        expected = condition_number(system.a)
-    except SingularMatrixError:
-        expected = math.nan
-    if not expected <= ILL_CONDITIONED_CUTOFF:
-        expected = math.nan
-    if not (expected == kappa or math.isnan(expected) and math.isnan(kappa)):
-        raise RuntimeError(f"stacked condition number {kappa!r} of draw 0 at N_V={nv} differs from {expected!r}")
 
 
 def kappa_study(

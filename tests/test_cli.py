@@ -566,15 +566,24 @@ def test_non_finite_inputs_exit_2(capsys, argv, message):
         (("--delta", "1e-170"), "delta = sigma / sqrt(n_shots) must lie in [1e-150, 1e+150]"),
         (("--delta", "1e300"), "delta = sigma / sqrt(n_shots) must lie in [1e-150, 1e+150]"),
         (("--delta", "1e-4", "--seed", "-1"), "expected non-negative integer"),
+        (("--delta", "0", "--seed", "-1"), "expected non-negative integer"),
     ],
     ids=["noiseless-eta-1.5", "noiseless-eta-nan", "noiseless-eta-0", "noiseless-trials", "noisy-eta",
-         "delta-below-range", "delta-above-range", "negative-seed"],
+         "delta-below-range", "delta-above-range", "negative-seed", "noiseless-negative-seed"],
 )
 def test_validate_rejects_bad_inputs_with_or_without_noise(capsys, argv, message):
     code, out, err = run_cli(capsys, "validate", "--method", "euler", "--trials", "5", *argv)
     assert code == 2
     assert err.startswith(f"error: {message}")
     assert err.count("\n") == 1
+    assert out == ""
+
+
+def test_noiseless_validate_rejects_a_negative_seed_from_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv(SEED_ENV_VAR, "-1")
+    code, out, err = run_cli(capsys, "validate", "--method", "euler", "--delta", "0")
+    assert code == 2
+    assert err == "error: expected non-negative integer\n"
     assert out == ""
 
 

@@ -234,6 +234,21 @@ def test_noisy_campaign_rejects_a_bad_seed_as_default_rng_does(classical, seed, 
         validate_noisy_bound(classical, builtin_tableau("euler"), n_steps=10, delta=1e-3, trials=3, seed=seed)
 
 
+@pytest.mark.parametrize(
+    "seed, error, message",
+    [(-1, ValueError, "expected non-negative integer"), (1.5, TypeError, "seed must be integer")],
+)
+def test_noiseless_fallback_rejects_a_bad_seed_without_building_streams(classical, monkeypatch, seed, error, message):
+    def no_streams(*args):
+        raise AssertionError("the noiseless fallback must not build the trial streams")
+
+    monkeypatch.setattr(harness, "KeyedStreams", no_streams)
+    with pytest.raises(error, match=f"^{message}$"):
+        validate_noisy_bound(classical, builtin_tableau("euler"), n_steps=10, delta=0.0, trials=1000, seed=seed)
+    report = validate_noisy_bound(classical, builtin_tableau("euler"), n_steps=10, delta=0.0, trials=1000, seed=2**40)
+    assert report.violations == 0
+
+
 def test_concurrent_campaigns_give_the_sequential_reports(classical):
     # each call builds its own generator, so campaigns on several threads at
     # once draw their own streams

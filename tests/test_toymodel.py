@@ -1,5 +1,6 @@
 import math
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -162,11 +163,11 @@ def per_draw_reference(nv, samples, theta, seed):
     kappas, norms = [], []
     for i in range(samples):
         system, _ = sample_toy(nv, theta, (seed, nv, i))
-        try:
-            kappa = condition_number(system.a)
-        except SingularMatrixError:
+        try:  # kappa computed here, not by the code under test
+            kappa = np.linalg.norm(system.a, "fro") * np.linalg.norm(np.linalg.inv(system.a), "fro")
+        except np.linalg.LinAlgError:
             continue
-        if kappa <= ILL_CONDITIONED_CUTOFF:
+        if kappa <= ILL_CONDITIONED_CUTOFF:  # false for NaN and inf too
             kappas.append(kappa)
             solution = np.linalg.solve(system.a, system.c)
             norms.append([np.linalg.norm(system.a, "fro"), np.linalg.norm(system.c), np.linalg.norm(solution)])
@@ -243,6 +244,30 @@ def test_study_measures_every_chunk_on_the_calling_thread(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_studies_measure_each_chunk_through_the_module_level_condition_number(monkeypatch):
+    """``kappa_study`` and ``norm_study`` make exactly one call of
+    ``toymodel.condition_number`` per chunk, on that chunk's stack.
+
+    The benchmark's traced runs time the ``toymodel.condition_number`` span
+    by patching that module attribute (``bench/spans.py``); a study that
+    bypassed it would leave the span empty and stop every traced run.
+    """
+    stacks = []
+    measure = toymodel.condition_number
+
+    def counting_condition_number(a):
+        stacks.append(np.shape(a))
+        return measure(a)
+
+    monkeypatch.setattr(toymodel, "condition_number", counting_condition_number)
+    monkeypatch.setattr(toymodel, "_CHUNK_ENTRIES", 3 * 50**2)
+    chunks = [(30, 2, 2)] + [(3, 50, 50)] * 10  # one chunk at N_V = 2, ten of three draws at N_V = 50
+    for study in (kappa_study, norm_study):
+        stacks.clear()
+        study([2, 50], 30, seed=1)
+        assert stacks == chunks
+
+
 def screening_stack():
     rng = np.random.default_rng(21)
     regular = [rng.normal(size=(3, 3)) + 3.0 * np.eye(3) for _ in range(3)]
@@ -254,18 +279,39 @@ def screening_stack():
     return a, c
 
 
-def test_screen_falls_back_per_matrix_on_a_singular_stack():
+def test_condition_number_of_a_singular_stack_falls_back_per_matrix():
     a, c = screening_stack()
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(a)  # the stacked inverse fails, so the fallback runs
-    norm_a, kappa = toymodel._screen(a)
-    with pytest.raises(SingularMatrixError):
+    kappa = condition_number(a)
+    with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
         condition_number(a[1])
+    assert kappa.shape == (6,)
     assert math.isnan(kappa[1])
     for k in (0, 2, 3, 4, 5):
         assert kappa[k] == condition_number(a[k])
-        assert norm_a[k] == np.linalg.norm(a[k], "fro")
     assert kappa[3] > ILL_CONDITIONED_CUTOFF > kappa[5] > ILL_CONDITIONED_CUTOFF / 10
+
+
+def test_condition_number_overflow_is_numerically_singular():
+    # ||A||_F^2 = 1e400 overflows: inf in a stack, a raise for one matrix, no warning
+    overflowing = np.diag([1e200, 1e-200])
+    a = np.stack([np.eye(2), overflowing])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError, match="numerically singular"):
+            condition_number(overflowing)
+        kappa = condition_number(a)
+        rows = toymodel._measure(a, np.ones((2, 2)), norms=True)
+    assert kappa.tolist() == [condition_number(np.eye(2)), math.inf]
+    assert not np.isnan(rows[0]).any()
+    assert np.isnan(rows[1]).all()
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 2, 2, 2)])
+def test_condition_number_rejects_other_shapes(shape):
+    with pytest.raises(ValueError, match="expected an \\(n, n\\) matrix"):
+        condition_number(np.ones(shape))
 
 
 def test_measure_excludes_singular_and_ill_conditioned_systems():
