@@ -11,7 +11,8 @@ up for execution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -169,15 +170,22 @@ def min_shots(pb: ProblemBounds, prof, sigma: float, n_steps: float) -> float:
     return shots
 
 
-def budget_row(pb: ProblemBounds, prof, sigma: float | None = None, dims: AnsatzDims | None = None) -> BudgetRow:
+def budget_row(
+    pb: ProblemBounds,
+    prof,
+    sigma: float | None = None,
+    dims: AnsatzDims | None = None,
+    anchor_cost: float | None = math.nan,
+) -> BudgetRow:
     """Resource row of one method profile, noiseless when ``sigma`` is None.
 
     A noisy row whose shot count cannot be computed (step count below 1 or
     not finite, truncation exceeding the target, or a count beyond the
     float range), or whose cost or circuit budget lies beyond the float
     range, is flagged infeasible with NaN shot, cost and circuit cells.
-    The ratio is left NaN: it compares against order 1, which only
-    :func:`budget_table` knows.
+    The ratio is ``anchor_cost / cost``: :func:`budget_table` passes the
+    order-1 cost, or None for the order-1 row, which is its own anchor.  It
+    stays NaN where ``anchor_cost`` is NaN, as by default.
     """
     feasible = True
     if sigma is None:
@@ -195,6 +203,8 @@ def budget_row(pb: ProblemBounds, prof, sigma: float | None = None, dims: Ansatz
         except (InfeasibleShotsError, OverflowError):
             n_shots = cost = circuit_evals = math.nan
             feasible = False
+    if anchor_cost is None:
+        anchor_cost = cost
     return BudgetRow(
         order=prof.order,
         stages=prof.stages,
@@ -203,7 +213,7 @@ def budget_row(pb: ProblemBounds, prof, sigma: float | None = None, dims: Ansatz
         cost=cost,
         circuit_evals=circuit_evals,
         circuits=None if dims is None else distinct_circuits(n_steps, prof.stages, dims),
-        ratio=math.nan,
+        ratio=math.nan if math.isnan(anchor_cost) else anchor_cost / cost,
         feasible=feasible,
     )
 
@@ -288,19 +298,26 @@ def budget_table(
     Noiseless mode (``sigma`` is None) leaves shot and circuit columns
     empty.  The ratio column compares every row's cost against the order-1
     cost, which is computed even when order 1 is not part of ``p_range``.
-    Orders whose shot count is infeasible are flagged, not dropped.
+    Orders whose shot count is infeasible are flagged, not dropped.  Orders
+    must be integers (numpy integers too) in 1..10; 2.5 raises ValueError.
     """
-    orders = sorted(set(int(p) for p in p_range))
+    orders = sorted(set(map(_order, p_range)))
     if any(p < 1 or p > 10 for p in orders):
         raise ValueError("p_range must lie within 1..10")
 
-    def row_for(p: int) -> BudgetRow:
+    def row_for(p: int, anchor_cost: float | None) -> BudgetRow:
         prof = MethodProfile(order=p, stages=min_stages(p), a_max=a_max, b_max=b_max, error_const=error_const)
-        return budget_row(pb, prof, sigma, dims)
+        return budget_row(pb, prof, sigma, dims, anchor_cost)
 
-    anchor = row_for(1)
-    rows = [anchor if p == 1 else row_for(p) for p in orders]
-    return [replace(row, ratio=anchor.cost / row.cost) for row in rows]
+    anchor = row_for(1, None)
+    return [anchor if p == 1 else row_for(p, anchor.cost) for p in orders]
+
+
+def _order(p) -> int:
+    try:
+        return operator.index(p)
+    except TypeError:
+        raise ValueError(f"orders must be integers, got {p!r}") from None
 
 
 def argmin_order(rows: Sequence[BudgetRow]) -> int:

@@ -4,12 +4,17 @@ CSV cells: floats in full-precision scientific notation (``FLOAT_FORMAT``,
 which reads back bit for bit), ``None`` as an empty cell, bools as
 ``true``/``false`` and anything else through ``str``.  JSON is strict: every
 non-finite float becomes ``null``, so any JSON parser accepts the output.
+:func:`json_text` writes it in one recursive pass, byte for byte what
+``json.dumps(..., allow_nan=False)`` gives once the non-finite floats are
+replaced by ``None``; it writes the JSON itself because the standard
+library's C encoder serves only the compact layout, and the indented one
+falls back to a much slower pure-Python encoder.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
 __all__ = ["FLOAT_FORMAT", "csv_text", "json_text"]
@@ -34,16 +39,59 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _finite_or_none(value):
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {k: _finite_or_none(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite_or_none(v) for v in value]
-    return value
-
-
 def json_text(payload, indent: int | None = 2, sort_keys: bool = True) -> str:
-    """Strict JSON of ``payload``, with every non-finite float written as null."""
-    return json.dumps(_finite_or_none(payload), indent=indent, sort_keys=sort_keys, allow_nan=False)
+    """Strict JSON of ``payload``, with every non-finite float written as null.
+
+    Dicts, lists and tuples nest; the leaves are str (escaped to ASCII),
+    int, bool, None and float (``float.__repr__``).  ``indent=None`` gives
+    the compact one-line layout.  Any other type raises ``TypeError``.
+    """
+    step = None if indent is None else " " * indent
+
+    def key(k) -> str:
+        if isinstance(k, str):
+            return encode_basestring_ascii(k)
+        if isinstance(k, float) and not math.isfinite(k):
+            raise ValueError(f"Out of range float values are not JSON compliant: {k!r}")
+        if k is None or isinstance(k, (int, float)):
+            return '"' + write(k, "") + '"'
+        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+    def write(value, pad: str) -> str:
+        if isinstance(value, float):
+            return float.__repr__(value) if math.isfinite(value) else "null"
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        is_list = isinstance(value, (list, tuple))
+        if not (is_list or isinstance(value, dict)):
+            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+        if not value:
+            return "[]" if is_list else "{}"
+        inner = pad if step is None else pad + step
+        sep = ", " if step is None else "," + inner
+        if is_list:
+            if set(map(type, value)) == {float}:
+                # a flat run of floats in one join, as fast as the C encoder;
+                # no finite repr holds an "n" or an "i", so "nan", "inf" and
+                # "-inf" are whole cells
+                body = sep.join(map(repr, value))
+                if "n" in body:
+                    body = body.replace("nan", "null")
+                    if "i" in body:
+                        body = body.replace("-inf", "null").replace("inf", "null")
+            else:
+                body = sep.join([write(v, inner) for v in value])
+            return f"[{inner}{body}{pad}]"
+        items = sorted(value.items()) if sort_keys else value.items()
+        body = sep.join([f"{key(k)}: {write(v, inner)}" for k, v in items])
+        return f"{{{inner}{body}{pad}}}"
+
+    return write(payload, "" if step is None else "\n")

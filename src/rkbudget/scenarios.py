@@ -182,11 +182,7 @@ def apply_overrides(base: Scenario, overrides: Mapping[str, float] | str | Path)
         if key in _PB_KEYS:
             pb_kwargs[_PB_KEYS[key]] = value  # ProblemBounds checks these
         elif key in _SCALAR_KEYS:
-            if not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value!r}")
-            if key == "eta" and not 0.0 < value < 1.0:
-                raise ValueError(f"eta must lie in (0, 1), got {value!r}")
-            scalar_kwargs[_SCALAR_KEYS[key]] = value
+            scalar_kwargs[_SCALAR_KEYS[key]] = _checked_scalar(key, value)
         elif key in _DIM_KEYS:
             if not value.is_integer():
                 raise ValueError(f"{key} must be a whole number, got {value!r}")
@@ -202,6 +198,16 @@ def apply_overrides(base: Scenario, overrides: Mapping[str, float] | str | Path)
         dims = out.dims if out.dims is not None else AnsatzDims(n_params=1, n_strings=1, n_pauli=1)
         out = replace(out, dims=replace(dims, **dim_kwargs))
     return out
+
+
+def _checked_scalar(key: str, value: float) -> float:
+    """``value`` if it may stand for the scalar override ``key``: finite, and
+    inside (0, 1) for ``eta``; otherwise a ValueError naming the key."""
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    if key == "eta" and not 0.0 < value < 1.0:
+        raise ValueError(f"eta must lie in (0, 1), got {value!r}")
+    return value
 
 
 def override_value(sc: Scenario, key: str) -> float | None:

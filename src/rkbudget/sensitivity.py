@@ -3,9 +3,13 @@
 Each sweep rescales a single scenario constant by a grid of multiplicative
 factors and re-evaluates either the noiseless evaluation cost or the total
 circuit-evaluation budget, holding everything else at the scenario
-defaults (order 2 unless the order itself is swept).  Because some
-constants enter the formulas only through products, several sweep curves
-coincide exactly; :func:`overlap_check` detects those pairs.
+defaults (order 2 unless the order itself is swept).  The rescaled
+constant enters the formulas directly, through the problem bounds, the
+method profile or the shot-noise scale, so each point costs one budget row
+and no rebuilt scenario; it is checked as an override file value would be,
+with the same messages.  Because some constants enter the formulas only
+through products, several sweep curves coincide exactly;
+:func:`overlap_check` detects those pairs.
 """
 
 from __future__ import annotations
@@ -16,9 +20,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .bounds import ProblemBounds
 from .budget import budget_row
 from .formats import csv_text, json_text
-from .scenarios import Scenario, apply_overrides, override_value
+from .scenarios import _PB_KEYS, _SCALAR_KEYS, Scenario, _checked_scalar, override_value
 from .tableaux import MethodProfile, min_stages
 
 __all__ = ["SweepSpec", "SweepPoint", "SWEEP_TARGETS", "default_factors", "sweep", "overlap_check", "curves_to_csv",
@@ -56,8 +61,8 @@ class SweepSpec:
         if self.mode == "ncirc" and (self.base.sigma is None or self.base.dims is None):
             raise ValueError("ncirc mode needs a scenario with sigma and ansatz dimensions")
         factors = np.asarray(self.factors, dtype=float)
-        if np.any(factors <= 0):
-            raise ValueError("scale factors must be positive")
+        if not np.all(np.isfinite(factors) & (factors > 0)):
+            raise ValueError("scale factors must be finite and positive")
         object.__setattr__(self, "factors", factors)
 
 
@@ -68,16 +73,6 @@ class SweepPoint:
     feasible: bool = True
 
 
-def _point(sc: Scenario, order: int, mode: str, factor: float) -> SweepPoint:
-    prof = MethodProfile(
-        order=order, stages=min_stages(order), a_max=sc.a_max, b_max=sc.b_max, error_const=sc.error_const
-    )
-    if mode == "cost":
-        return SweepPoint(factor, budget_row(sc.pb, prof).cost)
-    row = budget_row(sc.pb, prof, sc.sigma, sc.dims)
-    return SweepPoint(factor, row.circuit_evals, row.feasible)
-
-
 def sweep(spec: SweepSpec) -> list[SweepPoint]:
     """Evaluate the sweep curve.
 
@@ -85,15 +80,35 @@ def sweep(spec: SweepSpec) -> list[SweepPoint]:
     applied to that constant; for ``p`` the curve runs over the integer
     orders 1..10 (with matching minimal stage counts) and the factor column
     carries the order.  Infeasible points are flagged in place.
+
+    Each point is one :func:`~rkbudget.budget.budget_row`.  The rescaled
+    constant goes straight to where it enters, checked as an override file
+    value would be: the ``ProblemBounds`` for T, M, L_fy, L_ftau and
+    epsilon, the method profile for K, a_max and b_max, and the shot-noise
+    scale for Sigma.
     """
+    sc, ncirc = spec.base, spec.mode == "ncirc"
+    sigma, dims = (sc.sigma, sc.dims) if ncirc else (None, None)
+    consts = {"a_max": sc.a_max, "b_max": sc.b_max, "error_const": sc.error_const}
+
+    def profile(order: int, **swept) -> MethodProfile:
+        return MethodProfile(order=order, stages=min_stages(order), **{**consts, **swept})
+
+    def point(factor: float, pb: ProblemBounds, prof: MethodProfile, sigma: float | None = sigma) -> SweepPoint:
+        row = budget_row(pb, prof, sigma, dims)
+        return SweepPoint(factor, row.circuit_evals, row.feasible) if ncirc else SweepPoint(factor, row.cost)
+
     if spec.target == "p":
-        return [_point(spec.base, p, spec.mode, float(p)) for p in range(1, 11)]
-    key = spec.target
-    value = override_value(spec.base, key)
-    return [
-        _point(apply_overrides(spec.base, {key: value * factor}), spec.order, spec.mode, factor)
-        for factor in map(float, spec.factors)
-    ]
+        return [point(float(p), sc.pb, profile(p)) for p in range(1, 11)]
+    key, value, prof = spec.target, override_value(sc, spec.target), profile(spec.order)
+    factors = map(float, spec.factors)
+    if key in _PB_KEYS:
+        pb_fields = vars(sc.pb)
+        return [point(f, ProblemBounds(**{**pb_fields, _PB_KEYS[key]: value * f}), prof) for f in factors]
+    if key == "Sigma":
+        return [point(f, sc.pb, prof, _checked_scalar(key, value * f)) for f in factors]
+    return [point(f, sc.pb, profile(spec.order, **{_SCALAR_KEYS[key]: _checked_scalar(key, value * f)}))
+            for f in factors]
 
 
 def overlap_check(curves: Mapping[str, Sequence[SweepPoint]], rtol: float = 1e-9) -> list[tuple[str, str]]:

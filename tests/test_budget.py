@@ -321,6 +321,27 @@ def test_budget_table_rejects_bad_orders(classical):
         budget_table(classical.pb, error_const=5.0, p_range=[11])
 
 
+def test_budget_row_leaves_the_ratio_nan_even_at_zero_cost():
+    # the step count underflows to 0; a sweep reports the point, it must not divide
+    pb = ProblemBounds(lip_state=0.5, lip_time=1e-300, field_bound=13.0, horizon=5.0, target_error=1e-3)
+    prof = MethodProfile(order=2, stages=2, a_max=1.0, b_max=1.0, error_const=1e-320)
+    row = budget.budget_row(pb, prof)
+    assert row.cost == 0.0 and math.isnan(row.ratio)
+
+
+@pytest.mark.parametrize("p_range, bad", [([2.5, 3.9], "2.5"), ([1, 3.0], "3.0"), (["2"], "'2'")])
+def test_budget_table_rejects_non_integral_orders(classical, p_range, bad):
+    # int() would have read these as orders 2 and 3
+    with pytest.raises(ValueError, match=f"orders must be integers, got {bad}"):
+        budget_table(classical.pb, error_const=5.0, p_range=p_range)
+
+
+def test_budget_table_accepts_numpy_integer_orders(classical):
+    rows = budget_table(classical.pb, error_const=5.0, p_range=np.arange(2, 5))
+    assert rows == budget_table(classical.pb, error_const=5.0, p_range=range(2, 5))
+    assert [type(r.order) for r in rows] == [int] * 3
+
+
 def test_argmin_order_scenarios(classical, option_pricing, tuned):
     expected = {"classical": 4, "option_pricing": 2, "tuned": 4}
     for sc in (classical, option_pricing, tuned):

@@ -11,6 +11,7 @@ import pytest
 
 from rkbudget import cli
 from rkbudget.cli import DEFAULT_SEED, SEED_ENV_VAR, main
+from rkbudget.sensitivity import SWEEP_TARGETS
 
 
 def run_cli(capsys, *argv):
@@ -311,6 +312,99 @@ def test_json_is_strict_with_non_finite_cells(capsys, tmp_path, argv):
 
 
 # -- sweep ---------------------------------------------------------------------
+
+
+def sweep_targets(mode):
+    return [t for t in SWEEP_TARGETS if mode == "ncirc" or t != "Sigma"]
+
+
+# sha256 of the concatenated stdout of `sweep` over every target the CLI
+# accepts for one (scenario, mode, format), recorded while every sweep point
+# still ran apply_overrides: the swept constant reaches the ProblemBounds,
+# the method profile or sigma, and each route must keep its bytes
+PINNED_SWEEP_DIGESTS = {
+    ("classical", "cost", "csv"): "012239d03484c29067c01efd78ebdbd490236437d4252c0ae9b453891224c67e",
+    ("classical", "cost", "json"): "4a0e59bba9ba5ce7bd30c0082d851d5b5b0edca85dc42568c1b393b852d93872",
+    ("option_pricing", "cost", "csv"): "1bba6149255687a9be66d62200e977862e25abb58bb1feeb904e2203c8062311",
+    ("option_pricing", "cost", "json"): "28860a41fadf91e65e7e5462132d9cb29d50896c0763bad336e767a04e8bb837",
+    ("option_pricing", "ncirc", "csv"): "6a68cf426339e0e40334ead9b1e12e3d698cc649e2820043baf9f9ddd362e26f",
+    ("option_pricing", "ncirc", "json"): "5846fce4f181f15b0cdf6dda889ab7bcc5c26d414828dcffedc0ff50f0ed96b2",
+    ("tuned", "cost", "csv"): "c5e94d2609c6653ad63970518e64e68ae06713256203ee0892e7b063e8212c90",
+    ("tuned", "cost", "json"): "b40c487dbefb6ccb31d8b29bb2c9fe6bc8414cea2965fc021e5e5ec5b55643e7",
+    ("tuned", "ncirc", "csv"): "95ed43ceb751a1b4af2368baf4d9a6b62fc0a999149b8f0efeaafa89e827cc27",
+    ("tuned", "ncirc", "json"): "634039bf1f9458089a820c69765fe9bc59100c74ecf32470b5e352c550b087ff",
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_SWEEP_DIGESTS), ids="_".join)
+def test_pinned_sweeps_over_every_target_are_byte_identical(capsys, key):
+    name, mode, fmt = key
+    digest = hashlib.sha256()
+    for target in sweep_targets(mode):
+        code, out, err = run_cli(capsys, "sweep", "--scenario", name, "--target", target, "--mode", mode,
+                                 "--format", fmt)
+        assert (code, err) == (0, "")
+        digest.update(out.encode())
+    assert digest.hexdigest() == PINNED_SWEEP_DIGESTS[key]
+
+
+# every constant a sweep can rescale, perturbed away from option_pricing
+PERTURBED_OVERRIDES = (
+    "T=1.1\nK=3.71\nM=81.5\nL_fy=11.25\nL_ftau=19.3\nb_max=1.375\na_max=0.6875\nepsilon=2.3e-3\nSigma=1.9e8\n"
+)
+PERTURBED_DIGESTS = {
+    "table": "8c102387cfb70a2fdeb3e924d11aa6687073a20dedbc73daaa33334fb8b8e54a",
+    "sweep": "e1313a94baedb99855a2d1dc017767fc7e70d1f4c18d1e6c5c8d99b3919a8991",
+}
+
+
+def test_pinned_perturbed_json_table_is_byte_identical(capsys, tmp_path):
+    code, out, err = run_with_overrides(capsys, tmp_path, PERTURBED_OVERRIDES, "table", "--scenario",
+                                        "option_pricing", "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PERTURBED_DIGESTS["table"]
+
+
+def test_pinned_perturbed_json_sweeps_are_byte_identical(capsys, tmp_path):
+    digest = hashlib.sha256()
+    for target in sweep_targets("ncirc"):
+        code, out, err = run_with_overrides(capsys, tmp_path, PERTURBED_OVERRIDES, "sweep", "--scenario",
+                                            "option_pricing", "--target", target, "--mode", "ncirc",
+                                            "--format", "json")
+        assert (code, err) == (0, "")
+        digest.update(out.encode())
+    assert digest.hexdigest() == PERTURBED_DIGESTS["sweep"]
+
+
+# a swept constant that leaves the float range at the largest factor, or
+# reaches 0 at the smallest, exits 2 naming it as an --overrides file would
+@pytest.mark.parametrize(
+    "name, mode, text, message",
+    [
+        ("classical", "cost", "K=1e308", "K must be finite, got inf"),
+        ("classical", "cost", "T=1e308", "horizon must be finite, got inf"),
+        ("option_pricing", "ncirc", "T=1e308", "horizon must be finite, got inf"),
+        ("option_pricing", "ncirc", "M=1e308", "field_bound must be finite, got inf"),
+        ("option_pricing", "ncirc", "L_fy=1e308", "lip_state must be finite, got inf"),
+        ("option_pricing", "ncirc", "L_ftau=1e308", "lip_time must be finite, got inf"),
+        ("option_pricing", "ncirc", "epsilon=1e308", "target_error must be finite, got inf"),
+        ("option_pricing", "ncirc", "K=1e308", "K must be finite, got inf"),
+        ("option_pricing", "ncirc", "a_max=1e308", "a_max must be finite, got inf"),
+        ("option_pricing", "ncirc", "b_max=1e308", "b_max must be finite, got inf"),
+        ("option_pricing", "ncirc", "Sigma=1e308", "Sigma must be finite, got inf"),
+        ("option_pricing", "ncirc", "T=1e-323", "horizon must be strictly positive"),
+        ("option_pricing", "ncirc", "K=1e-323", "error_const must be positive"),
+        ("option_pricing", "ncirc", "a_max=1e-323", "a_max must be positive for multi-stage methods"),
+        ("option_pricing", "ncirc", "b_max=1e-323", "b_max must be positive"),
+        ("option_pricing", "ncirc", "Sigma=1e-323", "sigma must be positive"),
+    ],
+)
+def test_sweep_of_a_constant_leaving_the_float_range_exits_2(capsys, tmp_path, name, mode, text, message):
+    target = text.split("=")[0]
+    code, out, err = run_with_overrides(capsys, tmp_path, text + "\n", "sweep", "--scenario", name,
+                                        "--target", target, "--mode", mode)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_sweep_epsilon_monotone(capsys):

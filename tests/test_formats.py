@@ -80,10 +80,71 @@ def test_json_is_strict_and_reads_non_finite_floats_back_as_null(payload, indent
     assert_read_back(payload, json.loads(text, parse_constant=reject_constant))
 
 
+def reference_finite_or_none(value):
+    """The payload as a strict writer hands it to ``json.dumps``: non-finite
+    floats as None, tuples as lists."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: reference_finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_finite_or_none(v) for v in value]
+    return value
+
+
+def reference_json(payload, indent, sort_keys):
+    return json.dumps(reference_finite_or_none(payload), indent=indent, sort_keys=sort_keys, allow_nan=False)
+
+
+special_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.0**-1022, 1.7976931348623157e308,
+                                  math.nan, -math.nan, math.inf, -math.inf])
+strings = st.one_of(st.text(max_size=6), st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600a'),
+                                                 max_size=6))
+exact_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), special_floats, strings)
+exact_payloads = st.recursive(
+    exact_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=5), st.lists(st.one_of(special_floats, st.floats()), max_size=5),
+                            st.lists(inner, max_size=3).map(tuple), st.dictionaries(strings, inner, max_size=4)),
+    max_leaves=25,
+)
+
+
+@given(exact_payloads, st.sampled_from([2, None]), st.booleans())
+def test_json_text_writes_what_json_dumps_writes(payload, indent, sort_keys):
+    assert json_text(payload, indent=indent, sort_keys=sort_keys) == reference_json(payload, indent, sort_keys)
+
+
+@given(exact_payloads, st.sampled_from([object(), {1, 2}, b"x", np.int64(3), np.bool_(True), np.array([1.0])]),
+       st.sampled_from([2, None]), st.booleans())
+def test_json_text_rejects_unsupported_types_like_json_dumps(payload, junk, indent, sort_keys):
+    for bad in ([payload, junk], {"k": junk}, junk):
+        with pytest.raises(TypeError):
+            reference_json(bad, indent, sort_keys)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            json_text(bad, indent=indent, sort_keys=sort_keys)
+
+
+@pytest.mark.parametrize("indent", [2, None])
+@pytest.mark.parametrize("payload", [{1: "a", 2.5: [], True: {}, None: 0}, {-0.0: 1}, {3: 1, 1: 2}])
+def test_json_text_writes_non_string_keys_like_json_dumps(payload, indent):
+    assert json_text(payload, indent=indent, sort_keys=False) == reference_json(payload, indent, False)
+    if len({type(k) for k in payload}) == 1:
+        assert json_text(payload, indent=indent) == reference_json(payload, indent, True)
+
+
+@pytest.mark.parametrize("key, error", [(math.nan, ValueError), (math.inf, ValueError), ((1, 2), TypeError)])
+def test_json_text_rejects_keys_json_dumps_rejects(key, error):
+    with pytest.raises(error):
+        reference_json({key: 1}, 2, False)
+    with pytest.raises(error):
+        json_text({key: 1})
+
+
 def test_json_layouts():
     payload = {"b": 1, "a": [1.5, math.nan, np.float64(-math.inf), np.float64(0.25)]}
     assert json_text(payload) == '{\n  "a": [\n    1.5,\n    null,\n    null,\n    0.25\n  ],\n  "b": 1\n}'
     assert json_text(payload, indent=None, sort_keys=False) == '{"b": 1, "a": [1.5, null, null, 0.25]}'
+    assert json_text([-math.inf, 1e300, math.inf, -math.nan], indent=None) == "[null, 1e+300, null, null]"
 
 
 @pytest.mark.parametrize("needle", ["json.dumps", ".16e"])

@@ -2,8 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rkbudget.sensitivity import SweepSpec, curves_to_csv, default_factors, overlap_check, sweep
+from rkbudget.budget import budget_row
+from rkbudget.scenarios import SCENARIO_NAMES, apply_overrides, override_value, scenario
+from rkbudget.sensitivity import (
+    SWEEP_MODES,
+    SWEEP_TARGETS,
+    SweepPoint,
+    SweepSpec,
+    curves_to_csv,
+    default_factors,
+    overlap_check,
+    sweep,
+)
+from rkbudget.tableaux import MethodProfile, min_stages
 
 
 def run(sc, target, mode="cost", points=9, order=2):
@@ -26,6 +40,13 @@ def test_spec_validation(classical, option_pricing):
         SweepSpec(base=option_pricing, target="Sigma", mode="cost")
     with pytest.raises(ValueError, match="ncirc"):
         SweepSpec(base=classical, target="T", mode="ncirc")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("target", ["K", "p"])
+def test_spec_rejects_factors_that_are_not_finite_and_positive(classical, bad, target):
+    with pytest.raises(ValueError, match="scale factors must be finite and positive"):
+        SweepSpec(base=classical, target=target, factors=[0.5, bad, 2.0])
 
 
 def test_cost_decreases_with_target_error(classical):
@@ -107,3 +128,49 @@ def test_curves_csv_schema(classical):
     first = lines[1].split(",")
     assert first[0] == "epsilon"
     assert first[3] == "true"
+
+
+def parent_sweep(spec):
+    """The sweep as it ran with ``apply_overrides`` per point, then a fresh
+    profile and row: the reference the direct routes must match bit for bit."""
+
+    def point(sc, order, factor):
+        prof = MethodProfile(order=order, stages=min_stages(order), a_max=sc.a_max, b_max=sc.b_max,
+                             error_const=sc.error_const)
+        if spec.mode == "cost":
+            return SweepPoint(factor, budget_row(sc.pb, prof).cost)
+        row = budget_row(sc.pb, prof, sc.sigma, sc.dims)
+        return SweepPoint(factor, row.circuit_evals, row.feasible)
+
+    if spec.target == "p":
+        return [point(spec.base, p, float(p)) for p in range(1, 11)]
+    value = override_value(spec.base, spec.target)
+    return [
+        point(apply_overrides(spec.base, {spec.target: value * f}), spec.order, f) for f in map(float, spec.factors)
+    ]
+
+
+SWEEP_COMBOS = [
+    (name, target, mode)
+    for name in SCENARIO_NAMES
+    for mode in SWEEP_MODES
+    if mode == "cost" or scenario(name).noisy
+    for target in SWEEP_TARGETS
+    if target != "Sigma" or mode == "ncirc"
+]
+SCALED_KEYS = ("T", "K", "M", "L_fy", "L_ftau", "b_max", "a_max", "epsilon", "Sigma")
+
+
+def bits(points):
+    return [(p.factor.hex(), p.value.hex(), p.feasible) for p in points]
+
+
+@pytest.mark.parametrize("name, target, mode", SWEEP_COMBOS)
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.floats(-3.0, 3.0), min_size=len(SCALED_KEYS), max_size=len(SCALED_KEYS)))
+def test_sweep_matches_the_apply_overrides_path_bit_for_bit(name, target, mode, exponents):
+    base = scenario(name)
+    scaled = {k: override_value(base, k) * 2.0**e for k, e in zip(SCALED_KEYS, exponents)
+              if override_value(base, k) is not None}
+    spec = SweepSpec(base=apply_overrides(base, scaled), target=target, mode=mode)
+    assert bits(sweep(spec)) == bits(parent_sweep(spec))
