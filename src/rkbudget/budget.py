@@ -60,22 +60,20 @@ class AnsatzDims:
         Pauli strings per circuit layer.
     n_pauli
         Pauli terms in the Hamiltonian decomposition.
-    f_mag, lambda_mag
-        Magnitude bounds on the layer coefficients and the Hamiltonian
-        coefficients.
+
+    Each is an integer (numpy integers too) of at least 1; 2.5 raises.
     """
 
     n_params: int
     n_strings: int
     n_pauli: int
-    f_mag: float = 0.5
-    lambda_mag: float = 1.0
 
     def __post_init__(self):
-        if min(self.n_params, self.n_strings, self.n_pauli) < 1:
-            raise ValueError("n_params, n_strings and n_pauli must be positive integers")
-        if self.f_mag <= 0 or self.lambda_mag <= 0:
-            raise ValueError("coefficient magnitudes must be positive")
+        for name in ("n_params", "n_strings", "n_pauli"):
+            value = _integer(getattr(self, name), f"{name} must be an integer")
+            if value < 1:
+                raise ValueError("n_params, n_strings and n_pauli must be positive integers")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -185,7 +183,8 @@ def budget_row(
     range, is flagged infeasible with NaN shot, cost and circuit cells.
     The ratio is ``anchor_cost / cost``: :func:`budget_table` passes the
     order-1 cost, or None for the order-1 row, which is its own anchor.  It
-    stays NaN where ``anchor_cost`` is NaN, as by default.
+    stays NaN where ``anchor_cost`` is NaN, as by default; otherwise a cost
+    of 0 raises ValueError rather than divide by it.
     """
     feasible = True
     if sigma is None:
@@ -198,13 +197,15 @@ def budget_row(
             n_shots = min_shots(pb, prof, sigma, n_steps)
             cost = prof.stages * n_steps * n_shots
             circuit_evals = None if dims is None else circuit_budget(n_steps, prof.stages, n_shots, dims)
-            if math.isinf(cost) or (circuit_evals is not None and math.isinf(circuit_evals)):
-                raise OverflowError(f"cost or circuit budget exceeds the float range at n_steps={n_steps:.6g}")
+            feasible = math.isfinite(cost) and (circuit_evals is None or math.isfinite(circuit_evals))
         except (InfeasibleShotsError, OverflowError):
-            n_shots = cost = circuit_evals = math.nan
             feasible = False
+        if not feasible:
+            n_shots = cost = circuit_evals = math.nan
     if anchor_cost is None:
         anchor_cost = cost
+    if cost == 0.0 and not math.isnan(anchor_cost):
+        raise ValueError(f"order {prof.order} has a cost of 0 (its step count underflows); its cost ratio is undefined")
     return BudgetRow(
         order=prof.order,
         stages=prof.stages,
@@ -301,7 +302,7 @@ def budget_table(
     Orders whose shot count is infeasible are flagged, not dropped.  Orders
     must be integers (numpy integers too) in 1..10; 2.5 raises ValueError.
     """
-    orders = sorted(set(map(_order, p_range)))
+    orders = sorted({_integer(p, "orders must be integers") for p in p_range})
     if any(p < 1 or p > 10 for p in orders):
         raise ValueError("p_range must lie within 1..10")
 
@@ -313,11 +314,11 @@ def budget_table(
     return [anchor if p == 1 else row_for(p, anchor.cost) for p in orders]
 
 
-def _order(p) -> int:
+def _integer(value, what: str) -> int:
     try:
-        return operator.index(p)
+        return operator.index(value)
     except TypeError:
-        raise ValueError(f"orders must be integers, got {p!r}") from None
+        raise ValueError(f"{what}, got {value!r}") from None
 
 
 def argmin_order(rows: Sequence[BudgetRow]) -> int:

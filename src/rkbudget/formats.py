@@ -4,6 +4,7 @@ CSV cells: floats in full-precision scientific notation (``FLOAT_FORMAT``,
 which reads back bit for bit), ``None`` as an empty cell, bools as
 ``true``/``false`` and anything else through ``str``.  JSON is strict: every
 non-finite float becomes ``null``, so any JSON parser accepts the output.
+Dict keys are ``str``; any other key raises ``TypeError``.
 :func:`json_text` writes it in one recursive pass, byte for byte what
 ``json.dumps(..., allow_nan=False)`` gives once the non-finite floats are
 replaced by ``None``; it writes the JSON itself because the standard
@@ -42,20 +43,16 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 def json_text(payload, indent: int | None = 2, sort_keys: bool = True) -> str:
     """Strict JSON of ``payload``, with every non-finite float written as null.
 
-    Dicts, lists and tuples nest; the leaves are str (escaped to ASCII),
-    int, bool, None and float (``float.__repr__``).  ``indent=None`` gives
-    the compact one-line layout.  Any other type raises ``TypeError``.
+    Dicts with str keys, lists and tuples nest; the leaves are str (escaped
+    to ASCII), int, bool, None and float (``float.__repr__``).  ``indent=None``
+    gives the compact one-line layout.  Any other type or key raises ``TypeError``.
     """
     step = None if indent is None else " " * indent
 
     def key(k) -> str:
         if isinstance(k, str):
             return encode_basestring_ascii(k)
-        if isinstance(k, float) and not math.isfinite(k):
-            raise ValueError(f"Out of range float values are not JSON compliant: {k!r}")
-        if k is None or isinstance(k, (int, float)):
-            return '"' + write(k, "") + '"'
-        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+        raise TypeError(f"keys must be str, not {k.__class__.__name__}")
 
     def write(value, pad: str) -> str:
         if isinstance(value, float):

@@ -204,8 +204,8 @@ def report_record(report: CampaignReport) -> dict:
     }
 
 
-def report_to_json(report: CampaignReport, sample_size: int = 10) -> str:
-    """Serialize a campaign report with a sample of its per-trial ``(seed, trial)`` streams."""
+def report_to_json(report: CampaignReport) -> str:
+    """Serialize a campaign report with its first ten per-trial ``(seed, trial)`` streams."""
     seed = report.config.get("seed")
-    seeds_sample = [[seed, t] for t in range(min(report.trials, sample_size))] if seed is not None else []
+    seeds_sample = [[seed, t] for t in range(min(report.trials, 10))] if seed is not None else []
     return json_text({**report_record(report), "config": report.config, "seeds_sample": seeds_sample})

@@ -190,28 +190,27 @@ def rk_step(tableau, oracle: Callable, tau_n: float, y_n: np.ndarray, dt: float)
     """Advance one step: ``y + dt * sum_i b_i k_i`` with the staged recursion for ``k_i``.
 
     ``y_n`` is one state ``(dim,)`` or a batch ``(trials, dim)``; the oracle
-    receives stage states of the same shape.  The stages live in one flat
-    ``(stages, size)`` buffer, which a lone state uses as it is and a batch
-    views as ``(stages, trials, dim)``.  Stage sums contract the rows of that
-    buffer with the tableau's precomputed ``stage_rows``, so a batch row is
-    stepped by the same arithmetic as a lone state, up to BLAS summation
-    order.  Each stage costs one field call and a few small numpy calls.
+    receives stage states of the same shape.  A lone state is a batch of
+    one: the flat ``(stages, size)`` stage buffer is viewed as ``(stages,) +
+    y_n.shape`` and each increment is reshaped to ``y_n.shape``, both views.
+    Stage sums contract the buffer's rows with the tableau's precomputed
+    ``stage_rows``, so a batch row is stepped by the same arithmetic as a
+    lone state, up to BLAS summation order.  Each stage costs one field call
+    and a few small numpy calls.
     """
     if not 0.0 < dt < math.inf:  # NaN too
         raise ValueError(f"dt must be finite and positive, got {dt}")
     y_n = np.asarray(y_n, dtype=float)
     if y_n.ndim == 0:
         y_n = y_n.reshape(1)
-    batch = y_n.ndim > 1
     rows = tableau.stage_rows
     flat = np.empty((len(rows), y_n.size))
-    ks = flat.reshape((len(rows),) + y_n.shape) if batch else flat
+    ks = flat.reshape((len(rows),) + y_n.shape)
     zeros = np.zeros(y_n.size)
     y_stage = y_n
     for i, (a_row, c_i) in enumerate(rows):
         if i:
-            incr = dt * (a_row @ flat[:i])
-            y_stage = y_n + (incr.reshape(y_n.shape) if batch else incr)
+            y_stage = y_n + (dt * (a_row @ flat[:i])).reshape(y_n.shape)
         ks[i] = oracle(tau_n + c_i * dt, y_stage)
         # Exact: 0 * x is +-0 for finite x, however large, and NaN for +-inf
         # or NaN.  vdot, unlike matmul, warns of no invalid value at inf * 0.
@@ -219,8 +218,7 @@ def rk_step(tableau, oracle: Callable, tau_n: float, y_n: np.ndarray, dt: float)
         # a field never sees a state derived from a non-finite value.
         if not math.isfinite(np.vdot(flat[i], zeros)):
             raise StepFailureError(f"non-finite field value at stage {i + 1}", stage=i + 1)
-    incr = dt * (tableau.b @ flat)
-    return y_n + (incr.reshape(y_n.shape) if batch else incr)
+    return y_n + (dt * (tableau.b @ flat)).reshape(y_n.shape)
 
 
 def integrate(
@@ -263,16 +261,10 @@ def integrate(
     return Trajectory(times=times, states=states)
 
 
-def empirical_order(
-    tableau,
-    problem,
-    steps: Iterable[int],
-    horizon: float,
-    tau0: float = 0.0,
-) -> float:
+def empirical_order(tableau, problem, steps: Iterable[int], horizon: float) -> float:
     """Least-squares slope of log final error versus log step size.
 
-    ``problem`` must expose ``field``, ``exact`` and ``y0`` (see
+    ``problem`` must expose ``field``, ``exact`` and ``y0`` at time 0 (see
     :func:`rkbudget.scenarios.exp_ode`).  Noise is always off here.
     Raises :class:`DegenerateSlopeError` if any error vanishes or falls
     to the machine-precision floor, where no meaningful slope exists.
@@ -280,11 +272,11 @@ def empirical_order(
     steps = sorted(int(n) for n in steps)
     if len(set(steps)) < 4:
         raise ValueError(f"need at least 4 distinct step counts for a slope estimate, got {steps}")
-    reference = np.atleast_1d(np.asarray(problem.exact(tau0 + horizon), dtype=float))
+    reference = np.atleast_1d(np.asarray(problem.exact(horizon), dtype=float))
     floor = 64.0 * np.finfo(float).eps * max(1.0, float(np.linalg.norm(reference)))
     errors = []
     for n in steps:
-        traj = integrate(tableau, problem.field, problem.y0, tau0, horizon, n)
+        traj = integrate(tableau, problem.field, problem.y0, 0.0, horizon, n)
         errors.append(float(np.linalg.norm(traj.final - reference)))
     errors = np.array(errors)
     if np.any(errors <= floor):

@@ -111,8 +111,8 @@ def sweep(spec: SweepSpec) -> list[SweepPoint]:
             for f in factors]
 
 
-def overlap_check(curves: Mapping[str, Sequence[SweepPoint]], rtol: float = 1e-9) -> list[tuple[str, str]]:
-    """Report pairs of curves that agree pointwise within ``rtol``.
+def overlap_check(curves: Mapping[str, Sequence[SweepPoint]]) -> list[tuple[str, str]]:
+    """Report pairs of curves that agree pointwise to a relative 1e-9.
 
     Curves must share the factor grid.  Pairs are returned in sorted name
     order; a pair only matches if feasibility flags agree everywhere too.
@@ -131,7 +131,7 @@ def overlap_check(curves: Mapping[str, Sequence[SweepPoint]], rtol: float = 1e-9
             values_a = np.array([p.value for p in a])
             values_b = np.array([p.value for p in b])
             finite = np.isfinite(values_a) & np.isfinite(values_b)
-            if np.allclose(values_a[finite], values_b[finite], rtol=rtol, atol=0.0):
+            if np.allclose(values_a[finite], values_b[finite], rtol=1e-9, atol=0.0):
                 pairs.append((first, second))
     return pairs
 

@@ -10,6 +10,7 @@ threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -136,12 +137,16 @@ class MethodProfile:
     def __post_init__(self):
         if self.order < 1 or self.stages < 1:
             raise ValueError("order and stages must be positive integers")
-        if self.a_max < 0:
-            raise ValueError("a_max must be non-negative")
-        if self.b_max <= 0:
-            raise ValueError("b_max must be positive")
-        if self.error_const <= 0:
-            raise ValueError("error_const must be positive")
+        if not 0.0 <= self.a_max < math.inf:  # NaN too
+            raise ValueError(_bad_scalar("a_max", self.a_max, "non-negative"))
+        if not 0.0 < self.b_max < math.inf:
+            raise ValueError(_bad_scalar("b_max", self.b_max, "positive"))
+        if not 0.0 < self.error_const < math.inf:
+            raise ValueError(_bad_scalar("error_const", self.error_const, "positive"))
+
+
+def _bad_scalar(name: str, value: float, sign: str) -> str:
+    return f"{name} must be finite, got {value!r}" if not math.isfinite(value) else f"{name} must be {sign}"
 
 
 def builtin_tableau(method_id: str) -> ButcherTableau:
@@ -156,34 +161,32 @@ def builtin_tableau(method_id: str) -> ButcherTableau:
         raise ValueError(f"unknown method {method_id!r}; choose from {sorted(BUILTIN_METHODS)}") from None
 
 
-def validate_tableau(tableau: ButcherTableau, tol: float = CONSISTENCY_TOL) -> ValidationReport:
+def validate_tableau(tableau: ButcherTableau) -> ValidationReport:
     """Check the consistency identities of an explicit tableau.
 
     Returns an empty report iff the weights sum to one, every row sum of
     ``a`` matches its node, ``c[0] == 0`` and ``a`` is strictly lower
-    triangular, all within ``tol``.
+    triangular, all within ``CONSISTENCY_TOL``.
     """
     violations = []
     b_sum = float(np.sum(tableau.b))
-    if abs(b_sum - 1.0) > tol:
+    if abs(b_sum - 1.0) > CONSISTENCY_TOL:
         violations.append(f"sum(b) != 1 (got {b_sum!r})")
-    if tableau.stages and abs(tableau.c[0]) > tol:
+    if tableau.stages and abs(tableau.c[0]) > CONSISTENCY_TOL:
         violations.append(f"c_1 != 0 (got {tableau.c[0]!r})")
     for i in range(1, tableau.stages):
         row_sum = float(np.sum(tableau.a[i, :i]))
-        if abs(row_sum - tableau.c[i]) > tol:
+        if abs(row_sum - tableau.c[i]) > CONSISTENCY_TOL:
             violations.append(f"row-sum != c_{i + 1} (got {row_sum!r}, expected {tableau.c[i]!r})")
     upper = np.triu(tableau.a)
-    if np.any(np.abs(upper) > tol):
-        bad = np.argwhere(np.abs(upper) > tol)[0]
+    if np.any(np.abs(upper) > CONSISTENCY_TOL):
+        bad = np.argwhere(np.abs(upper) > CONSISTENCY_TOL)[0]
         violations.append(f"a is not strictly lower triangular (a[{bad[0] + 1},{bad[1] + 1}] != 0)")
     return ValidationReport(tuple(violations))
 
 
 def profile(tableau: ButcherTableau, error_const: float) -> MethodProfile:
     """Extract the scalar profile (order, stages, coefficient maxima) of a valid tableau."""
-    if error_const <= 0:
-        raise ValueError("error_const must be positive")
     report = validate_tableau(tableau)
     if not report.ok:
         raise ValueError("tableau fails consistency checks: " + "; ".join(report.violations))

@@ -321,6 +321,23 @@ def test_budget_table_rejects_bad_orders(classical):
         budget_table(classical.pb, error_const=5.0, p_range=[11])
 
 
+def test_budget_table_names_the_order_whose_zero_cost_it_would_divide_by():
+    # finite, positive constants whose closed-form step count underflows to 0
+    pb = ProblemBounds(lip_state=0.5, lip_time=1e-300, field_bound=13.0, horizon=5.0, target_error=1e-3)
+    message = r"^order 1 has a cost of 0 \(its step count underflows\); its cost ratio is undefined$"
+    with pytest.raises(ValueError, match=message):
+        budget_table(pb, error_const=1e-320)
+    prof = MethodProfile(order=2, stages=2, a_max=1.0, b_max=1.0, error_const=1e-320)
+    with pytest.raises(ValueError, match="^order 2 has a cost of 0"):
+        budget.budget_row(pb, prof, anchor_cost=4.0)
+
+
+def test_budget_table_rejects_a_nan_error_const(classical):
+    # it returned NaN rows marked feasible
+    with pytest.raises(ValueError, match="^error_const must be finite, got nan$"):
+        budget_table(classical.pb, error_const=math.nan)
+
+
 def test_budget_row_leaves_the_ratio_nan_even_at_zero_cost():
     # the step count underflows to 0; a sweep reports the point, it must not divide
     pb = ProblemBounds(lip_state=0.5, lip_time=1e-300, field_bound=13.0, horizon=5.0, target_error=1e-3)
@@ -496,4 +513,17 @@ def test_ansatz_dims_validation():
     with pytest.raises(ValueError):
         AnsatzDims(n_params=0, n_strings=1, n_pauli=1)
     with pytest.raises(ValueError):
-        AnsatzDims(n_params=1, n_strings=1, n_pauli=1, f_mag=0.0)
+        AnsatzDims(n_params=1, n_strings=1, n_pauli=-2)
+
+
+@pytest.mark.parametrize("name", ["n_params", "n_strings", "n_pauli"])
+@pytest.mark.parametrize("value, shown", [(2.5, "2.5"), (3.0, "3.0"), ("2", "'2'")])
+def test_ansatz_dims_rejects_non_integral_dimensions(name, value, shown):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {shown}$"):
+        AnsatzDims(**{"n_params": 2, "n_strings": 1, "n_pauli": 1, name: value})
+
+
+def test_ansatz_dims_accepts_numpy_integers():
+    dims = AnsatzDims(n_params=np.int64(4), n_strings=np.int32(2), n_pauli=np.uint8(3))
+    assert dims == AnsatzDims(n_params=4, n_strings=2, n_pauli=3)
+    assert [type(v) for v in astuple(dims)] == [int] * 3

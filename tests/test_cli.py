@@ -255,6 +255,15 @@ def test_sweep_flags_points_without_a_shot_count(capsys, tmp_path):
     assert all(math.isnan(float(r["value"])) for r in rows[1:])
 
 
+def test_table_whose_step_count_underflows_to_zero_exits_2(capsys, tmp_path):
+    # finite, positive constants whose closed-form step count underflows to
+    # 0, so the order-1 row would divide its own zero cost by itself
+    code, out, err = run_with_overrides(capsys, tmp_path, "K=1e-320\nL_ftau=1e-300\n", "table",
+                                        "--scenario", "classical")
+    assert (code, out) == (2, "")
+    assert err == "error: order 1 has a cost of 0 (its step count underflows); its cost ratio is undefined\n"
+
+
 def test_table_still_rejects_non_positive_sigma(capsys, tmp_path):
     code, out, err = run_with_overrides(capsys, tmp_path, "Sigma=0\n", "table", "--scenario", "option_pricing")
     assert code == 2

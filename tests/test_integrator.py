@@ -212,13 +212,14 @@ def test_batch_rows_match_lone_trajectories(name):
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_METHODS))
 def test_state_and_batch_of_one_agree(name):
+    # a lone state runs the batch code, so a (1, dim) batch gives its bits
     t = builtin_tableau(name)
-    y0 = np.array([1.0, -0.5, 2.0])
-    lone = integrate(t, EvaluationOracle(wavy_field), y0, 0.0, 3.0, 40)
-    batch = integrate(t, EvaluationOracle(wavy_field), y0[None, :], 0.0, 3.0, 40)
-    assert lone.states.shape == (41, 3)
-    assert batch.states.shape == (41, 1, 3)
-    np.testing.assert_array_equal(batch.states[:, 0], lone.states)
+    for y0 in (np.array([0.8]), np.array([1.0, -0.5, 2.0])):
+        lone = integrate(t, EvaluationOracle(wavy_field), y0, 0.0, 3.0, 40)
+        batch = integrate(t, EvaluationOracle(wavy_field), y0[None, :], 0.0, 3.0, 40)
+        assert lone.states.shape == (41, y0.size)
+        assert batch.states.shape == (41, 1, y0.size)
+        assert batch.states.tobytes() == lone.states.tobytes()
 
 
 def test_non_finite_row_in_batch_aborts_with_index():
@@ -452,6 +453,9 @@ def test_random_tableaux_step_bitwise_like_the_frozen_reference(tableau, shape, 
     ref = reference_integrate(tableau, calm_field, y0, tau0, 1.5, n_steps)
     got = integrate(tableau, calm_field, y0, tau0, 1.5, n_steps)
     assert got.states.tobytes() == ref.states.tobytes()
+    if y0.ndim == 1:  # a batch of one steps to the lone state's bits
+        batch = integrate(tableau, calm_field, y0[None, :], tau0, 1.5, n_steps)
+        assert batch.states.tobytes() == got.states.tobytes()
 
 
 def poisoned_field(bad, at_call, row=None):

@@ -1,3 +1,4 @@
+import math
 import tempfile
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from rkbudget.tableaux import (
     BUILTIN_METHODS,
     ButcherTableau,
+    MethodProfile,
     builtin_tableau,
     min_stages,
     profile,
@@ -104,6 +106,23 @@ def test_profile_rejects_bad_error_const():
         profile(builtin_tableau("rk4"), error_const=0.0)
     with pytest.raises(ValueError):
         profile(builtin_tableau("rk4"), error_const=-1.0)
+    with pytest.raises(ValueError, match="^error_const must be finite, got nan$"):
+        profile(builtin_tableau("rk4"), error_const=math.nan)
+
+
+PROFILE = dict(order=2, stages=2, a_max=1.0, b_max=0.5, error_const=1.0)
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [(name, value, f"{name} must be finite, got {value!r}")
+     for name in ("a_max", "b_max", "error_const") for value in (math.nan, math.inf, -math.inf)]
+    + [("a_max", -1.0, "a_max must be non-negative"), ("b_max", 0.0, "b_max must be positive"),
+       ("error_const", -1e-300, "error_const must be positive")],
+)
+def test_method_profile_rejects_bad_scalars(name, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MethodProfile(**{**PROFILE, name: value})
 
 
 def test_profile_rejects_inconsistent_tableau():
