@@ -46,7 +46,7 @@ ROW_KEYS = ("p", "s", "N_tau", "N_r", "cost", "N_circ", "circuits", "ratio", "fl
 
 class InfeasibleShotsError(ValueError):
     """No shot count can reach the target: truncation alone already exceeds
-    it, or the step count is below 1 or not finite."""
+    it, or the step count is below 1, not finite or makes the step 0."""
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class AnsatzDims:
 @dataclass(frozen=True)
 class BudgetRow:
     """One order's resource requirements; ``feasible`` is False when a
-    noisy order has no finite shot count, cost or circuit budget (see
+    cell is not finite and positive or the step count is below 1 (see
     :func:`budget_row`)."""
 
     order: int
@@ -147,15 +147,15 @@ def min_shots(pb: ProblemBounds, prof, sigma: float, n_steps: float) -> float:
 
     ``(9 sigma^2 / lip_state^2) * (target/((1+F)**n - 1)
     - dt**(p+1) K lip_time**p M / F)**-2``.  Raises
-    :class:`InfeasibleShotsError` when ``n_steps`` is below 1 or not
-    finite, or when the bracket is non-positive, i.e. the truncation part
-    alone already exhausts the target error; a count beyond the float
-    range raises ``OverflowError``, wherever in the product it overflows.
+    :class:`InfeasibleShotsError` when ``n_steps`` is below 1, not finite
+    or underflows the step ``T / n_steps`` to 0, or when the bracket is
+    non-positive (the truncation alone exhausts the target error); a count
+    past the float range raises ``OverflowError``.
     """
     if not sigma > 0:  # NaN too
         raise ValueError("sigma must be positive")
-    if not 1.0 <= n_steps < math.inf:
-        raise InfeasibleShotsError(f"infeasible: n_steps={n_steps:.6g} is below 1 or not finite")
+    if not (1.0 <= n_steps < math.inf and pb.horizon / n_steps > 0.0):
+        raise InfeasibleShotsError(f"infeasible: n_steps={n_steps:.6g} is below 1 or not finite, or its step is 0")
     fac, growth, truncation = _growth_terms(pb, prof, n_steps)
     bracket = pb.target_error / growth - truncation / fac
     if not bracket > 0:  # NaN where the growth and F both overflow
@@ -177,50 +177,46 @@ def budget_row(
 ) -> BudgetRow:
     """Resource row of one method profile, noiseless when ``sigma`` is None.
 
-    A noisy row whose shot count cannot be computed (step count below 1 or
-    not finite, truncation exceeding the target, or a count beyond the
-    float range), or whose cost or circuit budget lies beyond the float
-    range, is flagged infeasible with NaN shot, cost and circuit cells.
-    The ratio is ``anchor_cost / cost``: :func:`budget_table` passes the
-    order-1 cost, or None for the order-1 row, which is its own anchor.  It
-    stays NaN where ``anchor_cost`` is NaN, as by default; otherwise a cost
-    of 0 raises ValueError rather than divide by it.
+    Step, distinct-circuit and shot counts are evaluated once each; one
+    that raises ``ArithmeticError`` or :class:`InfeasibleShotsError` stays
+    NaN.  The row is feasible iff its step count is at least 1 and every
+    resource cell it reports is finite and positive.  A flagged row keeps
+    its step and distinct-circuit cells and has NaN shot, cost,
+    circuit-budget and ratio cells; cells that do not apply stay None.  The
+    ratio is ``anchor_cost / cost``, with :func:`budget_table` passing the
+    order-1 cost (None on the order-1 row); the default NaN leaves it NaN.
     """
-    feasible = True
-    if sigma is None:
-        n_steps = min_steps_noiseless(pb, prof)
-        n_shots = circuit_evals = None
-        cost = prof.stages * n_steps
-    else:
-        n_steps = min_steps_noisy(pb, prof)
-        try:
+    n_steps = math.nan
+    n_shots = None if sigma is None else math.nan
+    circuits = None if dims is None else math.nan
+    try:
+        n_steps = _min_steps(pb, prof, 1 if sigma is None else 2 * prof.order + 1)
+        circuits = None if dims is None else distinct_circuits(n_steps, prof.stages, dims)
+        if sigma is not None:
             n_shots = min_shots(pb, prof, sigma, n_steps)
-            cost = prof.stages * n_steps * n_shots
-            circuit_evals = None if dims is None else circuit_budget(n_steps, prof.stages, n_shots, dims)
-            feasible = math.isfinite(cost) and (circuit_evals is None or math.isfinite(circuit_evals))
-        except (InfeasibleShotsError, OverflowError):
-            feasible = False
-        if not feasible:
-            n_shots = cost = circuit_evals = math.nan
-    if anchor_cost is None:
-        anchor_cost = cost
-    if cost == 0.0 and not math.isnan(anchor_cost):
-        raise ValueError(f"order {prof.order} has a cost of 0 (its step count underflows); its cost ratio is undefined")
+    except (ArithmeticError, InfeasibleShotsError):
+        pass
+    cost = prof.stages * n_steps if n_shots is None else prof.stages * n_steps * n_shots
+    circuit_evals = None if n_shots is None or dims is None else circuit_budget(n_steps, prof.stages, n_shots, dims)
+    feasible = (1.0 <= n_steps < math.inf and 0.0 < cost < math.inf
+                and (n_shots is None or 0.0 < n_shots < math.inf)
+                and (circuit_evals is None or 0.0 < circuit_evals < math.inf)
+                and (circuits is None or 0.0 < circuits < math.inf))
     return BudgetRow(
         order=prof.order,
         stages=prof.stages,
         n_steps=n_steps,
-        n_shots=n_shots,
-        cost=cost,
-        circuit_evals=circuit_evals,
-        circuits=None if dims is None else distinct_circuits(n_steps, prof.stages, dims),
-        ratio=math.nan if math.isnan(anchor_cost) else anchor_cost / cost,
+        n_shots=n_shots if feasible or n_shots is None else math.nan,
+        cost=cost if feasible else math.nan,
+        circuit_evals=circuit_evals if feasible or circuit_evals is None else math.nan,
+        circuits=circuits,
+        ratio=(cost if anchor_cost is None else anchor_cost) / cost if feasible else math.nan,
         feasible=feasible,
     )
 
 
 def cost_noiseless(pb: ProblemBounds, prof) -> float:
-    """Total field evaluations without noise: stages times minimal steps."""
+    """Total field evaluations without noise, ``s * n_steps``; NaN on a flagged row."""
     return budget_row(pb, prof).cost
 
 
@@ -237,8 +233,6 @@ def circuit_budget(n_steps: float, stages: int, n_shots: float, dims: AnsatzDims
 
     ``n_steps * s * n_shots * n_params * n_strings * (n_params * n_strings + n_pauli)``
     """
-    if n_steps <= 0 or stages < 1 or n_shots <= 0:
-        raise ValueError("n_steps, stages and n_shots must be positive")
     nv, nd, nh = dims.n_params, dims.n_strings, dims.n_pauli
     return n_steps * stages * n_shots * nv * nd * (nv * nd + nh)
 
@@ -299,8 +293,8 @@ def budget_table(
     Noiseless mode (``sigma`` is None) leaves shot and circuit columns
     empty.  The ratio column compares every row's cost against the order-1
     cost, which is computed even when order 1 is not part of ``p_range``.
-    Orders whose shot count is infeasible are flagged, not dropped.  Orders
-    must be integers (numpy integers too) in 1..10; 2.5 raises ValueError.
+    Infeasible orders are flagged, not dropped.  Orders must be integers
+    (numpy integers too) in 1..10; 2.5 raises ValueError.
     """
     orders = sorted({_integer(p, "orders must be integers") for p in p_range})
     if any(p < 1 or p > 10 for p in orders):

@@ -29,7 +29,7 @@ from . import budget, sensitivity, toymodel
 from .formats import csv_text, json_text
 from .harness import report_record, report_to_json, validate_noisy_bound
 from .harness import validate_noiseless_bound  # noqa: F401  (bench/spans.py wraps this name here)
-from .integrator import empirical_order
+from .integrator import DegenerateSlopeError, empirical_order
 from .scenarios import SCENARIO_NAMES, apply_overrides, exp_ode, scenario
 from .tableaux import BUILTIN_METHODS, builtin_tableau
 
@@ -76,6 +76,13 @@ def _parse_range(option: str, text: str) -> list[int]:
     if not values:
         raise CliError(f"{option}: range {text!r} is empty")
     return values
+
+
+def _check_horizon(name: str, horizon: float) -> None:
+    try:
+        exp_ode().exact(horizon)  # exp(horizon/2), the benchmark ODE's exact solution
+    except OverflowError:
+        raise CliError(f"{name}={horizon!r}: the exact solution exp(horizon/2) exceeds the float range") from None
 
 
 def _emit(args, text: str) -> None:
@@ -164,6 +171,7 @@ def _cmd_toy(args) -> int:
 
 def _cmd_validate(args) -> int:
     sc = _load_scenario(args)
+    _check_horizon("T", sc.pb.horizon)
     tableau = builtin_tableau(args.method)
     seed = args.seed if args.seed is not None else _default_seed()
     mode = "clipped-gaussian" if args.mode == "clipped" else "gaussian"
@@ -195,8 +203,8 @@ def _cmd_convergence(args) -> int:
         raise CliError(f"--steps: need at least 4 step counts, all distinct, got {args.steps!r}")
     if min(steps) < 1:
         raise CliError(f"--steps: step counts must be at least 1, got {args.steps!r}")
-    problem = exp_ode()
-    slope = empirical_order(tableau, problem, steps, horizon=args.horizon)
+    _check_horizon("--horizon", args.horizon)
+    slope = empirical_order(tableau, exp_ode(), steps, horizon=args.horizon)
     if args.format == "json":
         _emit(args, json_text({"method": args.method, "slope": slope, "steps": steps}, indent=None))
     else:
@@ -273,7 +281,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError, DegenerateSlopeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -96,7 +96,7 @@ def sweep(spec: SweepSpec) -> list[SweepPoint]:
 
     def point(factor: float, pb: ProblemBounds, prof: MethodProfile, sigma: float | None = sigma) -> SweepPoint:
         row = budget_row(pb, prof, sigma, dims)
-        return SweepPoint(factor, row.circuit_evals, row.feasible) if ncirc else SweepPoint(factor, row.cost)
+        return SweepPoint(factor, row.circuit_evals if ncirc else row.cost, row.feasible)
 
     if spec.target == "p":
         return [point(float(p), sc.pb, profile(p)) for p in range(1, 11)]
@@ -114,8 +114,8 @@ def sweep(spec: SweepSpec) -> list[SweepPoint]:
 def overlap_check(curves: Mapping[str, Sequence[SweepPoint]]) -> list[tuple[str, str]]:
     """Report pairs of curves that agree pointwise to a relative 1e-9.
 
-    Curves must share the factor grid.  Pairs are returned in sorted name
-    order; a pair only matches if feasibility flags agree everywhere too.
+    Curves must share the factor grid.  Pairs come in sorted name order; a
+    pair matches only if its feasibility flags and its NaN values agree too.
     """
     names = sorted(curves)
     pairs = []
@@ -130,8 +130,7 @@ def overlap_check(curves: Mapping[str, Sequence[SweepPoint]]) -> list[tuple[str,
                 continue
             values_a = np.array([p.value for p in a])
             values_b = np.array([p.value for p in b])
-            finite = np.isfinite(values_a) & np.isfinite(values_b)
-            if np.allclose(values_a[finite], values_b[finite], rtol=1e-9, atol=0.0):
+            if np.allclose(values_a, values_b, rtol=1e-9, atol=0.0, equal_nan=True):
                 pairs.append((first, second))
     return pairs
 

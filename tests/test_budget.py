@@ -321,15 +321,19 @@ def test_budget_table_rejects_bad_orders(classical):
         budget_table(classical.pb, error_const=5.0, p_range=[11])
 
 
-def test_budget_table_names_the_order_whose_zero_cost_it_would_divide_by():
-    # finite, positive constants whose closed-form step count underflows to 0
+def test_budget_table_flags_the_order_whose_step_count_underflows_to_zero():
+    # finite, positive constants whose closed-form step count underflows to 0;
+    # the table divided the order-1 row's zero cost by itself, then raised
     pb = ProblemBounds(lip_state=0.5, lip_time=1e-300, field_bound=13.0, horizon=5.0, target_error=1e-3)
-    message = r"^order 1 has a cost of 0 \(its step count underflows\); its cost ratio is undefined$"
-    with pytest.raises(ValueError, match=message):
-        budget_table(pb, error_const=1e-320)
+    rows = budget_table(pb, error_const=1e-320)
+    assert rows[0].n_steps == 0.0 and not rows[0].feasible
+    assert all(math.isnan(r.cost) for r in rows if not r.feasible)
+    # a flagged anchor leaves every ratio NaN, feasible rows included
+    assert all(math.isnan(r.ratio) for r in rows)
     prof = MethodProfile(order=2, stages=2, a_max=1.0, b_max=1.0, error_const=1e-320)
-    with pytest.raises(ValueError, match="^order 2 has a cost of 0"):
-        budget.budget_row(pb, prof, anchor_cost=4.0)
+    row = budget.budget_row(pb, prof, anchor_cost=4.0)
+    assert (row.n_steps, row.feasible) == (0.0, False)
+    assert math.isnan(row.cost) and math.isnan(row.ratio)
 
 
 def test_budget_table_rejects_a_nan_error_const(classical):
@@ -339,11 +343,14 @@ def test_budget_table_rejects_a_nan_error_const(classical):
 
 
 def test_budget_row_leaves_the_ratio_nan_even_at_zero_cost():
-    # the step count underflows to 0; a sweep reports the point, it must not divide
+    # the step count underflows to 0: the row is flagged, and neither its
+    # cost nor its ratio reads as a number
     pb = ProblemBounds(lip_state=0.5, lip_time=1e-300, field_bound=13.0, horizon=5.0, target_error=1e-3)
     prof = MethodProfile(order=2, stages=2, a_max=1.0, b_max=1.0, error_const=1e-320)
     row = budget.budget_row(pb, prof)
-    assert row.cost == 0.0 and math.isnan(row.ratio)
+    assert row.n_steps == 0.0 and not row.feasible
+    assert math.isnan(row.cost) and math.isnan(row.ratio)
+    assert row.n_shots is None and row.circuit_evals is None
 
 
 @pytest.mark.parametrize("p_range, bad", [([2.5, 3.9], "2.5"), ([1, 3.0], "3.0"), (["2"], "'2'")])

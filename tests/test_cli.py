@@ -1,17 +1,23 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from rkbudget import cli
 from rkbudget.cli import DEFAULT_SEED, SEED_ENV_VAR, main
-from rkbudget.sensitivity import SWEEP_TARGETS
+from rkbudget.scenarios import SCENARIO_NAMES
+from rkbudget.sensitivity import SWEEP_MODES, SWEEP_TARGETS
 
 
 def run_cli(capsys, *argv):
@@ -189,13 +195,14 @@ def run_with_overrides(capsys, tmp_path, text, *argv):
     return run_cli(capsys, *argv, "--overrides", str(path))
 
 
-# the same, for tables whose overrides make rows infeasible (T=2) or push
-# cells past the float range (T=1000)
+# the same, for tables whose overrides make rows infeasible: noisy shot
+# counts that overflow (T=2), and noiseless step counts past the float range
+# at orders 2-10 (T=1000)
 PINNED_OVERRIDE_DIGESTS = {
     ("T=2", "option_pricing", "csv"): "4298ddcb268b316c0ba7d93443ae8a13df70b99b42f902e7f6521b452666430e",
     ("T=2", "option_pricing", "json"): "cab3494f2906496130bcd4af8dd52cd596a2dabf2760ceace421fdfd9af9b38c",
-    ("T=1000", "classical", "csv"): "18cdd8c8d0c5835406d3fe1897d390ac478032f643aaff4357f2f051cb0f4d2c",
-    ("T=1000", "classical", "json"): "6f0d6f0c1b22b68835f5b6d0413959467d47cc77fe032433157388dd100ec6cf",
+    ("T=1000", "classical", "csv"): "105ac6da03d659c2f5b16e5802bf950451169ffdc71e5f11681caacefc500e99",
+    ("T=1000", "classical", "json"): "6b8c0ee5d74fbcc1acc765c8a95c2de8fa1a2ab7530c7ad35ede13755b985da1",
 }
 
 
@@ -255,13 +262,20 @@ def test_sweep_flags_points_without_a_shot_count(capsys, tmp_path):
     assert all(math.isnan(float(r["value"])) for r in rows[1:])
 
 
-def test_table_whose_step_count_underflows_to_zero_exits_2(capsys, tmp_path):
+def test_table_whose_step_count_underflows_to_zero_flags_the_row(capsys, tmp_path):
     # finite, positive constants whose closed-form step count underflows to
-    # 0, so the order-1 row would divide its own zero cost by itself
+    # 0; the order-1 row divided its own zero cost by itself, then exited 2
     code, out, err = run_with_overrides(capsys, tmp_path, "K=1e-320\nL_ftau=1e-300\n", "table",
                                         "--scenario", "classical")
-    assert (code, out) == (2, "")
-    assert err == "error: order 1 has a cost of 0 (its step count underflows); its cost ratio is undefined\n"
+    assert (code, err) == (0, "")
+    rows = parse_csv(out)
+    assert float(rows[0]["N_tau"]) == 0.0 and rows[0]["flag"] == "infeasible"
+    for r in rows:
+        assert math.isnan(float(r["ratio"]))
+        if r["flag"]:
+            assert math.isnan(float(r["cost"]))
+        else:
+            assert float(r["N_tau"]) >= 1 and 0 < float(r["cost"]) < math.inf
 
 
 def test_table_still_rejects_non_positive_sigma(capsys, tmp_path):
@@ -318,6 +332,104 @@ def test_json_is_strict_with_non_finite_cells(capsys, tmp_path, argv):
     payload = json.loads(out, parse_constant=reject_constant)
     cells = payload if argv[0] == "table" else payload["p"]
     assert any(v is None for cell in cells for v in cell.values())
+
+
+# -- boundary fuzz over the whole float range ----------------------------------
+
+FUZZ_KEYS = ("T", "K", "M", "L_fy", "L_ftau", "b_max", "a_max", "epsilon", "Sigma", "N_V", "N_d", "N")
+DIM_KEYS = ("N_V", "N_d", "N")  # whole numbers: their magnitudes are rounded up
+# an exit 2 names what to change: an override key, the field it sets, or an option
+FIELD_NAMES = ("lip_state", "lip_time", "field_bound", "horizon", "target_error", "error_const", "sigma")
+NAMES_A_KEY = re.compile(r"(?<![\w-])(%s)(?!\w)|--\w" % "|".join(FUZZ_KEYS + FIELD_NAMES))
+# log-uniform over the positive floats, subnormals included
+MAGNITUDES = st.floats(-1074.0, 1024.0, exclude_max=True).map(lambda e: 2.0**e)
+
+
+@st.composite
+def fuzz_requests(draw):
+    argv = [draw(st.sampled_from(("table", "sweep"))), "--scenario", draw(st.sampled_from(SCENARIO_NAMES)),
+            "--format", draw(st.sampled_from(("csv", "json")))]
+    if argv[0] == "sweep":
+        argv += ["--target", draw(st.sampled_from(SWEEP_TARGETS)), "--mode", draw(st.sampled_from(SWEEP_MODES))]
+    overrides = draw(st.dictionaries(st.sampled_from(FUZZ_KEYS), MAGNITUDES, min_size=1, max_size=3))
+    return argv, {k: float(math.ceil(v)) if k in DIM_KEYS else v for k, v in overrides.items()}
+
+
+def cell(value):
+    """A CSV or JSON cell as a float; empty and null cells read as None."""
+    return None if value in ("", None) else float(value)
+
+
+def records(out, fmt, kind):
+    if fmt == "json":
+        payload = json.loads(out, parse_constant=reject_constant)
+        return payload if kind == "table" else next(iter(payload.values()))
+    return [{k: v.lower() == "true" if k == "feasible" else v for k, v in r.items()} for r in parse_csv(out)]
+
+
+def positive(value):
+    return value is not None and 0.0 < value < math.inf
+
+
+# the examples are inputs that once failed, kept so that a reset hypothesis
+# database cannot lose them: ZeroDivisionErrors in `_min_steps` and
+# `min_shots`, step counts that underflow to 0 or overflow to inf, sweep
+# points reported feasible at 0 or inf, a shot count that underflows to 0,
+# a step size that underflows to 0, and a distinct-circuit count that
+# overflows (as an int, with an OverflowError, or as a float, to inf)
+@given(case=fuzz_requests())
+@example(case=(["table", "--scenario", "option_pricing", "--format", "json"],
+               {"M": 6.9e-14, "epsilon": 6.7e-157, "L_fy": 9.0e-272}))
+@example(case=(["table", "--scenario", "classical", "--format", "csv"], {"K": 1e-320, "L_ftau": 1e-300}))
+@example(case=(["sweep", "--scenario", "classical", "--format", "json", "--target", "K", "--mode", "cost"],
+               {"K": 1e-320, "L_ftau": 1e-300}))
+@example(case=(["table", "--scenario", "classical", "--format", "json"], {"T": 1000.0}))
+@example(case=(["table", "--scenario", "classical", "--format", "csv"],
+               {"M": 1.5856126515785838e67, "K": 7.782664193543613e-166}))
+@example(case=(["sweep", "--scenario", "classical", "--format", "json", "--target", "L_fy", "--mode", "cost"],
+               {"epsilon": 5.1662813625348214e-272, "b_max": 4.705966194856141e63}))
+@example(case=(["table", "--scenario", "tuned", "--format", "json"],
+               {"Sigma": 3.634123368994825e-266, "L_ftau": 3.9627463668059665e180, "L_fy": 8.168565551917844e-124}))
+@example(case=(["table", "--scenario", "tuned", "--format", "csv"],
+               {"K": 1.88434593141715e203, "b_max": 9.508684065478386e-251}))
+@example(case=(["table", "--scenario", "classical", "--format", "json"],
+               {"T": 6.064892730735215e-249, "K": 5.14767178426778e86, "epsilon": 2.6013808976787164e228}))
+@example(case=(["sweep", "--scenario", "tuned", "--format", "json", "--target", "a_max", "--mode", "ncirc"],
+               {"epsilon": 4.319603558756895e-111, "L_fy": 2.321109696244633e-297}))
+@example(case=(["table", "--scenario", "option_pricing", "--format", "csv"],
+               {"M": 2.2664173237444613e224, "T": 1.281818289261668e-54, "L_ftau": 1.2570424444649987e165}))
+@example(case=(["table", "--scenario", "option_pricing", "--format", "json"], {"N_V": 1e160}))
+@example(case=(["table", "--scenario", "classical", "--format", "csv"], {"N_V": 1e152}))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_planning_over_the_whole_float_range_flags_what_it_cannot_budget(tmp_path, case):
+    # every request either exits 2 naming what to change, or prints rows and
+    # points whose unflagged cells are all finite, positive budgets
+    argv, overrides = case
+    path = tmp_path / "ov.txt"
+    path.write_text("".join(f"{k}={v!r}\n" for k, v in overrides.items()))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--overrides", str(path)])
+    if code == 2:
+        assert out.getvalue() == "" and NAMES_A_KEY.search(err.getvalue()), err.getvalue()
+        return
+    assert (code, err.getvalue()) == (0, "")
+    rows = records(out.getvalue(), argv[4], argv[0])
+    if argv[0] == "sweep":
+        for point in rows:
+            value = cell(point["value"])
+            assert positive(value) if point["feasible"] else value is None or math.isnan(value)
+        return
+    anchor_flagged = cell(rows[0]["p"]) == 1 and rows[0]["flag"] == "infeasible"
+    for row in rows:
+        counts = {k: cell(row[k]) for k in ("N_tau", "N_r", "cost", "N_circ", "circuits", "ratio")}
+        if row["flag"] == "infeasible":
+            assert all(counts[k] is None or math.isnan(counts[k]) for k in ("N_r", "cost", "N_circ", "ratio"))
+            continue
+        assert row["flag"] == "" and counts["N_tau"] >= 1 and positive(counts["cost"])
+        assert all(counts[k] is None or positive(counts[k]) for k in ("N_tau", "N_r", "N_circ", "circuits"))
+        ratio = counts["ratio"]
+        assert ratio is None or math.isnan(ratio) if anchor_flagged else positive(ratio)
 
 
 # -- sweep ---------------------------------------------------------------------
@@ -656,6 +768,40 @@ def test_non_finite_inputs_exit_2(capsys, argv, message):
     assert code == 2
     assert err == f"error: {message}\n"
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, overrides, message",
+    [
+        (("validate", "--method", "rk4", "--delta", "0"), "T=2000\n", "T=2000.0"),
+        (("convergence", "--method", "rk4", "--horizon", "2000"), None, "--horizon=2000.0"),
+    ],
+    ids=["validate", "convergence"],
+)
+def test_horizon_past_the_exact_solutions_range_exits_2_naming_it(capsys, tmp_path, argv, overrides, message):
+    # exp(horizon/2) overflowed in the exact solution, with a traceback
+    if overrides is None:
+        code, out, err = run_cli(capsys, *argv)
+    else:
+        code, out, err = run_with_overrides(capsys, tmp_path, overrides, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}: the exact solution exp(horizon/2) exceeds the float range\n"
+
+
+def test_convergence_whose_errors_all_vanish_exits_2(capsys):
+    # the DegenerateSlopeError escaped the CLI as a traceback
+    code, out, err = run_cli(capsys, "convergence", "--method", "rk4", "--horizon", "1e-300")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: final errors [0.0, 0.0, 0.0, 0.0, 0.0] at or below machine-precision floor")
+
+
+def test_validate_against_a_noiseless_bound_of_0_counts_a_violation(capsys, tmp_path):
+    # the bound underflows to 0; realized / bound divided by zero
+    code, out, err = run_with_overrides(capsys, tmp_path, "M=1e-300\nK=1e-300\n", "validate", "--method", "rk4",
+                                        "--delta", "0", "--format", "json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out, parse_constant=reject_constant)
+    assert (payload["trials"], payload["violations"], payload["worst_margin"]) == (1, 1, None)
 
 
 @pytest.mark.parametrize(

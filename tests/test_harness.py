@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,6 +71,14 @@ def test_noiseless_dominance_single_step(classical):
     for name in ("euler", "heun2", "kutta3", "rk4"):
         report = validate_noiseless_bound(classical, builtin_tableau(name), [1])
         assert report.violations == 0
+
+
+@pytest.mark.parametrize("horizon, violations, margin", [(5.0, 1, math.inf), (1e-300, 0, 0.0)])
+def test_noiseless_bound_of_0_is_violated_by_any_error(classical, horizon, violations, margin):
+    # M * K underflows, so the bound is 0; at T=1e-300 the integration is exact too
+    pb = replace(classical.pb, field_bound=1e-300, horizon=horizon)
+    report = validate_noiseless_bound(replace(classical, pb=pb, error_const=1e-300), builtin_tableau("rk4"), [100])
+    assert (report.violations, report.worst_margin) == (violations, margin)
 
 
 def test_noisy_dominance_clipped(classical):

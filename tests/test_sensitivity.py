@@ -138,7 +138,8 @@ def parent_sweep(spec):
         prof = MethodProfile(order=order, stages=min_stages(order), a_max=sc.a_max, b_max=sc.b_max,
                              error_const=sc.error_const)
         if spec.mode == "cost":
-            return SweepPoint(factor, budget_row(sc.pb, prof).cost)
+            row = budget_row(sc.pb, prof)
+            return SweepPoint(factor, row.cost, row.feasible)
         row = budget_row(sc.pb, prof, sc.sigma, sc.dims)
         return SweepPoint(factor, row.circuit_evals, row.feasible)
 
