@@ -100,13 +100,18 @@ def _growth_terms(pb: ProblemBounds, prof, n_steps: float) -> tuple[float, float
 
     Once the exponent ``n * log1p(F)`` passes the overflow cut the growth is
     ``inf``; no finite bound or shot count exists there, so the truncation is
-    not evaluated (its power may overflow too) and reads ``inf``.
+    not evaluated (its power may overflow too) and reads ``inf``.  A
+    truncation whose power ``lip_time**p`` or ``dt**(p+1)`` overflows reads
+    ``inf`` as well.
     """
     fac = f_factor(n_steps, prof, pb.lip_state, pb.horizon)
     growth = _expm1_safe(n_steps * math.log1p(fac))
     if growth == math.inf:
         return fac, growth, math.inf
-    return fac, growth, lte_bound(pb.horizon / n_steps, prof, pb.lip_time, pb.field_bound)
+    try:
+        return fac, growth, lte_bound(pb.horizon / n_steps, prof, pb.lip_time, pb.field_bound)
+    except OverflowError:
+        return fac, growth, math.inf
 
 
 def global_error_bound_noisy(pb: ProblemBounds, prof, n_steps: float, delta: float) -> float:
@@ -114,19 +119,24 @@ def global_error_bound_noisy(pb: ProblemBounds, prof, n_steps: float, delta: flo
 
     ``((1+F)**n - 1)/F * (3*delta/lip_state * F + dt**(p+1)*K*lip_time**p*M)``
     with ``F = f_factor(n_steps, ...)``.  At ``delta == 0`` this is exactly
-    the noiseless bound.  If the growth factor overflows, ``inf`` is
-    returned and a warning is emitted.
+    the noiseless bound.  If the growth factor or the truncation term
+    overflows, ``inf`` is returned and a warning is emitted.  Where ``F``
+    underflows to 0 the bound is its limit as ``F -> 0``,
+    ``3*delta*b_max*s*T + n * dt**(p+1)*K*lip_time**p*M``.
     """
     if delta < 0:
         raise ValueError("delta must be non-negative")
     fac, growth, truncation = _growth_terms(pb, prof, n_steps)
-    if growth == math.inf:
+    if math.inf in (growth, truncation):
         warnings.warn(
-            f"growth factor (1+F)**n overflows (exponent {n_steps * math.log1p(fac):.3g}); bound is +inf",
+            f"error bound overflows (growth exponent n*log1p(F) = {n_steps * math.log1p(fac):.3g}, "
+            f"truncation term {truncation:.3g}); bound is +inf",
             RuntimeWarning,
             stacklevel=2,
         )
         return math.inf
+    if fac == 0.0:  # F underflows: the limits growth / F -> n and growth / lip_state -> b_max * s * T
+        return 3.0 * delta * prof.b_max * prof.stages * pb.horizon + n_steps * truncation
     return growth / fac * (3.0 * delta / pb.lip_state * fac + truncation)
 
 

@@ -177,9 +177,10 @@ def budget_row(
 ) -> BudgetRow:
     """Resource row of one method profile, noiseless when ``sigma`` is None.
 
-    Step, distinct-circuit and shot counts are evaluated once each; one
-    that raises ``ArithmeticError`` or :class:`InfeasibleShotsError` stays
-    NaN.  The row is feasible iff its step count is at least 1 and every
+    Step, distinct-circuit, shot and circuit-budget counts are evaluated
+    once each; one that raises ``ArithmeticError`` or
+    :class:`InfeasibleShotsError` stays NaN, and so do the ones after it.
+    The row is feasible iff its step count is at least 1 and every
     resource cell it reports is finite and positive.  A flagged row keeps
     its step and distinct-circuit cells and has NaN shot, cost,
     circuit-budget and ratio cells; cells that do not apply stay None.  The
@@ -189,15 +190,16 @@ def budget_row(
     n_steps = math.nan
     n_shots = None if sigma is None else math.nan
     circuits = None if dims is None else math.nan
+    circuit_evals = None if n_shots is None or dims is None else math.nan
     try:
         n_steps = _min_steps(pb, prof, 1 if sigma is None else 2 * prof.order + 1)
         circuits = None if dims is None else distinct_circuits(n_steps, prof.stages, dims)
         if sigma is not None:
             n_shots = min_shots(pb, prof, sigma, n_steps)
+            circuit_evals = None if dims is None else circuit_budget(n_steps, prof.stages, n_shots, dims)
     except (ArithmeticError, InfeasibleShotsError):
         pass
     cost = prof.stages * n_steps if n_shots is None else prof.stages * n_steps * n_shots
-    circuit_evals = None if n_shots is None or dims is None else circuit_budget(n_steps, prof.stages, n_shots, dims)
     feasible = (1.0 <= n_steps < math.inf and 0.0 < cost < math.inf
                 and (n_shots is None or 0.0 < n_shots < math.inf)
                 and (circuit_evals is None or 0.0 < circuit_evals < math.inf)

@@ -85,6 +85,11 @@ def _check_horizon(name: str, horizon: float) -> None:
         raise CliError(f"{name}={horizon!r}: the exact solution exp(horizon/2) exceeds the float range") from None
 
 
+def _check_step(name: str, horizon: float, n_steps: int, option: str) -> None:
+    if horizon > 0.0 and not horizon / n_steps > 0.0:
+        raise CliError(f"{name}={horizon!r}: the step {name} / {n_steps} ({option}) underflows to 0")
+
+
 def _emit(args, text: str) -> None:
     if args.output:
         Path(args.output).write_text(text)
@@ -172,6 +177,9 @@ def _cmd_toy(args) -> int:
 def _cmd_validate(args) -> int:
     sc = _load_scenario(args)
     _check_horizon("T", sc.pb.horizon)
+    if args.ntau < 1:
+        raise CliError(f"--ntau must be at least 1, got {args.ntau}")
+    _check_step("T", sc.pb.horizon, args.ntau, "--ntau")
     tableau = builtin_tableau(args.method)
     seed = args.seed if args.seed is not None else _default_seed()
     mode = "clipped-gaussian" if args.mode == "clipped" else "gaussian"
@@ -204,7 +212,11 @@ def _cmd_convergence(args) -> int:
     if min(steps) < 1:
         raise CliError(f"--steps: step counts must be at least 1, got {args.steps!r}")
     _check_horizon("--horizon", args.horizon)
-    slope = empirical_order(tableau, exp_ode(), steps, horizon=args.horizon)
+    _check_step("--horizon", args.horizon, max(steps), "the largest of --steps")
+    try:
+        slope = empirical_order(tableau, exp_ode(), steps, horizon=args.horizon)
+    except DegenerateSlopeError as exc:
+        raise CliError(f"{exc}; no slope at --horizon {args.horizon!r} with --steps {args.steps}") from None
     if args.format == "json":
         _emit(args, json_text({"method": args.method, "slope": slope, "steps": steps}, indent=None))
     else:
@@ -281,7 +293,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError, DegenerateSlopeError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

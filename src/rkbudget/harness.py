@@ -19,7 +19,7 @@ import numpy as np
 from .bounds import global_error_bound_noiseless, global_error_bound_noisy
 from .formats import json_text
 from ._streams import KeyedStreams, _words
-from .integrator import NOISE_MODES, NoiseSpec, integrate
+from .integrator import NOISE_MODES, NoiseSpec, _error_norm, integrate
 from .scenarios import AnalyticProblem, Scenario, exp_ode
 from .tableaux import ButcherTableau, profile
 
@@ -77,7 +77,7 @@ def validate_noiseless_bound(
     n_steps_list = [int(n) for n in n_steps_list]
     for n in n_steps_list:
         traj = integrate(tableau, problem.field, problem.y0, 0.0, sc.pb.horizon, n)
-        realized = float(np.linalg.norm(traj.final - reference))
+        realized = float(_error_norm(traj.final - reference))
         bound = global_error_bound_noiseless(sc.pb, prof, n)
         # a bound that underflows to 0 is violated by any nonzero error
         worst = max(worst, realized / bound if bound else math.inf if realized else 0.0)
@@ -151,7 +151,7 @@ def validate_noisy_bound(
     traj = integrate(tableau, noisy_field, np.tile(y0, (trials, 1)), 0.0, sc.pb.horizon, n_steps)
     if calls != block.shape[1]:
         raise RuntimeError(f"stepping made {calls} field evaluations per trial, the noise block holds {block.shape[1]}")
-    realized = np.linalg.norm(traj.final - reference, axis=-1)
+    realized = _error_norm(traj.final - reference)
     config = {
         "campaign": "noisy-dominance",
         "scenario": sc.name,

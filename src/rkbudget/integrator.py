@@ -261,6 +261,23 @@ def integrate(
     return Trajectory(times=times, states=states)
 
 
+def _error_norm(x: np.ndarray) -> float | np.ndarray:
+    """2-norm of one state, or of each state of a ``(trials, dim)`` batch.
+
+    Where ``np.linalg.norm`` is finite this is its value, bit for bit; where
+    the squares overflow (entries past ~1.3e154) the state is divided by its
+    largest magnitude first, so a finite state whose norm is representable
+    gets a finite norm.  A state with an infinite entry has norm ``inf``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # squares past the range; inf / inf, unused below
+        norm = np.linalg.norm(x) if x.ndim == 1 else np.linalg.norm(x, axis=-1)
+        if np.isfinite(norm).all():
+            return norm
+        scale = np.max(np.abs(x), axis=-1, keepdims=True)
+        scaled = scale[..., 0] * np.linalg.norm(x / scale, axis=-1)
+    return np.where(np.isinf(norm) & np.isfinite(scaled), scaled, norm)
+
+
 def empirical_order(tableau, problem, steps: Iterable[int], horizon: float) -> float:
     """Least-squares slope of log final error versus log step size.
 
@@ -273,11 +290,11 @@ def empirical_order(tableau, problem, steps: Iterable[int], horizon: float) -> f
     if len(set(steps)) < 4:
         raise ValueError(f"need at least 4 distinct step counts for a slope estimate, got {steps}")
     reference = np.atleast_1d(np.asarray(problem.exact(horizon), dtype=float))
-    floor = 64.0 * np.finfo(float).eps * max(1.0, float(np.linalg.norm(reference)))
+    floor = 64.0 * np.finfo(float).eps * max(1.0, float(_error_norm(reference)))
     errors = []
     for n in steps:
         traj = integrate(tableau, problem.field, problem.y0, 0.0, horizon, n)
-        errors.append(float(np.linalg.norm(traj.final - reference)))
+        errors.append(float(_error_norm(traj.final - reference)))
     errors = np.array(errors)
     if np.any(errors <= floor):
         raise DegenerateSlopeError(

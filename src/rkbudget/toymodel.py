@@ -15,8 +15,11 @@ first-order perturbation bound of linear solves.
 is a stack of one.  The condition-number and norm studies measure their
 draws in chunks of consecutive draws, one chunk after another, with one
 ``condition_number`` call and stacked LAPACK calls per chunk; the chunks
-bound the memory a study holds at once.  Each draw has its own seeded
-stream, so the results do not depend on the chunk size.  They can depend
+bound the memory a study holds at once.  A chunk's coefficients are drawn
+stream by stream, then scaled and evaluated in one pass over the chunk;
+:func:`sample_toy` draws one system as a chunk of one.  Each draw has its
+own seeded stream and every entry goes through the same elementwise
+operations, so the results do not depend on the chunk size.  They can depend
 on the BLAS library's threading: OpenBLAS factorizes matrices of 10^4
 entries or more on several threads, which can round differently from one.
 """
@@ -126,10 +129,25 @@ class StudyPoint:
 STUDY_KEYS = ("N_V", "median", "q16", "q84", "excluded")
 
 
-def _entries(coeffs: np.ndarray, theta) -> np.ndarray:
-    # theta broadcasts against the entry shape: a scalar, or e.g. (T, 1, 1) for T matrices.
-    a1, a2, a3, a4, a5 = np.moveaxis(coeffs, -1, 0)
-    return a1 * np.cos(a2 * theta + a3) + a4 * np.sin(a5 * theta)
+def _entries(coeffs: np.ndarray, theta, axis: int = -1) -> np.ndarray:
+    """Entries ``a1 * cos(a2 * theta + a3) + a4 * sin(a5 * theta)`` of
+    coefficients whose five parameters lie along ``axis``, evaluated with
+    in-place ufuncs into two temporaries.
+
+    ``theta`` broadcasts against the entry shape: a scalar, or e.g.
+    ``(T, 1, 1)`` for T matrices.  Every element goes through the same
+    operations, so its bits do not depend on the shape it is evaluated in.
+    """
+    a1, a2, a3, a4, a5 = np.moveaxis(coeffs, axis, 0)
+    out = np.multiply(a2, theta)
+    out += a3
+    np.cos(out, out=out)
+    out *= a1
+    sine = np.multiply(a5, theta)
+    np.sin(sine, out=sine)
+    sine *= a4
+    out += sine
+    return out
 
 
 # Per-plane mean and spread of the coefficients (amp1, freq1, phase, amp2, freq2).
@@ -137,14 +155,24 @@ _PLANE_MEAN = np.array([_AMP_MEAN, _FREQ_MEAN, _FREQ_MEAN, _AMP_MEAN, _FREQ_MEAN
 _PLANE_SD = np.array([_AMP_SD, _FREQ_SD, _FREQ_SD, _AMP_SD, _FREQ_SD])
 
 
-def _draw_coeffs(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    # One fill of the five planes in turn: the same stream and the same bits
-    # as five rng.normal(mean, sd, shape) calls, which compute mean + sd * z.
-    planes = rng.standard_normal((5,) + shape)
-    scale = (5,) + (1,) * len(shape)
-    planes *= _PLANE_SD.reshape(scale)
-    planes += _PLANE_MEAN.reshape(scale)
-    return np.moveaxis(planes, 0, -1)
+def _draw_planes(streams: Iterable[np.random.Generator], count: int, nv: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient planes ``(count, 5, nv, nv)`` of A and ``(count, 5, nv)`` of
+    C for the next ``count`` draws, one from each of the next ``count`` streams.
+
+    Each stream fills its draw's A planes, then its C planes, with one
+    standard-normal call each; the chunk is then scaled once to
+    ``mean + sd * z``, the bits of ``rng.normal(mean, sd)`` plane by plane.
+    """
+    a = np.empty((count, 5, nv, nv))
+    c = np.empty((count, 5, nv))
+    for k, rng in enumerate(itertools.islice(streams, count)):
+        rng.standard_normal(out=a[k])
+        rng.standard_normal(out=c[k])
+    for planes in (a, c):
+        scale = (5,) + (1,) * (planes.ndim - 2)
+        planes *= _PLANE_SD.reshape(scale)
+        planes += _PLANE_MEAN.reshape(scale)
+    return a, c
 
 
 def sample_toy(
@@ -158,9 +186,9 @@ def sample_toy(
     """
     if n_params < 1:
         raise ValueError("n_params must be at least 1")
-    rng = np.random.default_rng(rng)
-    params = ToyParams(a_coeffs=_draw_coeffs(rng, (n_params, n_params)), c_coeffs=_draw_coeffs(rng, (n_params,)))
-    return params.system(theta), params
+    a, c = _draw_planes([np.random.default_rng(rng)], 1, n_params)  # a study chunk of one draw
+    system = ToySystem(a=_entries(a, theta, 1)[0], c=_entries(c, theta, 1)[0], theta=theta)
+    return system, ToyParams(a_coeffs=np.moveaxis(a[0], 0, -1), c_coeffs=np.moveaxis(c[0], 0, -1))
 
 
 # Matrix entries per chunk of study draws (256 kB per stacked array): small
@@ -242,11 +270,8 @@ def _measure_chunk(
 ) -> np.ndarray:
     """:func:`_measure` of the next ``count`` study draws of dimension ``nv``,
     one from each of the next ``count`` streams."""
-    a = np.empty((count, nv, nv))
-    c = np.empty((count, nv))
-    for k, rng in enumerate(itertools.islice(streams, count)):
-        a[k] = _entries(_draw_coeffs(rng, (nv, nv)), theta)
-        c[k] = _entries(_draw_coeffs(rng, (nv,)), theta)
+    a_planes, c_planes = _draw_planes(streams, count, nv)
+    a, c = _entries(a_planes, theta, 1), _entries(c_planes, theta, 1)
     if not (np.isfinite(a).all() and np.isfinite(c).all()):
         raise ValueError("system entries must be finite")
     return _measure(a, c, norms)

@@ -153,6 +153,29 @@ def test_overflow_reports_infinity_before_the_truncation_term():
     assert math.isinf(bound)
 
 
+def test_overflowing_truncation_term_reports_infinity():
+    # lip_time**4 = 1e400 raised an OverflowError; now the bound is inf with
+    # the warning an overflowing growth factor gets
+    pb = ProblemBounds(lip_state=0.5, lip_time=1e100, field_bound=1.0, horizon=5.0, target_error=1e-3)
+    with pytest.raises(OverflowError):
+        lte_bound(pb.horizon / 100, prof(4, 4), pb.lip_time, pb.field_bound)
+    for delta in (0.0, 1e-3):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert global_error_bound_noisy(pb, prof(4, 4), 100, delta) == math.inf
+
+
+@pytest.mark.parametrize("order, stages", [(1, 1), (4, 4)])
+def test_bound_where_f_underflows_to_0_is_its_limit(order, stages):
+    # F = b_max * s * lip_state * T / n underflows to 0 and growth / F was 0 / 0
+    pb = ProblemBounds(lip_state=5e-324, lip_time=1.0, field_bound=1.0, horizon=1.0, target_error=1e-3)
+    near = dataclasses.replace(pb, lip_state=1e-300)
+    p = prof(order, stages)
+    assert f_factor(100, p, pb.lip_state, pb.horizon) == 0.0 < f_factor(100, p, near.lip_state, near.horizon)
+    for delta in (0.0, 1e-3):
+        limit = global_error_bound_noisy(pb, p, 100, delta)
+        assert limit == pytest.approx(global_error_bound_noisy(near, p, 100, delta), rel=1e-12)
+
+
 def test_bound_rejects_negative_delta(classical):
     with pytest.raises(ValueError):
         global_error_bound_noisy(classical.pb, prof(1, 1, a_max=0.0), 10, -1e-6)

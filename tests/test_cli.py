@@ -18,6 +18,7 @@ from rkbudget import cli
 from rkbudget.cli import DEFAULT_SEED, SEED_ENV_VAR, main
 from rkbudget.scenarios import SCENARIO_NAMES
 from rkbudget.sensitivity import SWEEP_MODES, SWEEP_TARGETS
+from rkbudget.tableaux import BUILTIN_METHODS
 
 
 def run_cli(capsys, *argv):
@@ -375,8 +376,9 @@ def positive(value):
 # database cannot lose them: ZeroDivisionErrors in `_min_steps` and
 # `min_shots`, step counts that underflow to 0 or overflow to inf, sweep
 # points reported feasible at 0 or inf, a shot count that underflows to 0,
-# a step size that underflows to 0, and a distinct-circuit count that
-# overflows (as an int, with an OverflowError, or as a float, to inf)
+# a step size that underflows to 0, a distinct-circuit count that
+# overflows (as an int, with an OverflowError, or as a float, to inf), and a
+# circuit budget whose integer dimension factor overflows the float range
 @given(case=fuzz_requests())
 @example(case=(["table", "--scenario", "option_pricing", "--format", "json"],
                {"M": 6.9e-14, "epsilon": 6.7e-157, "L_fy": 9.0e-272}))
@@ -400,6 +402,7 @@ def positive(value):
                {"M": 2.2664173237444613e224, "T": 1.281818289261668e-54, "L_ftau": 1.2570424444649987e165}))
 @example(case=(["table", "--scenario", "option_pricing", "--format", "json"], {"N_V": 1e160}))
 @example(case=(["table", "--scenario", "classical", "--format", "csv"], {"N_V": 1e152}))
+@example(case=(["table", "--scenario", "option_pricing", "--format", "csv"], {"N_d": 1.1235582092889474e+307}))
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_planning_over_the_whole_float_range_flags_what_it_cannot_budget(tmp_path, case):
     # every request either exits 2 naming what to change, or prints rows and
@@ -430,6 +433,49 @@ def test_planning_over_the_whole_float_range_flags_what_it_cannot_budget(tmp_pat
         assert all(counts[k] is None or positive(counts[k]) for k in ("N_tau", "N_r", "N_circ", "circuits"))
         ratio = counts["ratio"]
         assert ratio is None or math.isnan(ratio) if anchor_flagged else positive(ratio)
+
+
+# validate and convergence: campaign overrides over the whole float range,
+# and horizons up to 1e4 (where exp(horizon/2) is far past the float range)
+CAMPAIGN_KEYS = ("T", "K", "M", "L_fy", "L_ftau", "epsilon")
+CAMPAIGN_MODES = (("--delta", "0"), ("--delta", "1e-3", "--trials", "2", "--ntau", "5"))
+
+
+@st.composite
+def campaign_requests(draw):
+    method = ["--method", draw(st.sampled_from(sorted(BUILTIN_METHODS))),
+              "--format", draw(st.sampled_from(("csv", "json")))]
+    if draw(st.booleans()):
+        return ["convergence", *method, "--horizon", repr(draw(st.floats(0.0, 1e4, exclude_min=True)))], {}
+    overrides = draw(st.dictionaries(st.sampled_from(CAMPAIGN_KEYS), MAGNITUDES, min_size=1, max_size=3))
+    return ["validate", *method, *draw(st.sampled_from(CAMPAIGN_MODES))], overrides
+
+
+# the examples once failed: a realized error whose square overflowed was
+# measured as inf (a false violation, exit 1), a reference norm that
+# overflowed made the convergence floor inf (exit 2 naming nothing), and a
+# truncation term whose power overflowed escaped as an OverflowError
+@given(case=campaign_requests())
+@example(case=(["validate", "--method", "rk4", "--format", "csv", "--delta", "0"], {"T": 1000.0}))
+@example(case=(["convergence", "--method", "rk4", "--format", "csv", "--horizon", "800.0"], {}))
+@example(case=(["validate", "--method", "rk4", "--format", "json", "--delta", "0"], {"L_ftau": 1e100}))
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@pytest.mark.filterwarnings("ignore:error bound overflows:RuntimeWarning")  # the bound reads inf there
+def test_campaigns_over_the_whole_float_range_exit_0_1_or_2(tmp_path, case):
+    # every request exits 0 or 1 with a strict artifact, or 2 naming what to change
+    argv, overrides = case
+    if overrides:
+        path = tmp_path / "ov.txt"
+        path.write_text("".join(f"{k}={v!r}\n" for k, v in overrides.items()))
+        argv = [*argv, "--overrides", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == "" and NAMES_A_KEY.search(err.getvalue()), err.getvalue()
+    elif "json" in argv:
+        json.loads(out.getvalue(), parse_constant=reject_constant)
 
 
 # -- sweep ---------------------------------------------------------------------
@@ -793,6 +839,52 @@ def test_convergence_whose_errors_all_vanish_exits_2(capsys):
     code, out, err = run_cli(capsys, "convergence", "--method", "rk4", "--horizon", "1e-300")
     assert (code, out) == (2, "")
     assert err.startswith("error: final errors [0.0, 0.0, 0.0, 0.0, 0.0] at or below machine-precision floor")
+    assert err.endswith("; no slope at --horizon 1e-300 with --steps 32,64,128,256,512\n")
+
+
+@pytest.mark.parametrize(
+    "argv, overrides, margin",
+    [
+        (("--delta", "0"), "T=1000\n", 2.4472906946007421e-53),
+        (("--delta", "0"), "L_ftau=1e100\n", 0.0),
+        (("--delta", "1e-3", "--trials", "10"), "L_ftau=1e100\n", 0.0),
+    ],
+    ids=["error-squared-overflows", "noiseless-truncation-overflows", "noisy-truncation-overflows"],
+)
+@pytest.mark.filterwarnings("ignore:error bound overflows:RuntimeWarning")
+def test_validate_past_the_float_range_reports_no_false_violation(capsys, tmp_path, argv, overrides, margin):
+    # T=1000: the realized error 1.40e217 squared to inf and "violated" the
+    # bound 5.74e269 (exit 1); L_ftau=1e100: lip_time**4 overflowed in a traceback
+    code, out, err = run_with_overrides(capsys, tmp_path, overrides, "validate", "--method", "rk4", *argv,
+                                        "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out, parse_constant=reject_constant)
+    assert (payload["violations"], payload["worst_margin"]) == (0, margin)
+
+
+def test_convergence_past_the_square_overflow_has_a_slope(capsys):
+    # exp(400) squared to inf: the floor read inf and the command exited 2
+    code, out, err = run_cli(capsys, "convergence", "--method", "rk4", "--horizon", "800")
+    assert (code, err) == (0, "")
+    assert math.isfinite(float(parse_csv(out)[0]["slope"]))
+
+
+@pytest.mark.parametrize(
+    "argv, overrides, message",
+    [
+        (("validate", "--method", "euler"), "T=1e-322\n", "T=1e-322: the step T / 100 (--ntau) underflows to 0"),
+        (("validate", "--method", "euler", "--ntau", "0"), None, "--ntau must be at least 1, got 0"),
+        (("convergence", "--method", "euler", "--horizon", "5e-324"), None,
+         "--horizon=5e-324: the step --horizon / 512 (the largest of --steps) underflows to 0"),
+    ],
+    ids=["validate-step-underflows", "validate-no-steps", "convergence-step-underflows"],
+)
+def test_steps_that_cannot_be_taken_exit_2_naming_the_option(capsys, tmp_path, argv, overrides, message):
+    if overrides is None:
+        code, out, err = run_cli(capsys, *argv)
+    else:
+        code, out, err = run_with_overrides(capsys, tmp_path, overrides, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_validate_against_a_noiseless_bound_of_0_counts_a_violation(capsys, tmp_path):

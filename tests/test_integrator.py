@@ -17,6 +17,7 @@ from rkbudget.integrator import (
     NoiseSpec,
     StepFailureError,
     Trajectory,
+    _error_norm,
     empirical_order,
     integrate,
     rk_step,
@@ -308,6 +309,33 @@ def test_empirical_order_constant_field_degenerate():
     )
     with pytest.raises(DegenerateSlopeError):
         empirical_order(builtin_tableau("heun2"), problem, [8, 16, 32, 64], horizon=1.0)
+
+
+def test_empirical_order_measures_past_the_square_overflow():
+    # exp(400) ~ 5.2e173: its square overflowed, so the floor read inf and
+    # every final error sat "at or below" it
+    slope = empirical_order(builtin_tableau("rk4"), exp_ode(), [32, 64, 128, 256, 512], horizon=800.0)
+    assert math.isfinite(slope)
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (5, 7), (3, 1)])
+def test_error_norm_is_numpys_norm_bitwise_where_that_is_finite(shape):
+    x = np.random.default_rng(3).normal(size=shape) * 1e150
+    expected = np.linalg.norm(x) if x.ndim == 1 else np.linalg.norm(x, axis=-1)
+    assert np.array_equal(np.asarray(_error_norm(x)).view(np.uint64), np.asarray(expected).view(np.uint64))
+
+
+def test_error_norm_of_a_finite_state_past_the_square_overflow_is_finite():
+    big = np.array([1e200, -1e200, 3e199])
+    batch = np.stack([big, [1.0, 2.0, 2.0], [math.inf, 0.0, 0.0], [math.nan, 1.0, 0.0], [1.5e308, 1.5e308, 1.5e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        single = _error_norm(big)
+        rows = _error_norm(batch)
+    assert single == pytest.approx(math.sqrt(2.09) * 1e200, rel=1e-15)
+    assert rows[0] == single and rows[1] == 3.0
+    assert rows[2] == rows[4] == math.inf  # an infinite entry, and a norm past the float range
+    assert math.isnan(rows[3])
 
 
 def test_empirical_order_needs_four_points():

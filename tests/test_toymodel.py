@@ -157,20 +157,42 @@ def test_norm_study_solution_cap():
 # -- the chunked study pipeline ---------------------------------------------------
 
 
+def reference_draw(nv, theta, rng):
+    """Frozen copy of the per-draw sampling that the chunked fill, scale and
+    evaluate replaced: five normal planes per coefficient array, scaled to
+    ``mean + sd * z`` plane by plane, and entries evaluated with plain
+    (not in-place) ufuncs.  Returns ``(A, C, a_coeffs, c_coeffs)``."""
+
+    def draw_coeffs(shape):
+        planes = rng.standard_normal((5,) + shape)
+        scale = (5,) + (1,) * len(shape)
+        planes *= np.array([0.1, 0.1, 0.1, 0.1, 0.1]).reshape(scale)
+        planes += np.array([1.0, 0.0, 0.0, 1.0, 0.0]).reshape(scale)
+        return np.moveaxis(planes, 0, -1)
+
+    def entries(coeffs):
+        a1, a2, a3, a4, a5 = np.moveaxis(coeffs, -1, 0)
+        return a1 * np.cos(a2 * theta + a3) + a4 * np.sin(a5 * theta)
+
+    a_coeffs = draw_coeffs((nv, nv))
+    c_coeffs = draw_coeffs((nv,))
+    return entries(a_coeffs), entries(c_coeffs), a_coeffs, c_coeffs
+
+
 def per_draw_reference(nv, samples, theta, seed):
     # the per-draw loop the chunked pipeline replaced: kept condition numbers
     # and norm rows in draw order, and the excluded count
     kappas, norms = [], []
     for i in range(samples):
-        system, _ = sample_toy(nv, theta, (seed, nv, i))
+        a, c, _, _ = reference_draw(nv, theta, np.random.default_rng((seed, nv, i)))
         try:  # kappa computed here, not by the code under test
-            kappa = np.linalg.norm(system.a, "fro") * np.linalg.norm(np.linalg.inv(system.a), "fro")
+            kappa = np.linalg.norm(a, "fro") * np.linalg.norm(np.linalg.inv(a), "fro")
         except np.linalg.LinAlgError:
             continue
         if kappa <= ILL_CONDITIONED_CUTOFF:  # false for NaN and inf too
             kappas.append(kappa)
-            solution = np.linalg.solve(system.a, system.c)
-            norms.append([np.linalg.norm(system.a, "fro"), np.linalg.norm(system.c), np.linalg.norm(solution)])
+            solution = np.linalg.solve(a, c)
+            norms.append([np.linalg.norm(a, "fro"), np.linalg.norm(c), np.linalg.norm(solution)])
     return np.array(kappas), np.array(norms).reshape(-1, 3), samples - len(kappas)
 
 
@@ -206,9 +228,32 @@ def on_threads(workers, check):
             future.result(timeout=300)
 
 
-@pytest.mark.parametrize("workers", [None, 1, 3], ids=["cpus", "one-worker", "three-workers"])
-def test_study_pipeline_matches_per_draw_loop_bitwise(workers):
-    on_threads(workers, lambda: assert_study_matches_reference(list(range(1, 13)), 30, 0.5, 42))
+# theta = 0.5 on the calling thread and on one and three workers, the other
+# inputs on the calling thread.  Each N_V in 1..12 draws into one chunk,
+# whose elementwise loops run SIMD vectors across the boundaries between
+# draws and end in a partial tail, at other offsets than the per-draw
+# reference; 30 draws of N_V = 40 fill a chunk of 20 and a last one of 10.
+@pytest.mark.parametrize(
+    "workers, theta",
+    [pytest.param(None, 0.5, id="cpus"), pytest.param(1, 0.5, id="one-worker"),
+     pytest.param(3, 0.5, id="three-workers")]
+    + [pytest.param(None, theta, id=f"cpus-theta={theta}") for theta in (0.0, -7.3, 1e3)],
+)
+def test_study_pipeline_matches_per_draw_loop_bitwise(workers, theta):
+    samples, grid = 30, list(range(1, 13)) + [40]
+    assert samples % (toymodel._CHUNK_ENTRIES // 40**2) == 10
+    on_threads(workers, lambda: assert_study_matches_reference(grid, samples, theta, 42))
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.0, -7.3, 1e3])
+@pytest.mark.parametrize("nv", [1, 3, 25])
+def test_sample_toy_matches_the_per_draw_reference_bitwise(nv, theta):
+    system, params = sample_toy(nv, theta, rng=(5, nv))
+    a, c, a_coeffs, c_coeffs = reference_draw(nv, theta, np.random.default_rng((5, nv)))
+    for got, want in ((system.a, a), (system.c, c), (params.a_coeffs, a_coeffs), (params.c_coeffs, c_coeffs)):
+        assert_bitwise_equal(got, want)
+    assert_bitwise_equal(params.matrix(theta), a)
+    assert_bitwise_equal(params.vector(theta), c)
 
 
 # no concurrent callers here: at 10^4 entries or more OpenBLAS factorizes on
