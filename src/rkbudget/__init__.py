@@ -23,8 +23,6 @@ from .budget import (
     argmin_order,
     budget_table,
     circuit_budget,
-    cost_noiseless,
-    cost_noisy,
     distinct_circuits,
     min_shots,
     min_steps_noiseless,
@@ -67,7 +65,6 @@ from .tableaux import (
     BUILTIN_METHODS,
     ButcherTableau,
     MethodProfile,
-    ValidationReport,
     builtin_tableau,
     min_stages,
     profile,

@@ -27,10 +27,8 @@ __all__ = [
     "InfeasibleShotsError",
     "budget_row",
     "min_steps_noiseless",
-    "cost_noiseless",
     "min_steps_noisy",
     "min_shots",
-    "cost_noisy",
     "circuit_budget",
     "distinct_circuits",
     "sigma_bound",
@@ -215,17 +213,6 @@ def budget_row(
         ratio=(cost if anchor_cost is None else anchor_cost) / cost if feasible else math.nan,
         feasible=feasible,
     )
-
-
-def cost_noiseless(pb: ProblemBounds, prof) -> float:
-    """Total field evaluations without noise, ``s * n_steps``; NaN on a flagged row."""
-    return budget_row(pb, prof).cost
-
-
-def cost_noisy(pb: ProblemBounds, prof, sigma: float) -> float:
-    """Total field measurements under shot noise, ``s * n_steps * n_shots``;
-    NaN where :func:`budget_row` flags the row infeasible."""
-    return budget_row(pb, prof, sigma).cost
 
 
 def circuit_budget(n_steps: float, stages: int, n_shots: float, dims: AnsatzDims) -> float:

@@ -162,6 +162,8 @@ def _cmd_toy(args) -> int:
         raise CliError(f"--lo and --hi must be finite, got {args.lo} and {args.hi}")
     if args.lo >= args.hi:
         raise CliError(f"--lo must be below --hi, got {args.lo} >= {args.hi}")
+    if not math.isfinite(args.hi - args.lo):
+        raise CliError(f"--hi - --lo overflows the float range, got --lo {args.lo} and --hi {args.hi}")
     if args.points < 2:
         raise CliError(f"--points must be at least 2, got {args.points}")
     _, params = toymodel.sample_toy(nv_grid[0], theta=args.theta, rng=seed)

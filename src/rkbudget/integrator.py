@@ -4,8 +4,10 @@ The oracle wraps the right-hand side ``f(tau, y)`` of an initial value
 problem.  When a :class:`NoiseSpec` is attached, every evaluation is
 perturbed by a random vector mimicking the statistical error of estimating
 ``f`` from a finite number of measurements: the perturbation norm stays
-below ``delta = sigma / sqrt(n_shots)`` with probability at least
-``1 - eta`` (and always, in clipped mode).
+below ``delta`` with probability at least ``1 - eta`` (and always, in
+clipped mode).  A shot count enters only through that bound,
+``delta = sigma / sqrt(n_shots)``, which :func:`rkbudget.harness.shots_to_delta`
+computes.
 """
 
 from __future__ import annotations
@@ -57,38 +59,28 @@ class DegenerateSlopeError(RuntimeError):
 class NoiseSpec:
     """Shot-noise model for field evaluations.
 
-    ``sigma`` is the aggregate single-shot deviation scale, ``eta`` the
-    exceedance probability and ``n_shots`` the number of measurements
-    averaged per evaluation; the per-evaluation norm bound is
-    ``delta = sigma / sqrt(n_shots)``.  Mode ``gaussian`` draws i.i.d.
-    zero-mean components whose scale makes the Chebyshev bound hold, and
+    ``delta`` is the per-evaluation norm bound and ``eta`` the probability
+    that a draw exceeds it.  Mode ``gaussian`` draws i.i.d. zero-mean
+    components whose scale makes the Chebyshev bound hold, and
     ``clipped-gaussian`` additionally rescales any draw exceeding ``delta``
     onto the delta sphere so the bound holds deterministically.
+    :meth:`from_delta` fills in the usual ``eta`` and mode.
     """
 
-    sigma: float
+    delta: float
     eta: float
-    n_shots: int = 1
-    mode: str = "gaussian"
+    mode: str
 
     def __post_init__(self):
-        if not 0.0 < self.sigma < math.inf:  # NaN too
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if not 0.0 < self.eta < 1.0:
             raise ValueError("eta must lie in (0, 1)")
-        if self.n_shots < 1:
-            raise ValueError("n_shots must be a positive integer")
         if self.mode not in NOISE_MODES:
             raise ValueError(f"mode must be one of {NOISE_MODES}")
-        if not DELTA_RANGE[0] <= self.delta <= DELTA_RANGE[1]:
+        if not DELTA_RANGE[0] <= self.delta <= DELTA_RANGE[1]:  # NaN too
             raise ValueError(
-                f"delta = sigma / sqrt(n_shots) must lie in [{DELTA_RANGE[0]:g}, {DELTA_RANGE[1]:g}], where the"
+                f"delta must lie in [{DELTA_RANGE[0]:g}, {DELTA_RANGE[1]:g}], where the"
                 f" perturbation norms neither underflow nor overflow; got {self.delta:g}"
             )
-
-    @property
-    def delta(self) -> float:
-        return self.sigma / math.sqrt(self.n_shots)
 
     def perturbations(self, rngs: Collection[np.random.Generator], count: int, dim: int) -> tuple[np.ndarray, int]:
         """Perturbations for ``count`` evaluations of a ``dim``-component field per stream.
@@ -127,8 +119,8 @@ class NoiseSpec:
 
     @classmethod
     def from_delta(cls, delta: float, eta: float = 0.05, mode: str = "clipped-gaussian") -> "NoiseSpec":
-        """Build a spec with a given per-evaluation bound (one shot, sigma = delta)."""
-        return cls(sigma=delta, eta=eta, n_shots=1, mode=mode)
+        """Build a spec with a given per-evaluation bound, ``eta`` 0.05 and clipped draws by default."""
+        return cls(delta, eta, mode)
 
 
 class EvaluationOracle:

@@ -164,18 +164,16 @@ def parse_overrides(text: str) -> dict[str, float]:
     return overrides
 
 
-def apply_overrides(base: Scenario, overrides: Mapping[str, float] | str | Path) -> Scenario:
+def apply_overrides(base: Scenario, overrides: Mapping[str, float] | Path) -> Scenario:
     """Return a copy of ``base`` with selected constants replaced.
 
-    ``overrides`` may be a mapping, a text blob of ``key=value`` lines or a
-    path to such a file.  Unknown keys are rejected, and so are non-finite
-    constants, ``eta`` outside (0, 1) and fractional dimensions, each with a
-    message naming the key.
+    ``overrides`` may be a mapping or the path of a file of ``key=value``
+    lines (see :func:`parse_overrides`).  Unknown keys are rejected, and so
+    are non-finite constants, ``eta`` outside (0, 1) and fractional
+    dimensions, each with a message naming the key.
     """
     if isinstance(overrides, Path):
         overrides = parse_overrides(overrides.read_text())
-    elif isinstance(overrides, str):
-        overrides = parse_overrides(overrides)
     pb_kwargs, scalar_kwargs, dim_kwargs = {}, {}, {}
     for key, value in overrides.items():
         value = float(value)

@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "ButcherTableau",
     "MethodProfile",
-    "ValidationReport",
     "builtin_tableau",
     "validate_tableau",
     "profile",
@@ -105,20 +104,6 @@ class ButcherTableau:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of a tableau consistency check; violations are data, not faults."""
-
-    violations: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass(frozen=True)
 class MethodProfile:
     """Scalar summary of a method as used by the error and budget formulas.
 
@@ -161,12 +146,13 @@ def builtin_tableau(method_id: str) -> ButcherTableau:
         raise ValueError(f"unknown method {method_id!r}; choose from {sorted(BUILTIN_METHODS)}") from None
 
 
-def validate_tableau(tableau: ButcherTableau) -> ValidationReport:
+def validate_tableau(tableau: ButcherTableau) -> tuple[str, ...]:
     """Check the consistency identities of an explicit tableau.
 
-    Returns an empty report iff the weights sum to one, every row sum of
-    ``a`` matches its node, ``c[0] == 0`` and ``a`` is strictly lower
-    triangular, all within ``CONSISTENCY_TOL``.
+    Returns the violated identities, one message each; the tuple is empty
+    iff the weights sum to one, every row sum of ``a`` matches its node,
+    ``c[0] == 0`` and ``a`` is strictly lower triangular, all within
+    ``CONSISTENCY_TOL``.  Violations are data, not faults.
     """
     violations = []
     b_sum = float(np.sum(tableau.b))
@@ -182,14 +168,14 @@ def validate_tableau(tableau: ButcherTableau) -> ValidationReport:
     if np.any(np.abs(upper) > CONSISTENCY_TOL):
         bad = np.argwhere(np.abs(upper) > CONSISTENCY_TOL)[0]
         violations.append(f"a is not strictly lower triangular (a[{bad[0] + 1},{bad[1] + 1}] != 0)")
-    return ValidationReport(tuple(violations))
+    return tuple(violations)
 
 
 def profile(tableau: ButcherTableau, error_const: float) -> MethodProfile:
     """Extract the scalar profile (order, stages, coefficient maxima) of a valid tableau."""
-    report = validate_tableau(tableau)
-    if not report.ok:
-        raise ValueError("tableau fails consistency checks: " + "; ".join(report.violations))
+    violations = validate_tableau(tableau)
+    if violations:
+        raise ValueError("tableau fails consistency checks: " + "; ".join(violations))
     a_max = float(np.max(np.abs(tableau.a))) if tableau.stages > 1 else 0.0
     b_max = float(np.max(np.abs(tableau.b)))
     return MethodProfile(order=tableau.order, stages=tableau.stages, a_max=a_max, b_max=b_max, error_const=error_const)

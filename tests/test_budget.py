@@ -15,10 +15,9 @@ from rkbudget.budget import (
     BudgetRow,
     InfeasibleShotsError,
     argmin_order,
+    budget_row,
     budget_table,
     circuit_budget,
-    cost_noiseless,
-    cost_noisy,
     distinct_circuits,
     min_shots,
     min_steps_noiseless,
@@ -45,11 +44,11 @@ def test_min_steps_noiseless_anchors(classical, p, expected):
 
 @pytest.mark.parametrize("p,expected", [(1, 2.25e7), (4, 1.01e4)])
 def test_cost_noiseless_anchors(classical, p, expected):
-    assert cost_noiseless(classical.pb, prof_for(classical, p)) == pytest.approx(expected, rel=0.015)
+    assert budget_row(classical.pb, prof_for(classical, p)).cost == pytest.approx(expected, rel=0.015)
 
 
 def test_cost_ratio_anchor(classical):
-    ratio = cost_noiseless(classical.pb, prof_for(classical, 1)) / cost_noiseless(classical.pb, prof_for(classical, 4))
+    ratio = budget_row(classical.pb, prof_for(classical, 1)).cost / budget_row(classical.pb, prof_for(classical, 4)).cost
     assert ratio == pytest.approx(2.22e3, rel=0.015)
 
 
@@ -158,17 +157,17 @@ def test_noisy_to_noiseless_step_ratio(option_pricing):
 
 
 def test_cost_noisy_anchors(option_pricing, tuned):
-    assert cost_noisy(option_pricing.pb, prof_for(option_pricing, 2), option_pricing.sigma) == pytest.approx(
+    assert budget_row(option_pricing.pb, prof_for(option_pricing, 2), option_pricing.sigma).cost == pytest.approx(
         2 * 204 * 3.87e22, rel=0.02
     )
-    assert cost_noisy(tuned.pb, prof_for(tuned, 4), tuned.sigma) == pytest.approx(4 * 5.41e3 * 1.98e26, rel=0.02)
+    assert budget_row(tuned.pb, prof_for(tuned, 4), tuned.sigma).cost == pytest.approx(4 * 5.41e3 * 1.98e26, rel=0.02)
 
 
 def test_cost_noisy_single_stage_product(option_pricing):
     prof = prof_for(option_pricing, 1)
     n_steps = min_steps_noisy(option_pricing.pb, prof)
     n_shots = min_shots(option_pricing.pb, prof, option_pricing.sigma, n_steps)
-    assert cost_noisy(option_pricing.pb, prof, option_pricing.sigma) == pytest.approx(n_steps * n_shots, rel=1e-12)
+    assert budget_row(option_pricing.pb, prof, option_pricing.sigma).cost == pytest.approx(n_steps * n_shots, rel=1e-12)
 
 
 # -- circuit budgets ----------------------------------------------------------
@@ -190,7 +189,7 @@ def test_circuit_budget_is_cost_times_ansatz_factor(option_pricing):
         n_steps = min_steps_noisy(option_pricing.pb, prof)
         n_shots = min_shots(option_pricing.pb, prof, option_pricing.sigma, n_steps)
         n_circ = circuit_budget(n_steps, prof.stages, n_shots, dims)
-        assert n_circ == pytest.approx(cost_noisy(option_pricing.pb, prof, option_pricing.sigma) * factor, rel=1e-12)
+        assert n_circ == pytest.approx(budget_row(option_pricing.pb, prof, option_pricing.sigma).cost * factor, rel=1e-12)
 
 
 def test_distinct_circuits_anchor(option_pricing):

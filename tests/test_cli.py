@@ -453,12 +453,18 @@ def campaign_requests(draw):
 
 # the examples once failed: a realized error whose square overflowed was
 # measured as inf (a false violation, exit 1), a reference norm that
-# overflowed made the convergence floor inf (exit 2 naming nothing), and a
-# truncation term whose power overflowed escaped as an OverflowError
+# overflowed made the convergence floor inf (exit 2 naming nothing), a
+# truncation term whose power overflowed escaped as an OverflowError, a
+# noisy bound that underflowed to 0 against exact results divided 0 by 0
+# (a NaN worst margin and a numpy RuntimeWarning), and a subnormal
+# noiseless bound whose margin overflowed in numpy's divide (a RuntimeWarning)
 @given(case=campaign_requests())
 @example(case=(["validate", "--method", "rk4", "--format", "csv", "--delta", "0"], {"T": 1000.0}))
 @example(case=(["convergence", "--method", "rk4", "--format", "csv", "--horizon", "800.0"], {}))
 @example(case=(["validate", "--method", "rk4", "--format", "json", "--delta", "0"], {"L_ftau": 1e100}))
+@example(case=(["validate", "--method", "euler", "--format", "json", "--delta", "1e-3", "--trials", "2", "--ntau", "5"],
+               {"T": 1e-322}))
+@example(case=(["validate", "--method", "euler", "--format", "csv", "--delta", "0"], {"T": 1.0, "K": 2.1729236899484e-311}))
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @pytest.mark.filterwarnings("ignore:error bound overflows:RuntimeWarning")  # the bound reads inf there
 def test_campaigns_over_the_whole_float_range_exit_0_1_or_2(tmp_path, case):
@@ -476,6 +482,66 @@ def test_campaigns_over_the_whole_float_range_exit_0_1_or_2(tmp_path, case):
         assert out.getvalue() == "" and NAMES_A_KEY.search(err.getvalue()), err.getvalue()
     elif "json" in argv:
         json.loads(out.getvalue(), parse_constant=reject_constant)
+
+
+# toy studies, step counts and trial counts: option values over the whole
+# float range, of either sign, and fractional or negative counts, at sizes
+# that allocate little
+NAMES_AN_OPTION = re.compile(r"(?<![\w-])(--)?(nv|samples|theta|lo|hi|points|ntau|trials|steps)(?!\w)")
+SIGNED_MAGNITUDES = st.tuples(st.sampled_from((1.0, -1.0)), MAGNITUDES).map(lambda pair: pair[0] * pair[1])
+COUNTS = st.one_of(st.integers(-3, 6).map(str), st.floats(-3.0, 6.0).map(repr))
+
+
+@st.composite
+def toy_requests(draw):
+    study = draw(st.sampled_from(("kappa", "norms", "lip")))
+    argv = ["toy", study, "--nv", str(draw(st.integers(1, 4))), "--format", draw(st.sampled_from(("csv", "json"))),
+            "--seed", "1", f"--theta={draw(SIGNED_MAGNITUDES)!r}"]
+    if study != "lip":
+        return [*argv, "--samples", "30"]
+    return [*argv, f"--lo={draw(SIGNED_MAGNITUDES)!r}", f"--hi={draw(SIGNED_MAGNITUDES)!r}",
+            "--points", str(draw(st.integers(1, 5)))]
+
+
+@st.composite
+def count_requests(draw):
+    method = ["--method", draw(st.sampled_from(sorted(BUILTIN_METHODS))),
+              "--format", draw(st.sampled_from(("csv", "json")))]
+    if draw(st.booleans()):
+        return ["convergence", *method, "--steps=" + ",".join(draw(st.lists(COUNTS, min_size=4, max_size=5)))]
+    return ["validate", *method, "--delta", draw(st.sampled_from(("0", "1e-3"))),
+            f"--ntau={draw(COUNTS)}", f"--trials={draw(COUNTS)}"]
+
+
+def check_request(argv):
+    """Run one request: it exits 0 or 1 with a strict artifact and nothing on
+    stderr, or 2 naming an option; argparse's own rejections exit 2 too."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    if code == 2:
+        assert out.getvalue() == "" and NAMES_AN_OPTION.search(err.getvalue()), err.getvalue()
+        return
+    assert code in (0, 1) and err.getvalue() == "", (code, err.getvalue())
+    if "json" in argv:
+        json.loads(out.getvalue(), parse_constant=reject_constant)
+
+
+# the example once exited 0 with a NaN grid: the span --hi - --lo overflowed
+@given(argv=toy_requests())
+@example(argv=["toy", "lip", "--nv", "3", "--format", "csv", "--lo=-1e308", "--hi=1e308", "--points", "3"])
+@settings(max_examples=150, deadline=None)
+def test_toy_studies_over_the_whole_float_range_exit_0_or_2(argv):
+    check_request(argv)
+
+
+@given(argv=count_requests())
+@settings(max_examples=150, deadline=None)
+def test_fractional_and_negative_counts_exit_0_1_or_2(argv):
+    check_request(argv)
 
 
 # -- sweep ---------------------------------------------------------------------
@@ -679,6 +745,7 @@ def test_toy_lip_requires_single_nv(capsys):
         ("lip --lo=-inf", "--lo and --hi must be finite"),
         ("lip --lo 5 --hi 5", "--lo must be below --hi"),
         ("lip --lo 6 --hi 5", "--lo must be below --hi"),
+        ("lip --lo=-1e308 --hi=1e308", "--hi - --lo overflows the float range, got --lo -1e+308 and --hi 1e+308"),
         ("lip --points 0", "--points must be at least 2"),
         ("lip --points 1", "--points must be at least 2"),
         ("lip --theta nan", "--theta must be finite"),
@@ -904,8 +971,8 @@ def test_validate_against_a_noiseless_bound_of_0_counts_a_violation(capsys, tmp_
         (("--delta", "0", "--eta", "0"), "eta must lie in (0, 1), got 0.0"),
         (("--delta", "0", "--trials", "-5"), "trials must be non-negative, got -5"),
         (("--delta", "1e-4", "--eta", "1.5"), "eta must lie in (0, 1), got 1.5"),
-        (("--delta", "1e-170"), "delta = sigma / sqrt(n_shots) must lie in [1e-150, 1e+150]"),
-        (("--delta", "1e300"), "delta = sigma / sqrt(n_shots) must lie in [1e-150, 1e+150]"),
+        (("--delta", "1e-170"), "delta must lie in [1e-150, 1e+150]"),
+        (("--delta", "1e300"), "delta must lie in [1e-150, 1e+150]"),
         (("--delta", "1e-4", "--seed", "-1"), "expected non-negative integer"),
         (("--delta", "0", "--seed", "-1"), "expected non-negative integer"),
     ],

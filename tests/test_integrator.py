@@ -119,7 +119,7 @@ def test_clipped_mode_respects_bound_exactly():
 def test_gaussian_mode_quantile_bound():
     # perturbation norms must satisfy the bound at the (1 - eta) quantile
     delta, eta = 1e-2, 0.05
-    spec = NoiseSpec(sigma=delta, eta=eta, n_shots=1, mode="gaussian")
+    spec = NoiseSpec(delta, eta, "gaussian")
     oracle = EvaluationOracle(lambda tau, y: np.zeros(4), noise=spec, rng=11)
     norms = np.array([np.linalg.norm(oracle(0.0, np.zeros(4))) for _ in range(20000)])
     assert np.quantile(norms, 1.0 - eta) <= delta
@@ -145,7 +145,7 @@ def per_evaluation_draws(spec, rng, calls, dim):
 @pytest.mark.parametrize("dim", [1, 3])
 def test_block_draw_equals_sequential_oracle_draws(dim, mode):
     # eta = 0.5 makes 11-16% of the draws exceed delta, so clipping is exercised
-    spec = NoiseSpec(sigma=1e-2, eta=0.5, mode=mode)
+    spec = NoiseSpec(1e-2, 0.5, mode)
     oracle = EvaluationOracle(lambda tau, y: np.zeros(dim), noise=spec, rng=(9, 4))
     sequential = np.array([oracle(0.0, np.zeros(dim)) for _ in range(400)])
     reference, ref_exceeded = per_evaluation_draws(spec, np.random.default_rng((9, 4)), 400, dim)
@@ -237,33 +237,30 @@ def test_non_finite_row_in_batch_aborts_with_index():
 
 
 def test_noise_spec_validation():
-    with pytest.raises(ValueError):
-        NoiseSpec(sigma=0.0, eta=0.05)
-    with pytest.raises(ValueError):
-        NoiseSpec(sigma=1.0, eta=1.0)
-    with pytest.raises(ValueError):
-        NoiseSpec(sigma=1.0, eta=0.05, n_shots=0)
-    with pytest.raises(ValueError):
-        NoiseSpec(sigma=1.0, eta=0.05, mode="uniform")
-    spec = NoiseSpec(sigma=6.0, eta=0.5, n_shots=9)
-    assert spec.delta == pytest.approx(2.0)
+    with pytest.raises(ValueError, match="delta must lie in"):
+        NoiseSpec(0.0, 0.05, "gaussian")
+    with pytest.raises(ValueError, match="eta must lie in"):
+        NoiseSpec(1.0, 1.0, "gaussian")
+    with pytest.raises(ValueError, match="mode must be one of"):
+        NoiseSpec(1.0, 0.05, "uniform")
+    assert NoiseSpec.from_delta(2.0) == NoiseSpec(2.0, 0.05, "clipped-gaussian")
 
 
-@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
-def test_noise_spec_rejects_non_finite_sigma(sigma):
-    with pytest.raises(ValueError, match="sigma must be finite and positive"):
-        NoiseSpec(sigma=sigma, eta=0.05)
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_noise_spec_rejects_non_finite_delta(delta):
+    with pytest.raises(ValueError, match="delta must lie in"):
+        NoiseSpec(delta, 0.05, "gaussian")
 
 
 @pytest.mark.parametrize("delta", [1e-170, DELTA_RANGE[0] / 2, DELTA_RANGE[1] * 2, 1e300])
 def test_noise_spec_rejects_a_delta_outside_the_exact_norm_range(delta):
     # squared draws underflow below the range and overflow above it, so the
     # exceedance counts and the clipping would go wrong
-    message = r"delta = sigma / sqrt\(n_shots\) must lie in \[1e-150, 1e\+150\]"
+    message = r"delta must lie in \[1e-150, 1e\+150\]"
     with pytest.raises(ValueError, match=message):
         NoiseSpec.from_delta(delta)
     with pytest.raises(ValueError, match=message):
-        NoiseSpec(sigma=3.0 * delta, eta=0.05, n_shots=9)
+        NoiseSpec(delta, 0.05, "gaussian")
 
 
 @pytest.mark.parametrize("delta", DELTA_RANGE, ids=["low-end", "high-end"])

@@ -275,7 +275,7 @@ def test_parse_overrides_rejects_unknown_key():
 
 
 def test_apply_overrides_reproduces_tuned(option_pricing, tuned):
-    overridden = apply_overrides(option_pricing, "b_max=0.5\nL_fy=0.1\nT=4\nK=20\n")
+    overridden = apply_overrides(option_pricing, parse_overrides("b_max=0.5\nL_fy=0.1\nT=4\nK=20\n"))
     assert overridden.pb == tuned.pb
     assert overridden.b_max == tuned.b_max
     assert overridden.error_const == tuned.error_const
