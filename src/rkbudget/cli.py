@@ -29,7 +29,7 @@ from . import budget, sensitivity, toymodel
 from .formats import csv_text, json_text
 from .harness import report_record, report_to_json, validate_noisy_bound
 from .harness import validate_noiseless_bound  # noqa: F401  (bench/spans.py wraps this name here)
-from .integrator import DegenerateSlopeError, empirical_order
+from .integrator import DELTA_RANGE, DegenerateSlopeError, empirical_order
 from .scenarios import SCENARIO_NAMES, apply_overrides, exp_ode, scenario
 from .tableaux import BUILTIN_METHODS, builtin_tableau
 
@@ -41,14 +41,22 @@ class CliError(Exception):
     """Configuration problem; maps to exit code 2."""
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise CliError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+def _seed(args) -> int:
+    """The master seed: ``--seed``, else the environment's, else ``DEFAULT_SEED``."""
+    if args.seed is not None:
+        source, seed = "--seed", args.seed
+    else:
+        raw = os.environ.get(SEED_ENV_VAR)
+        if raw is None:
+            return DEFAULT_SEED
+        source = SEED_ENV_VAR
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise CliError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise CliError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _load_scenario(args):
@@ -135,7 +143,7 @@ def _cmd_toy(args) -> int:
         raise CliError("nv values must be positive")
     if not math.isfinite(args.theta):
         raise CliError(f"--theta must be finite, got {args.theta}")
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     if args.study != "lip" and args.samples < 30:
         raise CliError(f"--samples: need at least 30 samples per grid point, got {args.samples}")
     if args.study == "kappa":
@@ -182,8 +190,18 @@ def _cmd_validate(args) -> int:
     if args.ntau < 1:
         raise CliError(f"--ntau must be at least 1, got {args.ntau}")
     _check_step("T", sc.pb.horizon, args.ntau, "--ntau")
+    if args.trials < 0:
+        raise CliError(f"--trials must be non-negative, got {args.trials}")
+    if not 0.0 < args.eta < 1.0:  # NaN too
+        raise CliError(f"--eta must lie in (0, 1), got {args.eta}")
+    # A NaN or infinite delta is left to the library's message.
+    if math.isfinite(args.delta) and args.delta != 0.0 and not DELTA_RANGE[0] <= args.delta <= DELTA_RANGE[1]:
+        raise CliError(
+            f"--delta must be 0 or lie in [{DELTA_RANGE[0]:g}, {DELTA_RANGE[1]:g}], where the"
+            f" perturbation norms neither underflow nor overflow; got {args.delta:g}"
+        )
     tableau = builtin_tableau(args.method)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     mode = "clipped-gaussian" if args.mode == "clipped" else "gaussian"
     # At --delta 0 this is one noiseless check, made after the same input checks.
     report = validate_noisy_bound(

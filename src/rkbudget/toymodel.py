@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import astuple, dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -433,10 +434,31 @@ def study_to_csv(points: Sequence[StudyPoint]) -> str:
 
 
 def lip_surface_to_csv(surface: np.ndarray, grid1: np.ndarray, grid2: np.ndarray) -> str:
-    """Surface as a CSV grid; first row and column carry the axis values."""
-    # One format pattern per row: csv_text's per-cell writer takes ~1.2x as long on a 200x200 surface.
-    cells = ",".join([FLOAT_FORMAT] * len(grid2))
+    """Surface as a CSV grid; first row and column carry the axis values.
+
+    The surface must have shape ``(len(grid1), len(grid2))``.  A square
+    surface equal to its own transpose bit for bit, as every surface over one
+    grid is, has each mirrored pair of cells formatted once: row ``i`` formats
+    its cells ``j >= i`` and hands each cell ``(i, j > i)`` to row ``j``,
+    which writes it and then drops it, so no cell's text outlives its mirrored
+    row.  Any other surface is formatted row by row.  Each row takes one
+    ``%`` pattern, which is faster than ``csv_text``'s per-cell writer.
+    """
+    surface = np.asarray(surface, dtype=float)
+    shape = (len(grid1), len(grid2))
+    if surface.shape != shape:
+        raise ValueError(f"surface shape {surface.shape} does not match (len(grid1), len(grid2)) = {shape}")
+    cells = ",".join([FLOAT_FORMAT] * shape[1])
     lines = ["theta1/theta2," + cells % tuple(np.asarray(grid2, dtype=float).tolist()) + "\n"]
-    row_format = FLOAT_FORMAT + "," + cells + "\n"
-    lines += [row_format % (t1, *row.tolist()) for t1, row in zip(grid1, np.asarray(surface, dtype=float))]
+    bits = surface.view(np.uint64)
+    if shape[0] != shape[1] or not np.array_equal(bits, bits.T):
+        row_format = FLOAT_FORMAT + "," + cells + "\n"
+        lines += [row_format % (t1, *row.tolist()) for t1, row in zip(grid1, surface)]
+        return "".join(lines)
+    pending = deque([] for _ in grid1)  # row j's texts of the cells (i < j, j), from row i
+    for i, (t1, row) in enumerate(zip(grid1, surface)):
+        upper = ",".join([FLOAT_FORMAT] * (shape[0] - i)) % tuple(row[i:].tolist())
+        lines.append(",".join([FLOAT_FORMAT % t1, *pending.popleft(), upper]) + "\n")
+        for later, text in zip(pending, upper.split(",")[1:]):
+            later.append(text)
     return "".join(lines)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from rkbudget import cli
+from rkbudget import cli, toymodel
 from rkbudget.cli import DEFAULT_SEED, SEED_ENV_VAR, main
 from rkbudget.scenarios import SCENARIO_NAMES
 from rkbudget.sensitivity import SWEEP_MODES, SWEEP_TARGETS
@@ -731,6 +731,21 @@ def test_toy_lip_symmetric_surface(capsys):
     assert np.all(np.isnan(np.diag(matrix)))
 
 
+@pytest.mark.parametrize("seed", ["5", "1001"])
+@pytest.mark.parametrize("points", [2, 3, 17])
+def test_toy_lip_csv_is_the_per_cell_rendering_of_its_surface(capsys, seed, points):
+    code, out, _ = run_cli(capsys, "toy", "lip", "--nv", "5", "--points", str(points), "--seed", seed)
+    assert code == 0
+    _, params = toymodel.sample_toy(5, theta=0.5, rng=int(seed))
+    grid = np.linspace(0.0, 10.0, points)
+    surface = toymodel.lip_surface(params, grid, grid)
+    bits = surface.view(np.uint64)
+    assert np.array_equal(bits, bits.T)  # the mirrored path
+    expected = "theta1/theta2," + ",".join(f"{t:.16e}" for t in grid) + "\n"
+    expected += "".join(f"{t:.16e}," + ",".join(f"{v:.16e}" for v in row) + "\n" for t, row in zip(grid, surface))
+    assert out == expected
+
+
 def test_toy_lip_requires_single_nv(capsys):
     code, _, err = run_cli(capsys, "toy", "lip", "--nv", "5:10:5")
     assert code == 2
@@ -751,6 +766,9 @@ def test_toy_lip_requires_single_nv(capsys):
         ("lip --theta nan", "--theta must be finite"),
         ("kappa --theta inf", "--theta must be finite"),
         ("norms --theta=-inf", "--theta must be finite"),
+        ("kappa --seed -1", "--seed must be a non-negative integer, got -1"),
+        ("norms --seed -1", "--seed must be a non-negative integer, got -1"),
+        ("lip --seed -1", "--seed must be a non-negative integer, got -1"),
     ],
 )
 def test_toy_rejects_bad_inputs_exits_2(capsys, args, message):
@@ -768,6 +786,12 @@ def test_toy_too_few_samples_exits_2_naming_the_option(capsys, study, samples):
     assert code == 2
     assert err == f"error: --samples: need at least 30 samples per grid point, got {samples}\n"
     assert out == ""
+
+
+def test_toy_rejects_a_negative_seed_from_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv(SEED_ENV_VAR, "-1")
+    code, out, err = run_cli(capsys, "toy", "lip", "--nv", "4")
+    assert (code, out, err) == (2, "", f"error: {SEED_ENV_VAR} must be a non-negative integer, got -1\n")
 
 
 def test_toy_lip_two_points_is_the_smallest_grid(capsys):
@@ -966,15 +990,15 @@ def test_validate_against_a_noiseless_bound_of_0_counts_a_violation(capsys, tmp_
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("--delta", "0", "--eta", "1.5"), "eta must lie in (0, 1), got 1.5"),
-        (("--delta", "0", "--eta", "nan"), "eta must lie in (0, 1), got nan"),
-        (("--delta", "0", "--eta", "0"), "eta must lie in (0, 1), got 0.0"),
-        (("--delta", "0", "--trials", "-5"), "trials must be non-negative, got -5"),
-        (("--delta", "1e-4", "--eta", "1.5"), "eta must lie in (0, 1), got 1.5"),
-        (("--delta", "1e-170"), "delta must lie in [1e-150, 1e+150]"),
-        (("--delta", "1e300"), "delta must lie in [1e-150, 1e+150]"),
-        (("--delta", "1e-4", "--seed", "-1"), "expected non-negative integer"),
-        (("--delta", "0", "--seed", "-1"), "expected non-negative integer"),
+        (("--delta", "0", "--eta", "1.5"), "--eta must lie in (0, 1), got 1.5"),
+        (("--delta", "0", "--eta", "nan"), "--eta must lie in (0, 1), got nan"),
+        (("--delta", "0", "--eta", "0"), "--eta must lie in (0, 1), got 0.0"),
+        (("--delta", "0", "--trials", "-5"), "--trials must be non-negative, got -5"),
+        (("--delta", "1e-4", "--eta", "1.5"), "--eta must lie in (0, 1), got 1.5"),
+        (("--delta", "1e-170"), "--delta must be 0 or lie in [1e-150, 1e+150]"),
+        (("--delta", "1e300"), "--delta must be 0 or lie in [1e-150, 1e+150]"),
+        (("--delta", "1e-4", "--seed", "-1"), "--seed must be a non-negative integer, got -1"),
+        (("--delta", "0", "--seed", "-1"), "--seed must be a non-negative integer, got -1"),
     ],
     ids=["noiseless-eta-1.5", "noiseless-eta-nan", "noiseless-eta-0", "noiseless-trials", "noisy-eta",
          "delta-below-range", "delta-above-range", "negative-seed", "noiseless-negative-seed"],
@@ -991,7 +1015,7 @@ def test_noiseless_validate_rejects_a_negative_seed_from_the_environment(capsys,
     monkeypatch.setenv(SEED_ENV_VAR, "-1")
     code, out, err = run_cli(capsys, "validate", "--method", "euler", "--delta", "0")
     assert code == 2
-    assert err == "error: expected non-negative integer\n"
+    assert err == f"error: {SEED_ENV_VAR} must be a non-negative integer, got -1\n"
     assert out == ""
 
 
@@ -1092,6 +1116,18 @@ def test_importing_the_cli_leaves_out_the_thread_pool_and_logging():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [argv for argv in PINNED_DIGESTS if argv[:2] == ("toy", "lip")], ids="_".join)
+def test_toy_lip_digests_hold_under_one_blas_thread(argv):
+    # lip's 25x25 solves fall below OpenBLAS's threading size, so its bytes
+    # depend on the seed alone, not on the thread count
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "rkbudget.cli", *argv], env=env, capture_output=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout).hexdigest() == PINNED_DIGESTS[argv]
 
 
 # -- one parser per process ------------------------------------------------------

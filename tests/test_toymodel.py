@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -512,21 +513,93 @@ def test_lip_surface_singular_input_gives_nan_row_and_column():
     assert surface[0, 2] == pytest.approx(expected, rel=1e-14)
 
 
-def test_lip_surface_csv_matches_per_cell_formatting():
-    grid1 = np.array([0.0, 1.0, -0.0])
-    grid2 = np.array([0.5, 1e-300, 1.0, 3.0])
-    surface = np.array(
-        [
-            [math.nan, -math.nan, math.inf, -math.inf],
-            [0.0, -0.0, 5e-324, 1.7976931348623157e308],
-            [1.0 / 3.0, -2.5, 123456789.0, 1e-17],
-        ]
-    )
-    expected = "theta1/theta2," + ",".join(f"{t:.16e}" for t in grid2) + "\n"
+def per_cell_csv(surface, grid1, grid2):
+    """The lip CSV rendered with one f-string per cell."""
+    text = "theta1/theta2," + ",".join(f"{float(t):.16e}" for t in grid2) + "\n"
     for t1, row in zip(grid1, surface):
-        expected += f"{t1:.16e}," + ",".join(f"{v:.16e}" for v in row) + "\n"
-    assert lip_surface_to_csv(surface, grid1, grid2) == expected
-    assert "-0.0000000000000000e+00," in expected
+        text += f"{float(t1):.16e}," + ",".join(f"{float(v):.16e}" for v in row) + "\n"
+    return text
+
+
+def bitwise_symmetric(surface):
+    bits = np.asarray(surface, dtype=float).view(np.uint64)
+    return bits.shape[0] == bits.shape[1] and np.array_equal(bits, bits.T)
+
+
+def float_from_bits(bits):
+    return np.array([bits], dtype=np.uint64).view(float)[0]
+
+
+def mirrored(upper):
+    """The square surface whose cells (i, j >= i) are ``upper``'s, mirrored below the diagonal."""
+    upper = np.array(upper, dtype=float)
+    return np.triu(upper) + np.triu(upper, 1).T
+
+
+def near_mirrored(i, j, value, mirror_value):
+    """A 3x3 bitwise-symmetric surface but for the pair (i, j), (j, i)."""
+    surface = mirrored(np.arange(1.0, 10.0).reshape(3, 3) / 7.0)
+    surface[i, j], surface[j, i] = value, mirror_value
+    return surface
+
+
+GRID3 = np.array([0.0, 1.0, -0.0])
+SYMMETRIC_EXTREMES = np.array(
+    [
+        [math.nan, math.inf, 5e-324, 1.7976931348623157e308],
+        [math.inf, math.nan, -math.inf, -0.0],
+        [5e-324, -math.inf, math.nan, 1.0 / 3.0],
+        [1.7976931348623157e308, -0.0, 1.0 / 3.0, math.nan],
+    ]
+)
+
+# surface, grid1, grid2, whether the surface takes the mirrored path
+CSV_CASES = {
+    "rectangular": (
+        np.array(
+            [
+                [math.nan, -math.nan, math.inf, -math.inf],
+                [0.0, -0.0, 5e-324, 1.7976931348623157e308],
+                [1.0 / 3.0, -2.5, 123456789.0, 1e-17],
+            ]
+        ),
+        GRID3,
+        np.array([0.5, 1e-300, 1.0, 3.0]),
+        False,
+    ),
+    "symmetric-extremes": (SYMMETRIC_EXTREMES, np.array([-1.0, 0.0, 2.5, 1e300]), np.array([-1.0, 0.0, 2.5, 1e300]),
+                           True),
+    "zero-and-negative-zero-pair": (near_mirrored(0, 2, 0.0, -0.0), GRID3, GRID3, False),
+    "pair-1-ulp-apart": (near_mirrored(1, 2, 0.5, np.nextafter(0.5, 1.0)), GRID3, GRID3, False),
+    "nan-pair-with-different-payloads": (
+        near_mirrored(0, 1, float_from_bits(0x7FF8000000000001), float_from_bits(0x7FF8000000000002)),
+        GRID3, GRID3, False,
+    ),
+    "transposed-view": (np.arange(12.0).reshape(4, 3).T / 3.0, GRID3, np.array([1.0, 2.0, 3.0, 4.0]), False),
+    "strided-symmetric-view": (mirrored(np.arange(1.0, 37.0).reshape(6, 6) / 11.0)[::2, ::2], GRID3, GRID3, True),
+    "integer": (np.arange(9).reshape(3, 3), GRID3, GRID3, False),
+    "integer-symmetric": (mirrored(np.arange(9).reshape(3, 3)).astype(int), GRID3, GRID3, True),
+    "1x1": (np.array([[math.pi]]), np.array([2.0]), np.array([2.0]), True),
+    "0x0": (np.empty((0, 0)), np.empty(0), np.empty(0), True),
+}
+
+
+def test_lip_surface_csv_matches_per_cell_formatting():
+    for name, (surface, grid1, grid2, symmetric) in CSV_CASES.items():
+        assert bitwise_symmetric(surface) == symmetric, name
+        assert lip_surface_to_csv(surface, grid1, grid2) == per_cell_csv(surface, grid1, grid2), name
+    assert "-0.0000000000000000e+00," in per_cell_csv(*CSV_CASES["rectangular"][:3])
+
+
+@pytest.mark.parametrize(
+    "shape, grid1, grid2",
+    [((2, 2), [0.0, 1.0, 2.0], [0.0, 1.0]), ((3, 2), [0.0, 1.0], [0.0, 1.0]), ((2, 3), [0.0, 1.0], [0.0, 1.0])],
+    ids=["grid1-longer", "surface-taller", "surface-wider"],
+)
+def test_lip_surface_csv_rejects_a_surface_off_its_grids(shape, grid1, grid2):
+    expected = f"surface shape {shape} does not match (len(grid1), len(grid2)) = {(len(grid1), len(grid2))}"
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        lip_surface_to_csv(np.ones(shape), grid1, grid2)
 
 
 def test_lip_surface_csv_headers():
