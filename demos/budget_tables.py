@@ -35,9 +35,9 @@ for name in ("classical", "option_pricing", "tuned"):
     print()
 
 # The shot-noise scale used by the noisy scenarios is not a free choice: it
-# follows from the ansatz dimensions, the confidence level and the assumed
-# caps on the linear-system conditioning.
+# follows from the ansatz dimensions, the confidence level (the paper's
+# eta = 0.05) and the assumed caps on the linear-system conditioning.
 sc = scenario("option_pricing")
-estimate = sigma_bound(sc.dims, eta=sc.eta, cap=60.0, gamma=3.0)
+estimate = sigma_bound(sc.dims, eta=0.05, cap=60.0, gamma=3.0)
 print(f"shot-noise scale implied by the ansatz dimensions: {estimate:.3e}")
 print(f"value pinned in the scenario registry:             {sc.sigma:.3e}")

@@ -5,21 +5,21 @@
 # overlapping curves, which overlap_check detects.
 
 from rkbudget import scenario, sweep
-from rkbudget.sensitivity import SweepSpec, default_factors, overlap_check
+from rkbudget.sensitivity import SweepSpec, overlap_check
 
-factors = default_factors(9)
+POINTS = 9  # scale factors per curve, log-spaced over [1/8, 8]
 
 print("noiseless evaluation cost, classical scenario, order 2 baseline")
 print("-" * 70)
 classical = scenario("classical")
 curves = {}
 for target in ("T", "K", "M", "L_fy", "L_ftau", "b_max", "epsilon"):
-    curves[target] = sweep(SweepSpec(base=classical, target=target, mode="cost", factors=factors))
+    curves[target] = sweep(SweepSpec(base=classical, target=target, mode="cost", points=POINTS))
 
 header = "factor " + " ".join(f"{t:>11}" for t in sorted(curves))
 print(header)
-for i, factor in enumerate(factors):
-    row = f"{factor:6.3f} " + " ".join(f"{curves[t][i].value:>11.4g}" for t in sorted(curves))
+for i, point in enumerate(curves["T"]):
+    row = f"{point.factor:6.3f} " + " ".join(f"{curves[t][i].value:>11.4g}" for t in sorted(curves))
     print(row)
 
 print()
@@ -33,11 +33,11 @@ print("-" * 70)
 option = scenario("option_pricing")
 ncirc_curves = {}
 for target in ("Sigma", "epsilon", "K", "M", "L_fy", "T"):
-    ncirc_curves[target] = sweep(SweepSpec(base=option, target=target, mode="ncirc", factors=factors))
+    ncirc_curves[target] = sweep(SweepSpec(base=option, target=target, mode="ncirc", points=POINTS))
 
 print("factor " + " ".join(f"{t:>11}" for t in sorted(ncirc_curves)))
-for i, factor in enumerate(factors):
-    print(f"{factor:6.3f} " + " ".join(f"{ncirc_curves[t][i].value:>11.4g}" for t in sorted(ncirc_curves)))
+for i, point in enumerate(ncirc_curves["T"]):
+    print(f"{point.factor:6.3f} " + " ".join(f"{ncirc_curves[t][i].value:>11.4g}" for t in sorted(ncirc_curves)))
 
 print()
 print("overlaps in circuit-budget mode:", overlap_check(ncirc_curves))

@@ -124,48 +124,43 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    sc = _load_scenario(args)
-    spec = sensitivity.SweepSpec(
-        base=sc,
-        target=args.target,
-        mode=args.mode,
-        factors=sensitivity.default_factors(args.points),
-        order=args.order,
-    )
+    grid = {key: value for key in ("points", "order") if (value := getattr(args, key)) is not None}
+    if args.target == "p" and grid:
+        raise CliError("--points and --order do not apply to --target p, which sweeps every order 1..10")
+    spec = sensitivity.SweepSpec(base=_load_scenario(args), target=args.target, mode=args.mode, **grid)
     curves = {args.target: sensitivity.sweep(spec)}
     _emit(args, sensitivity.curves_to_json(curves) if args.format == "json" else sensitivity.curves_to_csv(curves))
     return 0
 
 
-def _cmd_toy(args) -> int:
+def _cmd_study(args) -> int:
     nv_grid = _parse_range("--nv", args.nv)
     if any(nv < 1 for nv in nv_grid):
         raise CliError("nv values must be positive")
     if not math.isfinite(args.theta):
         raise CliError(f"--theta must be finite, got {args.theta}")
     seed = _seed(args)
-    if args.study != "lip" and args.samples < 30:
+    if args.samples < 30:
         raise CliError(f"--samples: need at least 30 samples per grid point, got {args.samples}")
-    if args.study == "kappa":
-        points = toymodel.kappa_study(nv_grid, args.samples, theta=args.theta, seed=seed)
-        if args.format == "json":
-            _emit(args, json_text([dict(zip(toymodel.STUDY_KEYS, astuple(p))) for p in points]))
-        else:
-            _emit(args, toymodel.study_to_csv(points))
-        return 0
-    if args.study == "norms":
-        studies = toymodel.norm_study(nv_grid, args.samples, theta=args.theta, seed=seed)
-        if args.format == "json":
-            payload = {name: [dict(zip(toymodel.STUDY_KEYS, astuple(p))) for p in points]
-                       for name, points in studies.items()}
-            _emit(args, json_text(payload))
-        else:
-            rows = [(name, *astuple(p)) for name in sorted(studies) for p in studies[name]]
-            _emit(args, csv_text(("study",) + toymodel.STUDY_KEYS, rows))
-        return 0
-    # lip surface
-    if len(nv_grid) != 1:
-        raise CliError("lip study takes a single nv value")
+    kappa = args.study == "kappa"
+    study = toymodel.kappa_study if kappa else toymodel.norm_study
+    result = study(nv_grid, args.samples, theta=args.theta, seed=seed)
+    if args.format == "json":
+        def records(points):
+            return [dict(zip(toymodel.STUDY_KEYS, astuple(p))) for p in points]
+        _emit(args, json_text(records(result) if kappa else {name: records(pts) for name, pts in result.items()}))
+    elif kappa:
+        _emit(args, toymodel.study_to_csv(result))
+    else:
+        rows = [(name, *astuple(p)) for name in sorted(result) for p in result[name]]
+        _emit(args, csv_text(("study",) + toymodel.STUDY_KEYS, rows))
+    return 0
+
+
+def _cmd_lip(args) -> int:
+    if args.nv < 1:
+        raise CliError("nv values must be positive")
+    seed = _seed(args)
     if not (math.isfinite(args.lo) and math.isfinite(args.hi)):
         raise CliError(f"--lo and --hi must be finite, got {args.lo} and {args.hi}")
     if args.lo >= args.hi:
@@ -174,7 +169,7 @@ def _cmd_toy(args) -> int:
         raise CliError(f"--hi - --lo overflows the float range, got --lo {args.lo} and --hi {args.hi}")
     if args.points < 2:
         raise CliError(f"--points must be at least 2, got {args.points}")
-    _, params = toymodel.sample_toy(nv_grid[0], theta=args.theta, rng=seed)
+    _, params = toymodel.sample_toy(args.nv, rng=seed)
     grid = np.linspace(args.lo, args.hi, args.points)
     surface = toymodel.lip_surface(params, grid, grid)
     if args.format == "json":
@@ -194,8 +189,7 @@ def _cmd_validate(args) -> int:
         raise CliError(f"--trials must be non-negative, got {args.trials}")
     if not 0.0 < args.eta < 1.0:  # NaN too
         raise CliError(f"--eta must lie in (0, 1), got {args.eta}")
-    # A NaN or infinite delta is left to the library's message.
-    if math.isfinite(args.delta) and args.delta != 0.0 and not DELTA_RANGE[0] <= args.delta <= DELTA_RANGE[1]:
+    if args.delta != 0.0 and not DELTA_RANGE[0] <= args.delta <= DELTA_RANGE[1]:  # NaN and +-inf too
         raise CliError(
             f"--delta must be 0 or lie in [{DELTA_RANGE[0]:g}, {DELTA_RANGE[1]:g}], where the"
             f" perturbation norms neither underflow nor overflow; got {args.delta:g}"
@@ -231,6 +225,8 @@ def _cmd_convergence(args) -> int:
         raise CliError(f"--steps: need at least 4 step counts, all distinct, got {args.steps!r}")
     if min(steps) < 1:
         raise CliError(f"--steps: step counts must be at least 1, got {args.steps!r}")
+    if not 0.0 < args.horizon < math.inf:  # NaN too
+        raise CliError(f"--horizon must be finite and positive, got {args.horizon}")
     _check_horizon("--horizon", args.horizon)
     _check_step("--horizon", args.horizon, max(steps), "the largest of --steps")
     try:
@@ -266,20 +262,26 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sweep, scenario_default="classical")
     p_sweep.add_argument("--target", required=True, choices=sensitivity.SWEEP_TARGETS)
     p_sweep.add_argument("--mode", choices=sensitivity.SWEEP_MODES, default="cost")
-    p_sweep.add_argument("--points", type=int, default=25, help="odd number of scale factors in [1/8, 8]")
-    p_sweep.add_argument("--order", type=int, default=sensitivity.DEFAULT_ORDER)
+    p_sweep.add_argument("--points", type=int, help=f"odd number of factors in [1/8, 8] (default {sensitivity.DEFAULT_POINTS})")
+    p_sweep.add_argument("--order", type=int, help=f"order held fixed (default {sensitivity.DEFAULT_ORDER})")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_toy = sub.add_parser("toy", help="random-surrogate studies (kappa, norms, lip)")
-    p_toy.add_argument("study", choices=("kappa", "norms", "lip"))
-    add_common(p_toy, seeded=True)
-    p_toy.add_argument("--nv", required=True, help="dimension or range, e.g. 25 or 10:100:10")
-    p_toy.add_argument("--samples", type=int, default=100)
-    p_toy.add_argument("--theta", type=float, default=0.5)
-    p_toy.add_argument("--lo", type=float, default=0.0, help="lip grid lower end")
-    p_toy.add_argument("--hi", type=float, default=10.0, help="lip grid upper end")
-    p_toy.add_argument("--points", type=int, default=200, help="lip grid resolution")
-    p_toy.set_defaults(func=_cmd_toy)
+    studies = p_toy.add_subparsers(dest="study", required=True)
+    for study, measure in (("kappa", "condition number of A"), ("norms", "norms of A, C and A^-1 C")):
+        p_study = studies.add_parser(study, help=f"quantiles of the {measure} per dimension")
+        add_common(p_study, seeded=True)
+        p_study.add_argument("--nv", required=True, help="dimension or range, e.g. 25 or 10:100:10")
+        p_study.add_argument("--samples", type=int, default=100)
+        p_study.add_argument("--theta", type=float, default=0.5)
+        p_study.set_defaults(func=_cmd_study)
+    p_lip = studies.add_parser("lip", help="Lipschitz surface of one draw over a square grid")
+    add_common(p_lip, seeded=True)
+    p_lip.add_argument("--nv", type=int, required=True, help="dimension")
+    p_lip.add_argument("--lo", type=float, default=0.0, help="grid lower end")
+    p_lip.add_argument("--hi", type=float, default=10.0, help="grid upper end")
+    p_lip.add_argument("--points", type=int, default=200, help="grid resolution")
+    p_lip.set_defaults(func=_cmd_lip)
 
     p_val = sub.add_parser("validate", help="bound-dominance campaign on the benchmark ODE")
     add_common(p_val, scenario_default="classical", seeded=True)

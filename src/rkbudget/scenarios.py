@@ -5,7 +5,8 @@ the budget tables: ``classical`` (a one-dimensional exponential-growth ODE
 solved without noise), ``option_pricing`` (a European call priced via the
 log-price heat equation with shot noise) and ``tuned`` (the option-pricing
 setup with constants shifted to favor higher orders).  Override files with
-``key=value`` lines adjust individual constants without touching code.
+``key=value`` lines set, without touching code, the constants that the
+bounds and budgets read, and no other: see :func:`parse_overrides`.
 
 The module also carries the Black-Scholes machinery needed as a trusted
 reference: the change of variables onto the heat equation, the call
@@ -47,10 +48,10 @@ SCENARIO_NAMES = ("classical", "option_pricing", "tuned")
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete parameter set for budget analysis.
+    """The constants that budget analysis reads, and no other.
 
-    Noiseless scenarios leave ``sigma``, ``eta``, ``dims`` and
-    ``state_sensitivity`` unset; noisy ones must provide sigma.
+    Noiseless scenarios leave ``sigma`` and ``dims`` unset; noisy ones must
+    provide sigma.
     """
 
     name: str
@@ -59,9 +60,7 @@ class Scenario:
     b_max: float
     error_const: float
     sigma: float | None = None
-    eta: float | None = None
     dims: AnsatzDims | None = None
-    state_sensitivity: float | None = None
 
     @property
     def noisy(self) -> bool:
@@ -126,9 +125,7 @@ def scenario(name: str) -> Scenario:
             b_max=1.0,
             error_const=5.0,
             sigma=3.4e8,
-            eta=0.05,
             dims=AnsatzDims(n_params=25, n_strings=1, n_pauli=16),
-            state_sensitivity=1.0,
         )
     if name == "tuned":
         base = scenario("option_pricing")
@@ -144,12 +141,15 @@ def scenario(name: str) -> Scenario:
 
 # Override keys and where they land on the Scenario record.
 _PB_KEYS = {"L_fy": "lip_state", "L_ftau": "lip_time", "M": "field_bound", "T": "horizon", "epsilon": "target_error"}
-_SCALAR_KEYS = {"a_max": "a_max", "b_max": "b_max", "K": "error_const", "Sigma": "sigma", "eta": "eta", "S": "state_sensitivity"}
+_SCALAR_KEYS = {"a_max": "a_max", "b_max": "b_max", "K": "error_const", "Sigma": "sigma"}
 _DIM_KEYS = {"N_V": "n_params", "N_d": "n_strings", "N": "n_pauli"}
 
 
 def parse_overrides(text: str) -> dict[str, float]:
-    """Parse ``key=value`` lines; blank lines and ``#`` comments allowed."""
+    """Parse ``key=value`` lines; blank lines and ``#`` comments allowed.
+
+    The keys are ``T, K, M, L_fy, L_ftau, epsilon, a_max, b_max, Sigma`` and
+    the ansatz dimensions ``N_V, N_d, N``."""
     overrides: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -169,8 +169,8 @@ def apply_overrides(base: Scenario, overrides: Mapping[str, float] | Path) -> Sc
 
     ``overrides`` may be a mapping or the path of a file of ``key=value``
     lines (see :func:`parse_overrides`).  Unknown keys are rejected, and so
-    are non-finite constants, ``eta`` outside (0, 1) and fractional
-    dimensions, each with a message naming the key.
+    are non-finite constants and fractional dimensions, each with a message
+    naming the key.
     """
     if isinstance(overrides, Path):
         overrides = parse_overrides(overrides.read_text())
@@ -199,12 +199,10 @@ def apply_overrides(base: Scenario, overrides: Mapping[str, float] | Path) -> Sc
 
 
 def _checked_scalar(key: str, value: float) -> float:
-    """``value`` if it may stand for the scalar override ``key``: finite, and
-    inside (0, 1) for ``eta``; otherwise a ValueError naming the key."""
+    """``value`` if it may stand for the scalar override ``key`` (it is
+    finite); otherwise a ValueError naming the key."""
     if not math.isfinite(value):
         raise ValueError(f"{key} must be finite, got {value!r}")
-    if key == "eta" and not 0.0 < value < 1.0:
-        raise ValueError(f"eta must lie in (0, 1), got {value!r}")
     return value
 
 

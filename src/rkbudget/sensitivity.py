@@ -15,7 +15,7 @@ through products, several sweep curves coincide exactly;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -32,23 +32,25 @@ __all__ = ["SweepSpec", "SweepPoint", "SWEEP_TARGETS", "default_factors", "sweep
 SWEEP_TARGETS = ("p", "T", "K", "M", "L_fy", "L_ftau", "b_max", "a_max", "Sigma", "epsilon")
 SWEEP_MODES = ("cost", "ncirc")
 DEFAULT_ORDER = 2
+DEFAULT_POINTS = 25
 
 
-def default_factors(num: int = 25) -> np.ndarray:
-    """Log-spaced scaling factors between 1/8 and 8, including exactly 1."""
-    if num < 3 or num % 2 == 0:
-        raise ValueError("num must be an odd integer >= 3 so the grid contains factor 1")
-    return 2.0 ** np.linspace(-3.0, 3.0, num)
+def default_factors(points: int = DEFAULT_POINTS) -> np.ndarray:
+    """``points`` log-spaced scaling factors between 1/8 and 8, including exactly 1."""
+    if points < 3 or points % 2 == 0:
+        raise ValueError(f"points must be an odd integer >= 3 so the grid contains factor 1, got {points}")
+    return 2.0 ** np.linspace(-3.0, 3.0, points)
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: a base scenario, the constant to rescale and the mode."""
+    """One sweep: a base scenario, the constant to rescale and the mode; the
+    grid size ``points`` and the ``order`` apply to every target but ``p``."""
 
     base: Scenario
     target: str
     mode: str = "cost"
-    factors: np.ndarray = field(default_factory=default_factors)
+    points: int = DEFAULT_POINTS
     order: int = DEFAULT_ORDER
 
     def __post_init__(self):
@@ -60,10 +62,6 @@ class SweepSpec:
             raise ValueError("Sigma can only be swept in ncirc mode")
         if self.mode == "ncirc" and (self.base.sigma is None or self.base.dims is None):
             raise ValueError("ncirc mode needs a scenario with sigma and ansatz dimensions")
-        factors = np.asarray(self.factors, dtype=float)
-        if not np.all(np.isfinite(factors) & (factors > 0)):
-            raise ValueError("scale factors must be finite and positive")
-        object.__setattr__(self, "factors", factors)
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,8 @@ def sweep(spec: SweepSpec) -> list[SweepPoint]:
     """Evaluate the sweep curve.
 
     For every target except ``p`` the x-axis is the multiplicative factor
-    applied to that constant; for ``p`` the curve runs over the integer
+    applied to that constant, over ``default_factors(spec.points)``, built
+    once per sweep; for ``p`` the curve runs over the integer
     orders 1..10 (with matching minimal stage counts) and the factor column
     carries the order.  Infeasible points are flagged in place.
 
@@ -101,7 +100,7 @@ def sweep(spec: SweepSpec) -> list[SweepPoint]:
     if spec.target == "p":
         return [point(float(p), sc.pb, profile(p)) for p in range(1, 11)]
     key, value, prof = spec.target, override_value(sc, spec.target), profile(spec.order)
-    factors = map(float, spec.factors)
+    factors = map(float, default_factors(spec.points))
     if key in _PB_KEYS:
         pb_fields = vars(sc.pb)
         return [point(f, ProblemBounds(**{**pb_fields, _PB_KEYS[key]: value * f}), prof) for f in factors]

@@ -298,8 +298,6 @@ def test_override_nan_constant_exits_2(capsys, tmp_path):
     [
         ("Sigma=nan", "Sigma must be finite"),
         ("Sigma=inf", "Sigma must be finite"),
-        ("S=-inf", "S must be finite"),
-        ("eta=nan", "eta must be finite"),
         ("eta=7", "eta must lie in (0, 1)"),
         ("eta=0", "eta must lie in (0, 1)"),
         ("eta=1", "eta must lie in (0, 1)"),
@@ -311,9 +309,15 @@ def test_override_nan_constant_exits_2(capsys, tmp_path):
     ],
 )
 def test_override_rejects_bad_values_exits_2(capsys, tmp_path, text, message):
-    code, out, err = run_with_overrides(
-        capsys, tmp_path, text + "\n", "table", "--scenario", "option_pricing", "--format", "json"
-    )
+    key, value = text.split("=")
+    if key == "eta":
+        # eta is no override key (an override file naming it exits 2 with unknown
+        # key); its range is checked where validate takes it, as --eta
+        code, out, err = run_cli(capsys, "validate", "--method", "euler", "--delta", "0", f"--eta={value}")
+    else:
+        code, out, err = run_with_overrides(
+            capsys, tmp_path, text + "\n", "table", "--scenario", "option_pricing", "--format", "json"
+        )
     assert code == 2
     assert message in err
     assert out == ""
@@ -494,11 +498,13 @@ COUNTS = st.one_of(st.integers(-3, 6).map(str), st.floats(-3.0, 6.0).map(repr))
 
 @st.composite
 def toy_requests(draw):
+    # only the drawn study's own options, so that no request stops at
+    # argparse for an option its study does not take
     study = draw(st.sampled_from(("kappa", "norms", "lip")))
     argv = ["toy", study, "--nv", str(draw(st.integers(1, 4))), "--format", draw(st.sampled_from(("csv", "json"))),
-            "--seed", "1", f"--theta={draw(SIGNED_MAGNITUDES)!r}"]
+            "--seed", "1"]
     if study != "lip":
-        return [*argv, "--samples", "30"]
+        return [*argv, f"--theta={draw(SIGNED_MAGNITUDES)!r}", "--samples", "30"]
     return [*argv, f"--lo={draw(SIGNED_MAGNITUDES)!r}", f"--hi={draw(SIGNED_MAGNITUDES)!r}",
             "--points", str(draw(st.integers(1, 5)))]
 
@@ -669,6 +675,13 @@ def test_sweep_unit_factor_agreement(capsys):
     assert all(v == pytest.approx(values[0], rel=1e-12) for v in values)
 
 
+@pytest.mark.parametrize("points", ["4", "1", "-3"])
+def test_sweep_without_factor_1_on_its_grid_exits_2_naming_points(capsys, points):
+    code, out, err = run_cli(capsys, "sweep", "--target", "K", "--points", points)
+    assert (code, out) == (2, "")
+    assert err == f"error: points must be an odd integer >= 3 so the grid contains factor 1, got {points}\n"
+
+
 def test_sweep_sigma_in_cost_mode_rejected(capsys):
     code, _, err = run_cli(capsys, "sweep", "--target", "Sigma", "--mode", "cost")
     assert code == 2
@@ -747,9 +760,10 @@ def test_toy_lip_csv_is_the_per_cell_rendering_of_its_surface(capsys, seed, poin
 
 
 def test_toy_lip_requires_single_nv(capsys):
-    code, _, err = run_cli(capsys, "toy", "lip", "--nv", "5:10:5")
-    assert code == 2
-    assert "single" in err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["toy", "lip", "--nv", "5:10:5"])
+    assert excinfo.value.code == 2
+    assert "argument --nv: invalid int value: '5:10:5'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -763,7 +777,6 @@ def test_toy_lip_requires_single_nv(capsys):
         ("lip --lo=-1e308 --hi=1e308", "--hi - --lo overflows the float range, got --lo -1e+308 and --hi 1e+308"),
         ("lip --points 0", "--points must be at least 2"),
         ("lip --points 1", "--points must be at least 2"),
-        ("lip --theta nan", "--theta must be finite"),
         ("kappa --theta inf", "--theta must be finite"),
         ("norms --theta=-inf", "--theta must be finite"),
         ("kappa --seed -1", "--seed must be a non-negative integer, got -1"),
@@ -773,7 +786,8 @@ def test_toy_lip_requires_single_nv(capsys):
 )
 def test_toy_rejects_bad_inputs_exits_2(capsys, args, message):
     study, *rest = args.split()
-    code, out, err = run_cli(capsys, "toy", study, "--nv", "4", "--samples", "30", *rest)
+    samples = () if study == "lip" else ("--samples", "30")
+    code, out, err = run_cli(capsys, "toy", study, "--nv", "4", *samples, *rest)
     assert code == 2
     assert message in err
     assert out == ""
@@ -890,15 +904,23 @@ def test_validate_csv_is_byte_identical(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == VALIDATE_CSV_DIGESTS[argv]
 
 
+DELTA_MESSAGE = ("--delta must be 0 or lie in [1e-150, 1e+150], where the perturbation norms neither underflow"
+                 " nor overflow; got ")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("validate", "--method", "euler", "--delta", "nan"), "delta must be finite and non-negative, got nan"),
-        (("validate", "--method", "euler", "--delta", "inf"), "delta must be finite and non-negative, got inf"),
-        (("convergence", "--method", "euler", "--horizon", "nan"), "horizon must be finite and positive, got nan"),
-        (("convergence", "--method", "euler", "--horizon", "inf"), "horizon must be finite and positive, got inf"),
+        (("validate", "--method", "euler", "--delta", "nan"), f"{DELTA_MESSAGE}nan"),
+        (("validate", "--method", "euler", "--delta", "inf"), f"{DELTA_MESSAGE}inf"),
+        (("validate", "--method", "euler", "--delta=-inf"), f"{DELTA_MESSAGE}-inf"),
+        (("convergence", "--method", "euler", "--horizon", "nan"), "--horizon must be finite and positive, got nan"),
+        (("convergence", "--method", "euler", "--horizon", "inf"), "--horizon must be finite and positive, got inf"),
+        (("convergence", "--method", "euler", "--horizon=-1"), "--horizon must be finite and positive, got -1.0"),
+        (("convergence", "--method", "euler", "--horizon", "0"), "--horizon must be finite and positive, got 0.0"),
     ],
-    ids=["validate-delta-nan", "validate-delta-inf", "convergence-horizon-nan", "convergence-horizon-inf"],
+    ids=["validate-delta-nan", "validate-delta-inf", "validate-delta-minus-inf", "convergence-horizon-nan",
+         "convergence-horizon-inf", "convergence-horizon-minus-1", "convergence-horizon-0"],
 )
 def test_non_finite_inputs_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -1196,3 +1218,38 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
 
 def test_build_parser_returns_a_fresh_parser():
     assert cli.build_parser() is not cli.build_parser()
+
+
+# -- a setting that nothing reads is rejected ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("toy", "lip", "--theta", "0.5"), ("toy", "lip", "--samples", "30")]
+    + [("toy", study, option, "1") for study in ("kappa", "norms") for option in ("--lo", "--hi", "--points")],
+    ids=" ".join,
+)
+def test_an_option_the_study_does_not_read_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv[:2], "--nv", "2", *argv[2:]])
+    assert excinfo.value.code == 2
+    assert f"error: unrecognized arguments: {argv[2]} {argv[3]}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [("--points", "9"), ("--order", "7"), ("--points", "25", "--order", "2")],
+                         ids=" ".join)
+def test_sweep_over_the_orders_takes_no_grid(capsys, grid):
+    code, out, err = run_cli(capsys, "sweep", "--target", "p", *grid)
+    assert (code, out) == (2, "")
+    assert err == "error: --points and --order do not apply to --target p, which sweeps every order 1..10\n"
+
+
+@pytest.mark.parametrize("key", ["S", "eta"])
+@pytest.mark.parametrize(
+    "argv", [("table",), ("sweep", "--target", "K"), ("validate", "--method", "euler", "--delta", "0")],
+    ids=["table", "sweep", "validate"],
+)
+def test_override_keys_no_formula_reads_are_unknown(capsys, tmp_path, key, argv):
+    code, out, err = run_with_overrides(capsys, tmp_path, f"{key}=0.5\n", *argv, "--scenario", "option_pricing")
+    assert (code, out) == (2, "")
+    assert err == f"error: bad override file: line 1: unknown key {key!r}\n"

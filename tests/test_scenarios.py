@@ -42,14 +42,12 @@ def test_classical_registry_values(classical):
 
 def test_option_pricing_registry_values(option_pricing):
     assert option_pricing.sigma == 3.4e8
-    assert option_pricing.eta == 0.05
     assert option_pricing.pb.lip_state == 15.0
     assert option_pricing.pb.horizon == 0.04
     assert option_pricing.pb.field_bound == 60.0
     assert option_pricing.dims.n_params == 25
     assert option_pricing.dims.n_strings == 1
     assert option_pricing.dims.n_pauli == 16
-    assert option_pricing.state_sensitivity == 1.0
     assert option_pricing.noisy
 
 
@@ -295,9 +293,9 @@ def test_apply_overrides_from_file(tmp_path, classical):
     "overrides, message",
     [
         ({"Sigma": math.nan}, "Sigma must be finite"),
-        ({"S": math.inf}, "S must be finite"),
-        ({"eta": -math.inf}, "eta must be finite"),
-        ({"eta": 1.5}, r"eta must lie in \(0, 1\)"),
+        ({"S": math.inf}, "unknown override key 'S'"),  # S and eta: no formula reads them
+        ({"eta": -math.inf}, "unknown override key 'eta'"),
+        ({"eta": 0.5}, "unknown override key 'eta'"),
         ({"b_max": math.nan}, "b_max must be finite"),
         ({"N_V": 2.5}, "N_V must be a whole number"),
         ({"N": math.nan}, "N must be a whole number"),

@@ -21,7 +21,7 @@ from rkbudget.tableaux import MethodProfile, min_stages
 
 
 def run(sc, target, mode="cost", points=9, order=2):
-    return sweep(SweepSpec(base=sc, target=target, mode=mode, factors=default_factors(points), order=order))
+    return sweep(SweepSpec(base=sc, target=target, mode=mode, points=points, order=order))
 
 
 def test_default_factors_contain_one():
@@ -45,8 +45,11 @@ def test_spec_validation(classical, option_pricing):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 @pytest.mark.parametrize("target", ["K", "p"])
 def test_spec_rejects_factors_that_are_not_finite_and_positive(classical, bad, target):
-    with pytest.raises(ValueError, match="scale factors must be finite and positive"):
+    # a spec takes a point count, not a factor list, so every factor a sweep
+    # evaluates comes from its own grid
+    with pytest.raises(TypeError, match="factors"):
         SweepSpec(base=classical, target=target, factors=[0.5, bad, 2.0])
+    assert all(0.0 < p.factor < math.inf for p in sweep(SweepSpec(base=classical, target=target)))
 
 
 def test_cost_decreases_with_target_error(classical):
@@ -147,7 +150,8 @@ def parent_sweep(spec):
         return [point(spec.base, p, float(p)) for p in range(1, 11)]
     value = override_value(spec.base, spec.target)
     return [
-        point(apply_overrides(spec.base, {spec.target: value * f}), spec.order, f) for f in map(float, spec.factors)
+        point(apply_overrides(spec.base, {spec.target: value * f}), spec.order, f)
+        for f in map(float, default_factors(spec.points))
     ]
 
 
