@@ -35,6 +35,11 @@ from .tableaux import BUILTIN_METHODS, builtin_tableau
 
 DEFAULT_SEED = 20240817
 SEED_ENV_VAR = "RKBUDGET_SEED"
+# Grid sizes far above the README's (25 sweep points, a 200-point lip grid),
+# so that a mistyped count exits 2 instead of allocating rows or a
+# points x points surface in proportion to it.
+MAX_SWEEP_POINTS = 1001
+MAX_LIP_POINTS = 1000
 
 
 class CliError(Exception):
@@ -127,6 +132,10 @@ def _cmd_sweep(args) -> int:
     grid = {key: value for key in ("points", "order") if (value := getattr(args, key)) is not None}
     if args.target == "p" and grid:
         raise CliError("--points and --order do not apply to --target p, which sweeps every order 1..10")
+    if args.order is not None and not 1 <= args.order <= 10:
+        raise CliError(f"--order must lie within 1..10, got {args.order}")
+    if args.points is not None and args.points > MAX_SWEEP_POINTS:
+        raise CliError(f"--points must be at most {MAX_SWEEP_POINTS}, got {args.points}")
     spec = sensitivity.SweepSpec(base=_load_scenario(args), target=args.target, mode=args.mode, **grid)
     curves = {args.target: sensitivity.sweep(spec)}
     _emit(args, sensitivity.curves_to_json(curves) if args.format == "json" else sensitivity.curves_to_csv(curves))
@@ -136,7 +145,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_study(args) -> int:
     nv_grid = _parse_range("--nv", args.nv)
     if any(nv < 1 for nv in nv_grid):
-        raise CliError("nv values must be positive")
+        raise CliError(f"--nv: dimensions must be positive, got {args.nv!r}")
     if not math.isfinite(args.theta):
         raise CliError(f"--theta must be finite, got {args.theta}")
     seed = _seed(args)
@@ -159,7 +168,7 @@ def _cmd_study(args) -> int:
 
 def _cmd_lip(args) -> int:
     if args.nv < 1:
-        raise CliError("nv values must be positive")
+        raise CliError(f"--nv must be positive, got {args.nv}")
     seed = _seed(args)
     if not (math.isfinite(args.lo) and math.isfinite(args.hi)):
         raise CliError(f"--lo and --hi must be finite, got {args.lo} and {args.hi}")
@@ -167,8 +176,8 @@ def _cmd_lip(args) -> int:
         raise CliError(f"--lo must be below --hi, got {args.lo} >= {args.hi}")
     if not math.isfinite(args.hi - args.lo):
         raise CliError(f"--hi - --lo overflows the float range, got --lo {args.lo} and --hi {args.hi}")
-    if args.points < 2:
-        raise CliError(f"--points must be at least 2, got {args.points}")
+    if not 2 <= args.points <= MAX_LIP_POINTS:
+        raise CliError(f"--points must be at least 2 and at most {MAX_LIP_POINTS}, got {args.points}")
     _, params = toymodel.sample_toy(args.nv, rng=seed)
     grid = np.linspace(args.lo, args.hi, args.points)
     surface = toymodel.lip_surface(params, grid, grid)

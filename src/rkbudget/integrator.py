@@ -19,8 +19,6 @@ from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
-from .formats import csv_text
-
 __all__ = [
     "NoiseSpec",
     "EvaluationOracle",
@@ -30,7 +28,6 @@ __all__ = [
     "rk_step",
     "integrate",
     "empirical_order",
-    "trajectory_to_csv",
 ]
 
 NOISE_MODES = ("gaussian", "clipped-gaussian")
@@ -110,7 +107,7 @@ class NoiseSpec:
         block += 0.0
         # Row norms as dot products, like np.linalg.norm of a single draw, so
         # that a block and per-evaluation draws clip alike bit for bit.
-        norms = np.sqrt((block[..., None, :] @ block[..., :, None])[..., 0, 0])
+        norms = np.sqrt(np.vecdot(block, block))
         over = norms > delta
         exceeded = int(np.count_nonzero(over))
         if exceeded and self.mode == "clipped-gaussian":
@@ -187,8 +184,10 @@ def rk_step(tableau, oracle: Callable, tau_n: float, y_n: np.ndarray, dt: float)
     y_n.shape`` and each increment is reshaped to ``y_n.shape``, both views.
     Stage sums contract the buffer's rows with the tableau's precomputed
     ``stage_rows``, so a batch row is stepped by the same arithmetic as a
-    lone state, up to BLAS summation order.  Each stage costs one field call
-    and a few small numpy calls.
+    lone state, up to BLAS summation order.  The stage and step sums call
+    ``ndarray.dot``: the same BLAS gemv as the ``@`` operator, bit for bit,
+    without the matmul ufunc's dispatch, which costs more than the sum of a
+    few rows.  Each stage costs one field call and a few small numpy calls.
     """
     if not 0.0 < dt < math.inf:  # NaN too
         raise ValueError(f"dt must be finite and positive, got {dt}")
@@ -202,15 +201,15 @@ def rk_step(tableau, oracle: Callable, tau_n: float, y_n: np.ndarray, dt: float)
     y_stage = y_n
     for i, (a_row, c_i) in enumerate(rows):
         if i:
-            y_stage = y_n + (dt * (a_row @ flat[:i])).reshape(y_n.shape)
+            y_stage = y_n + (dt * a_row.dot(flat[:i])).reshape(y_n.shape)
         ks[i] = oracle(tau_n + c_i * dt, y_stage)
         # Exact: 0 * x is +-0 for finite x, however large, and NaN for +-inf
-        # or NaN.  vdot, unlike matmul, warns of no invalid value at inf * 0.
+        # or NaN.  vdot, unlike dot and matmul, warns of no invalid value at inf * 0.
         # Checked per stage, before the next stage state is built from it, so
         # a field never sees a state derived from a non-finite value.
         if not math.isfinite(np.vdot(flat[i], zeros)):
             raise StepFailureError(f"non-finite field value at stage {i + 1}", stage=i + 1)
-    return y_n + (dt * (tableau.b @ flat)).reshape(y_n.shape)
+    return y_n + (dt * tableau.b.dot(flat)).reshape(y_n.shape)
 
 
 def integrate(
@@ -295,12 +294,3 @@ def empirical_order(tableau, problem, steps: Iterable[int], horizon: float) -> f
     dts = horizon / np.array(steps, dtype=float)
     slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
     return slope
-
-
-def trajectory_to_csv(traj: Trajectory) -> str:
-    """Render a trajectory as CSV with header ``step,tau,y_0,...,y_{dim-1}``."""
-    if traj.states.ndim != 2:
-        raise ValueError("trajectory_to_csv renders one trajectory; select a batch row with states[:, t]")
-    header = ["step", "tau"] + [f"y_{i}" for i in range(traj.states.shape[1])]
-    rows = enumerate(zip(traj.times.tolist(), traj.states.tolist()))
-    return csv_text(header, ((k, tau, *state) for k, (tau, state) in rows))

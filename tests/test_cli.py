@@ -81,6 +81,10 @@ def test_table_orders_subrange(capsys):
         (("toy", "kappa", "--nv", "10:5"), "--nv: range '10:5' is empty"),
         (("toy", "kappa", "--nv", "10:20:0"), "--nv: bad integer range '10:20:0'"),
         (("toy", "norms", "--nv", "20:10:5"), "--nv: range '20:10:5' is empty"),
+        (("sweep", "--target", "K", "--order", "0"), "--order must lie within 1..10, got 0\n"),
+        (("sweep", "--target", "K", "--order", "11"), "--order must lie within 1..10, got 11\n"),
+        # past the cap, so that no grid of this size is built
+        (("sweep", "--target", "K", "--points", "1003"), "--points must be at most 1001, got 1003\n"),
     ],
 )
 def test_bad_integer_ranges_exit_2(capsys, argv, message):
@@ -180,6 +184,13 @@ PINNED_DIGESTS = {
      "--format", "json"): "2581a74decdfaf21ca27cbaf76a5e9484cb76bc965237d3c12c00ab280c09e1f",
     ("toy", "kappa", "--nv", "10:50:10", "--samples", "30", "--seed", "18446744073709551619"):
         "dd4d7f22950505e0cc2a4f992bdf113458eb2b2c739616c839f488cebe761945",
+    # default 1000-trial, 100-step clipped campaigns: two- and three-stage
+    # sums over a (1000, 1) batch, recorded while the stage sums went through
+    # the matmul operator
+    ("validate", "--method", "heun2", "--mode", "clipped", "--delta", "1e-4", "--format", "json"):
+        "4c23b9211f979978c800a0b9271add4a69859da73286b7fbdd2e86bc9d3004b5",
+    ("validate", "--method", "kutta3", "--mode", "clipped", "--delta", "1e-4", "--format", "json"):
+        "3b2861e457fba3b1fe287cce4f6b2776176b8a216061e82f29e6ec033f44bcdc",
 }
 
 
@@ -777,6 +788,9 @@ def test_toy_lip_requires_single_nv(capsys):
         ("lip --lo=-1e308 --hi=1e308", "--hi - --lo overflows the float range, got --lo -1e+308 and --hi 1e+308"),
         ("lip --points 0", "--points must be at least 2"),
         ("lip --points 1", "--points must be at least 2"),
+        ("lip --points 1001", "--points must be at least 2 and at most 1000, got 1001"),
+        ("lip --nv 0", "--nv must be positive, got 0"),
+        ("kappa --nv 0:2", "--nv: dimensions must be positive, got '0:2'"),
         ("kappa --theta inf", "--theta must be finite"),
         ("norms --theta=-inf", "--theta must be finite"),
         ("kappa --seed -1", "--seed must be a non-negative integer, got -1"),

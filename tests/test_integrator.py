@@ -1,4 +1,3 @@
-import hashlib
 import math
 import warnings
 
@@ -21,7 +20,6 @@ from rkbudget.integrator import (
     empirical_order,
     integrate,
     rk_step,
-    trajectory_to_csv,
 )
 from rkbudget.scenarios import AnalyticProblem, exp_ode
 from rkbudget.tableaux import BUILTIN_METHODS, ButcherTableau, builtin_tableau
@@ -345,37 +343,6 @@ def test_empirical_order_needs_four_distinct_step_counts():
         empirical_order(builtin_tableau("euler"), exp_ode(), [64, 64, 64, 64], horizon=5.0)
     with pytest.raises(ValueError, match="4 distinct step counts"):
         empirical_order(builtin_tableau("euler"), exp_ode(), [32, 64, 64, 128], horizon=5.0)
-
-
-def test_trajectory_csv_format():
-    traj = integrate(builtin_tableau("euler"), EvaluationOracle(half_field), np.array([1.0, 2.0]), 0.0, 1.0, 2)
-    text = trajectory_to_csv(traj)
-    lines = text.strip().splitlines()
-    assert lines[0] == "step,tau,y_0,y_1"
-    assert len(lines) == 4
-    first = lines[1].split(",")
-    assert first[0] == "0"
-    assert float(first[2]) == 1.0
-    assert float(first[3]) == 2.0
-
-
-def test_trajectory_csv_is_byte_identical():
-    # pinned bytes of an rk4 trajectory whose first component starts at -0.0
-    def field(tau, y):
-        return np.stack([-0.0 * np.ones_like(y[..., 0]), -y[..., 1]], axis=-1)
-
-    traj = integrate(builtin_tableau("rk4"), field, np.array([-0.0, 1.0]), 0.0, 1.0, 8)
-    text = trajectory_to_csv(traj)
-    assert text.splitlines()[1] == "0,0.0000000000000000e+00,-0.0000000000000000e+00,1.0000000000000000e+00"
-    assert hashlib.sha256(text.encode()).hexdigest() == "5d94b8972037dac8661e2c76584f1b6d30a53b2c19dbe08b88224a8894c53e43"
-
-
-def test_trajectory_csv_rejects_a_batch():
-    traj = integrate(builtin_tableau("euler"), EvaluationOracle(half_field), np.ones((3, 2)), 0.0, 1.0, 2)
-    with pytest.raises(ValueError, match="one trajectory"):
-        trajectory_to_csv(traj)
-    row = trajectory_to_csv(Trajectory(times=traj.times, states=traj.states[:, 1]))
-    assert row.splitlines()[0] == "step,tau,y_0,y_1"
 
 
 # --------------------------------------------------------------------------
