@@ -32,7 +32,6 @@ from .budget import (
 )
 from .harness import (
     CampaignReport,
-    delta_to_shots,
     shots_to_delta,
     validate_noiseless_bound,
     validate_noisy_bound,

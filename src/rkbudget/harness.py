@@ -7,6 +7,11 @@ constants, which describe that ODE.  In clipped noise mode every
 perturbation satisfies the norm bound deterministically, so any violation
 signals an implementation defect; in plain Gaussian mode the per-evaluation
 exceedance rate itself is the quantity under test.
+
+A noisy campaign draws each trial's perturbations up front, one row per
+trial, then steps all trials as one ``(trials, dim)`` batch.  It reads the
+draws from one evaluation-major copy of that block, so each field
+evaluation adds one contiguous ``(trials, dim)`` slab.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ __all__ = [
     "validate_noiseless_bound",
     "validate_noisy_bound",
     "shots_to_delta",
-    "delta_to_shots",
     "report_record",
     "report_to_json",
 ]
@@ -139,18 +143,27 @@ def validate_noisy_bound(
     reference = problem.exact(sc.pb.horizon)
     bound = global_error_bound_noisy(sc.pb, prof, n_steps, delta)
     streams = KeyedStreams((seed,), range(trials))
-    block, exceedances = noise.perturbations(streams, n_steps * tableau.stages, problem.y0.size)
+    count = n_steps * tableau.stages
+    block, exceedances = noise.perturbations(streams, count, problem.y0.size)
+    # One evaluation-major copy, (count, trials, dim), in place of the
+    # stream-major block: evaluation k adds block[k], a contiguous slab,
+    # where block[:, k] would be a strided column.
+    block = np.ascontiguousarray(block.swapaxes(0, 1))
     calls = 0
 
     def noisy_field(tau, y):
         nonlocal calls
-        value = problem.field(tau, y) + block[:, calls]
+        if calls == count:
+            raise RuntimeError(f"stepping asked for more than {count} field evaluations per trial,"
+                               f" the noise block holds {count}")
+        value = problem.field(tau, y)
+        value += block[calls]  # in place: exp_ode's field returns a new (trials, dim) array, held nowhere else
         calls += 1
         return value
 
     traj = integrate(tableau, noisy_field, np.tile(problem.y0, (trials, 1)), 0.0, sc.pb.horizon, n_steps)
-    if calls != block.shape[1]:
-        raise RuntimeError(f"stepping made {calls} field evaluations per trial, the noise block holds {block.shape[1]}")
+    if calls != count:
+        raise RuntimeError(f"stepping made {calls} field evaluations per trial, the noise block holds {count}")
     violations, worst = _tally(_error_norm(traj.final - reference), bound)
     config = {
         "campaign": "noisy-dominance",
@@ -179,15 +192,6 @@ def shots_to_delta(sigma: float, n_shots: float) -> float:
     if not 0.0 < n_shots < math.inf:
         raise ValueError(f"n_shots must be finite and positive, got {n_shots}")
     return sigma / math.sqrt(n_shots)
-
-
-def delta_to_shots(sigma: float, delta: float) -> float:
-    """Shot count needed for a target noise bound: ``(sigma / delta)**2``."""
-    if not 0.0 < sigma < math.inf:  # NaN too
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be finite and positive, got {delta}")
-    return (sigma / delta) ** 2
 
 
 def report_record(report: CampaignReport) -> dict:

@@ -187,7 +187,10 @@ def rk_step(tableau, oracle: Callable, tau_n: float, y_n: np.ndarray, dt: float)
     lone state, up to BLAS summation order.  The stage and step sums call
     ``ndarray.dot``: the same BLAS gemv as the ``@`` operator, bit for bit,
     without the matmul ufunc's dispatch, which costs more than the sum of a
-    few rows.  Each stage costs one field call and a few small numpy calls.
+    few rows.  They are scaled by ``dt`` held as a 0-d float64 array, built
+    once per step: under NEP 50 a Python float costs the multiply a scalar
+    conversion at every call, and the IEEE product is the same.  Each stage
+    costs one field call and a few small numpy calls.
     """
     if not 0.0 < dt < math.inf:  # NaN too
         raise ValueError(f"dt must be finite and positive, got {dt}")
@@ -198,10 +201,11 @@ def rk_step(tableau, oracle: Callable, tau_n: float, y_n: np.ndarray, dt: float)
     flat = np.empty((len(rows), y_n.size))
     ks = flat.reshape((len(rows),) + y_n.shape)
     zeros = np.zeros(y_n.size)
+    h = np.array(dt, dtype=float)
     y_stage = y_n
     for i, (a_row, c_i) in enumerate(rows):
         if i:
-            y_stage = y_n + (dt * a_row.dot(flat[:i])).reshape(y_n.shape)
+            y_stage = y_n + (h * a_row.dot(flat[:i])).reshape(y_n.shape)
         ks[i] = oracle(tau_n + c_i * dt, y_stage)
         # Exact: 0 * x is +-0 for finite x, however large, and NaN for +-inf
         # or NaN.  vdot, unlike dot and matmul, warns of no invalid value at inf * 0.
@@ -209,7 +213,7 @@ def rk_step(tableau, oracle: Callable, tau_n: float, y_n: np.ndarray, dt: float)
         # a field never sees a state derived from a non-finite value.
         if not math.isfinite(np.vdot(flat[i], zeros)):
             raise StepFailureError(f"non-finite field value at stage {i + 1}", stage=i + 1)
-    return y_n + (dt * tableau.b.dot(flat)).reshape(y_n.shape)
+    return y_n + (h * tableau.b.dot(flat)).reshape(y_n.shape)
 
 
 def integrate(

@@ -215,10 +215,17 @@ def override_value(sc: Scenario, key: str) -> float | None:
     return getattr(sc, _SCALAR_KEYS[key])
 
 
+# exp_ode's rate as a read-only 0-d float64: under NEP 50 a Python-float
+# operand costs the multiply a scalar conversion at every call, and the IEEE
+# product is the same.
+_HALF = np.array(0.5)
+_HALF.setflags(write=False)
+
+
 def exp_ode() -> AnalyticProblem:
     """The benchmark ODE ``y' = y / 2`` from y(0) = 1, solved by ``exp(tau / 2)``."""
     return AnalyticProblem(
-        field=lambda tau, y: 0.5 * np.asarray(y, dtype=float),
+        field=lambda tau, y: _HALF * np.asarray(y, dtype=float),
         exact=lambda tau: np.array([math.exp(0.5 * tau)]),
         y0=np.array([1.0]),
     )

@@ -62,7 +62,10 @@ class ButcherTableau:
     ``stage_rows`` holds, per stage ``i``, the coupling row ``a[i, :i]`` as
     a read-only view and the node ``c[i]`` as a Python float.  They are
     built once here, so a step does not slice ``a`` or index ``c`` at every
-    stage; they are not fields and take no part in eq, hash or repr.
+    stage.  The consistency violations that :func:`validate_tableau` returns
+    and the coefficient maxima that :func:`profile` reads are computed once
+    here too, since the arrays are read-only.  None of these are fields, and
+    they take no part in eq, hash or repr.
     """
 
     a: np.ndarray
@@ -85,6 +88,9 @@ class ButcherTableau:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "stage_rows", tuple((a[i, :i], c_i) for i, c_i in enumerate(c.tolist())))
+        object.__setattr__(self, "_violations", _violations(a, b, c))
+        object.__setattr__(self, "_a_max", float(np.max(np.abs(a))) if len(b) > 1 else 0.0)
+        object.__setattr__(self, "_b_max", float(np.max(np.abs(b), initial=0.0)))
 
     @property
     def stages(self) -> int:
@@ -146,39 +152,48 @@ def builtin_tableau(method_id: str) -> ButcherTableau:
         raise ValueError(f"unknown method {method_id!r}; choose from {sorted(BUILTIN_METHODS)}") from None
 
 
-def validate_tableau(tableau: ButcherTableau) -> tuple[str, ...]:
-    """Check the consistency identities of an explicit tableau.
+def _violations(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[str, ...]:
+    """The consistency identities that the coefficients ``a``, ``b``, ``c`` violate.
 
-    Returns the violated identities, one message each; the tuple is empty
-    iff the weights sum to one, every row sum of ``a`` matches its node,
-    ``c[0] == 0`` and ``a`` is strictly lower triangular, all within
-    ``CONSISTENCY_TOL``.  Violations are data, not faults.
+    Every tableau runs this when it is built, so it warns of nothing: a sum
+    or difference past the float range reads inf, and ``inf - inf`` NaN.
     """
     violations = []
-    b_sum = float(np.sum(tableau.b))
-    if abs(b_sum - 1.0) > CONSISTENCY_TOL:
-        violations.append(f"sum(b) != 1 (got {b_sum!r})")
-    if tableau.stages and abs(tableau.c[0]) > CONSISTENCY_TOL:
-        violations.append(f"c_1 != 0 (got {tableau.c[0]!r})")
-    for i in range(1, tableau.stages):
-        row_sum = float(np.sum(tableau.a[i, :i]))
-        if abs(row_sum - tableau.c[i]) > CONSISTENCY_TOL:
-            violations.append(f"row-sum != c_{i + 1} (got {row_sum!r}, expected {tableau.c[i]!r})")
-    upper = np.triu(tableau.a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b_sum = float(np.sum(b))
+        if abs(b_sum - 1.0) > CONSISTENCY_TOL:
+            violations.append(f"sum(b) != 1 (got {b_sum!r})")
+        if len(c) and abs(c[0]) > CONSISTENCY_TOL:
+            violations.append(f"c_1 != 0 (got {c[0]!r})")
+        for i in range(1, len(b)):
+            row_sum = float(np.sum(a[i, :i]))
+            if abs(row_sum - c[i]) > CONSISTENCY_TOL:
+                violations.append(f"row-sum != c_{i + 1} (got {row_sum!r}, expected {c[i]!r})")
+    upper = np.triu(a)
     if np.any(np.abs(upper) > CONSISTENCY_TOL):
         bad = np.argwhere(np.abs(upper) > CONSISTENCY_TOL)[0]
         violations.append(f"a is not strictly lower triangular (a[{bad[0] + 1},{bad[1] + 1}] != 0)")
     return tuple(violations)
 
 
+def validate_tableau(tableau: ButcherTableau) -> tuple[str, ...]:
+    """Check the consistency identities of an explicit tableau.
+
+    Returns the violated identities, one message each; the tuple is empty
+    iff the weights sum to one, every row sum of ``a`` matches its node,
+    ``c[0] == 0`` and ``a`` is strictly lower triangular, all within
+    ``CONSISTENCY_TOL``.  Violations are data, not faults.  The tableau
+    computed them when it was built.
+    """
+    return tableau._violations
+
+
 def profile(tableau: ButcherTableau, error_const: float) -> MethodProfile:
     """Extract the scalar profile (order, stages, coefficient maxima) of a valid tableau."""
-    violations = validate_tableau(tableau)
-    if violations:
-        raise ValueError("tableau fails consistency checks: " + "; ".join(violations))
-    a_max = float(np.max(np.abs(tableau.a))) if tableau.stages > 1 else 0.0
-    b_max = float(np.max(np.abs(tableau.b)))
-    return MethodProfile(order=tableau.order, stages=tableau.stages, a_max=a_max, b_max=b_max, error_const=error_const)
+    if tableau._violations:
+        raise ValueError("tableau fails consistency checks: " + "; ".join(tableau._violations))
+    return MethodProfile(order=tableau.order, stages=tableau.stages, a_max=tableau._a_max, b_max=tableau._b_max,
+                         error_const=error_const)
 
 
 def min_stages(order: int) -> int:

@@ -191,6 +191,12 @@ PINNED_DIGESTS = {
         "4c23b9211f979978c800a0b9271add4a69859da73286b7fbdd2e86bc9d3004b5",
     ("validate", "--method", "kutta3", "--mode", "clipped", "--delta", "1e-4", "--format", "json"):
         "3b2861e457fba3b1fe287cce4f6b2776176b8a216061e82f29e6ec033f44bcdc",
+    # 200-trial campaigns whose field evaluations read strided columns of the
+    # stream-major noise block; the first clips 12614 of its 80000 draws
+    ("validate", "--method", "rk4", "--mode", "clipped", "--delta", "1e-2", "--eta", "0.5", "--trials", "200",
+     "--seed", "11", "--format", "json"): "51c6b1b6d9adbd300299321b9759d6bd9fe7a221eaa028815539eeb6e5327596",
+    ("validate", "--method", "kutta3", "--mode", "gaussian", "--delta", "1e-3", "--trials", "200", "--seed", "11",
+     "--format", "json"): "357f63c392b9df35b488d3b8d64d4e3ff921cc1e0a227b38fe2a1b0370810b27",
 }
 
 
@@ -1154,16 +1160,28 @@ def test_importing_the_cli_leaves_out_the_thread_pool_and_logging():
     assert result.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("argv", [argv for argv in PINNED_DIGESTS if argv[:2] == ("toy", "lip")], ids="_".join)
-def test_toy_lip_digests_hold_under_one_blas_thread(argv):
-    # lip's 25x25 solves fall below OpenBLAS's threading size, so its bytes
-    # depend on the seed alone, not on the thread count
+def run_under_one_blas_thread(argv) -> bytes:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-m", "rkbudget.cli", *argv], env=env, capture_output=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert hashlib.sha256(result.stdout).hexdigest() == PINNED_DIGESTS[argv]
+    return result.stdout
+
+
+@pytest.mark.parametrize("argv", [argv for argv in PINNED_DIGESTS if argv[:2] == ("toy", "lip")], ids="_".join)
+def test_toy_lip_digests_hold_under_one_blas_thread(argv):
+    # lip's 25x25 solves fall below OpenBLAS's threading size, so its bytes
+    # depend on the seed alone, not on the thread count
+    assert hashlib.sha256(run_under_one_blas_thread(argv)).hexdigest() == PINNED_DIGESTS[argv]
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv in PINNED_DIGESTS if argv[0] == "validate" and "200" in argv], ids="_".join
+)
+def test_noisy_batch_digests_hold_under_one_blas_thread(argv):
+    # a (200, 1) batch's stage sums are far below OpenBLAS's threading size
+    assert hashlib.sha256(run_under_one_blas_thread(argv)).hexdigest() == PINNED_DIGESTS[argv]
 
 
 # -- one parser per process ------------------------------------------------------

@@ -11,7 +11,6 @@ import pytest
 from rkbudget import harness
 from rkbudget.bounds import global_error_bound_noisy
 from rkbudget.harness import (
-    delta_to_shots,
     report_to_json,
     shots_to_delta,
     validate_noiseless_bound,
@@ -34,11 +33,9 @@ def test_delta_of_sigma_squared_shots():
 def test_shot_delta_roundtrip():
     for sigma, shots in ((3.4e8, 7.03e21), (1.0, 100.0), (0.3, 7.0)):
         delta = shots_to_delta(sigma, shots)
-        assert delta_to_shots(sigma, delta) == pytest.approx(shots, rel=1e-12)
+        assert shots_to_delta(sigma, (sigma / delta) ** 2) == pytest.approx(delta, rel=1e-12)
     with pytest.raises(ValueError):
         shots_to_delta(0.0, 10)
-    with pytest.raises(ValueError):
-        delta_to_shots(1.0, 0.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -47,10 +44,6 @@ def test_shot_delta_conversions_reject_non_finite_inputs(bad):
         shots_to_delta(bad, 4.0)
     with pytest.raises(ValueError, match="n_shots must be finite and positive"):
         shots_to_delta(1.0, bad)
-    with pytest.raises(ValueError, match="sigma must be finite and positive"):
-        delta_to_shots(bad, 1.0)
-    with pytest.raises(ValueError, match="delta must be finite and positive"):
-        delta_to_shots(1.0, bad)
 
 
 def test_noiseless_dominance_euler(classical):
@@ -202,6 +195,15 @@ def test_noise_block_must_be_used_up(classical, monkeypatch):
 
     monkeypatch.setattr(harness, "integrate", one_step_short)
     with pytest.raises(RuntimeError, match="noise block"):
+        validate_noisy_bound(classical, builtin_tableau("heun2"), n_steps=10, delta=1e-3, trials=3, seed=1)
+
+
+def test_noise_block_must_not_be_overrun(classical, monkeypatch):
+    def one_step_long(tableau, oracle, y0, tau0, horizon, n_steps):
+        return integrate(tableau, oracle, y0, tau0, horizon, n_steps + 1)
+
+    monkeypatch.setattr(harness, "integrate", one_step_long)
+    with pytest.raises(RuntimeError, match="more than 20 field evaluations per trial, the noise block holds 20"):
         validate_noisy_bound(classical, builtin_tableau("heun2"), n_steps=10, delta=1e-3, trials=3, seed=1)
 
 

@@ -557,6 +557,30 @@ def test_integrate_steps_through_the_module_level_rk_step(monkeypatch):
     assert calls == traj.times[:-1].tolist()
 
 
+# rk_step(t, wavy_field, 0.3, y, 0.1) and rk_step(t, exp_ode().field, 0.0,
+# [1.0], 0.1), recorded while the stage sums were scaled by the Python float
+# dt; 0.1 is no dyadic fraction, so each product rounds
+FROZEN_DT_TENTH = {
+    "euler": ("789887fcf09eeb3f6bcf80a237a3f5bfccbe81b50b860140",
+              "789887fcf09eeb3f6bcf80a237a3f5bfccbe81b50b86014035f5022c22569f3f", "cdccccccccccf03f"),
+    "heun2": ("1244f19108ceeb3fe87e15e33098f5bf88d2ba6f51900140",
+              "1244f19108ceeb3fe87e15e33098f5bf88d2ba6f519001405636e008d372a23f", "52b81e85ebd1f03f"),
+    "kutta3": ("d4353ab7d6ceeb3fc45d565cc497f5bf207616f86c900140",
+               "d4353ab7d6ceeb3fc45d565cc497f5bf207616f86c9001402bf5a07c8c82a23f", "3f7c865d01d2f03f"),
+    "rk4": ("bf7c9a64d9ceeb3f3076de2ac397f5bf84e3ba6f6d900140",
+            "bf7c9a64d9ceeb3f3076de2ac397f5bf84e3ba6f6d9001401c678b34bf82a23f", "b22e6ea301d2f03f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_METHODS))
+def test_a_step_of_a_tenth_matches_its_frozen_bytes(name):
+    t = builtin_tableau(name)
+    lone, batch, exp = FROZEN_DT_TENTH[name]
+    assert rk_step(t, wavy_field, 0.3, np.array([0.8, -1.3, 2.1]), 0.1).tobytes().hex() == lone
+    assert rk_step(t, wavy_field, 0.3, np.array([[0.8, -1.3], [2.1, 1e-3]]), 0.1).tobytes().hex() == batch
+    assert rk_step(t, exp_ode().field, 0.0, np.array([1.0]), 0.1).tobytes().hex() == exp
+
+
 # --------------------------------------------------------------------------
 # Bad stepping inputs are rejected up front with a precise ValueError
 # --------------------------------------------------------------------------

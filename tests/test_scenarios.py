@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rkbudget import scenarios
 from rkbudget.scenarios import (
     BlackScholesSpec,
     apply_overrides,
@@ -82,6 +83,26 @@ def test_exp_ode_field_matches_exact_derivative():
     for tau in (0.0, 1.0, 4.5):
         derivative = (problem.exact(tau + h) - problem.exact(tau - h)) / (2 * h)
         np.testing.assert_allclose(derivative, problem.field(tau, problem.exact(tau)), rtol=1e-8)
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -2.5e-320, 1e308, -1e308, 1.0, 3.7, -0.1]
+
+
+@pytest.mark.parametrize("shape", [(9,), (3, 3)])
+def test_exp_ode_field_is_the_bits_of_a_python_float_half(shape):
+    # the field multiplies by a 0-d float64 array, not the Python float 0.5;
+    # the IEEE product is the same for signed zeros, subnormals and 1e308
+    y = np.array(EDGE_VALUES).reshape(shape)
+    got = exp_ode().field(0.0, y)
+    assert got.shape == shape
+    assert got.tobytes() == (0.5 * y).tobytes()
+
+
+def test_exp_ode_rate_is_a_read_only_0d_float64():
+    assert (scenarios._HALF.shape, scenarios._HALF.dtype) == ((), np.float64)
+    with pytest.raises(ValueError, match="read-only"):
+        scenarios._HALF[...] = 1.0
+    assert scenarios._HALF == 0.5
 
 
 # -- Black-Scholes transform -------------------------------------------------------
