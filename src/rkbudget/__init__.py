@@ -27,7 +27,6 @@ from .budget import (
     min_shots,
     min_steps_noiseless,
     min_steps_noisy,
-    s_factor,
     sigma_bound,
 )
 from .harness import (
@@ -67,9 +66,7 @@ from .tableaux import (
     builtin_tableau,
     min_stages,
     profile,
-    read_tableau_file,
     validate_tableau,
-    write_tableau_file,
 )
 from .toymodel import (
     SingularMatrixError,
@@ -83,7 +80,6 @@ from .toymodel import (
     perturbation_bound,
     perturbation_empirical,
     sample_toy,
-    shot_noise_norms,
 )
 
 __version__ = "0.1.0"

@@ -15,8 +15,6 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .bounds import ProblemBounds, _expm1_safe, _growth_terms
 from .formats import csv_text, json_text
 from .tableaux import MethodProfile, min_stages
@@ -32,7 +30,6 @@ __all__ = [
     "circuit_budget",
     "distinct_circuits",
     "sigma_bound",
-    "s_factor",
     "budget_table",
     "argmin_order",
     "rows_to_csv",
@@ -248,23 +245,6 @@ def sigma_bound(dims: AnsatzDims, eta: float, cap: float = 60.0, gamma: float = 
     sigma_k_norm = nv * nd * nh
     sigma_kl_norm = nv * nd**2
     return cap / math.sqrt(eta) * nv**gamma * (sigma_k_norm / math.sqrt(nv) + sigma_kl_norm / nv)
-
-
-def s_factor(f_mags, theta) -> float:
-    """Bound on how strongly parameter error propagates into the prepared state.
-
-    ``sum_k (sum_j 2 |f_kj|) |theta_k| / ||theta||_2``.  ``f_mags`` holds the
-    per-layer coefficient magnitudes, one row per parameter.
-    """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    norm = float(np.linalg.norm(theta))
-    if norm == 0.0:
-        raise ValueError("theta must not be the zero vector")
-    f_mags = np.atleast_2d(np.asarray(f_mags, dtype=float))
-    if f_mags.shape[0] != theta.size:
-        raise ValueError(f"f_mags must have one row per parameter, got {f_mags.shape[0]} rows for {theta.size}")
-    per_layer = 2.0 * np.sum(np.abs(f_mags), axis=1)
-    return float(np.sum(per_layer * np.abs(theta)) / norm)
 
 
 def budget_table(

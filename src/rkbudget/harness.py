@@ -1,12 +1,15 @@
 """Empirical validation campaigns: do realized errors respect the bounds?
 
-Campaigns integrate the benchmark ODE ``y' = y / 2`` (:func:`exp_ode`) with
-a concrete tableau, with or without injected noise, and compare the
-realized final-time error against the closed-form bound for the scenario's
-constants, which describe that ODE.  In clipped noise mode every
-perturbation satisfies the norm bound deterministically, so any violation
-signals an implementation defect; in plain Gaussian mode the per-evaluation
-exceedance rate itself is the quantity under test.
+Every campaign integrates the benchmark ODE ``y' = y / 2`` (:func:`exp_ode`),
+whatever the scenario, with a concrete tableau, with or without injected
+noise, and compares the realized final-time error against the closed-form
+bound for the scenario's constants.  Those constants are not derived from
+that ODE: ``tuned`` sets ``L_fy = 0.1``, below its Lipschitz constant 0.5,
+so the bound's premise is false there.  In clipped noise mode every
+perturbation satisfies the norm bound deterministically, so where the
+constants do hold for the ODE any violation signals an implementation
+defect; in plain Gaussian mode the per-evaluation exceedance rate itself is
+the quantity under test.
 
 A noisy campaign draws each trial's perturbations up front, one row per
 trial, then steps all trials as one ``(trials, dim)`` batch.  It reads the
@@ -25,7 +28,7 @@ import numpy as np
 from .bounds import global_error_bound_noiseless, global_error_bound_noisy
 from .formats import json_text
 from ._streams import KeyedStreams, _words
-from .integrator import NOISE_MODES, NoiseSpec, _error_norm, integrate
+from .integrator import NOISE_MODES, NoiseSpec, _error_norm, _step_count, integrate
 from .scenarios import Scenario, exp_ode
 from .tableaux import ButcherTableau, profile
 
@@ -85,7 +88,7 @@ def validate_noiseless_bound(sc: Scenario, tableau: ButcherTableau, n_steps_list
     problem = exp_ode()
     prof = profile(tableau, sc.error_const)
     reference = problem.exact(sc.pb.horizon)
-    n_steps_list = [int(n) for n in n_steps_list]
+    n_steps_list = [_step_count(n) for n in n_steps_list]
     realized = [_error_norm(integrate(tableau, problem.field, problem.y0, 0.0, sc.pb.horizon, n).final - reference)
                 for n in n_steps_list]
     violations, worst = _tally(realized, [global_error_bound_noiseless(sc.pb, prof, n) for n in n_steps_list])
@@ -135,6 +138,7 @@ def validate_noisy_bound(
     if mode not in NOISE_MODES:
         raise ValueError(f"mode must be one of {NOISE_MODES}, got {mode!r}")
     _words(seed)  # the streams' own seed check, without building them
+    n_steps = _step_count(n_steps)
     if delta == 0.0:
         return validate_noiseless_bound(sc, tableau, [n_steps])
     noise = NoiseSpec.from_delta(delta, eta=eta, mode=mode)

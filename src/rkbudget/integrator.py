@@ -216,6 +216,17 @@ def rk_step(tableau, oracle: Callable, tau_n: float, y_n: np.ndarray, dt: float)
     return y_n + (h * tableau.b.dot(flat)).reshape(y_n.shape)
 
 
+def _step_count(n_steps) -> int:
+    """``n_steps`` as an ``int`` of at least 1; 10.5 raises ValueError."""
+    try:
+        n_steps = operator.index(n_steps)
+    except TypeError:
+        raise ValueError(f"n_steps must be an integer, got {n_steps!r}") from None
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
+    return int(n_steps)
+
+
 def integrate(
     tableau,
     oracle: Callable,
@@ -230,12 +241,7 @@ def integrate(
     trajectory's states then have shape ``(n_steps + 1,) + y0.shape``.
     The inputs are checked once here; each step is one :func:`rk_step` call.
     """
-    try:
-        n_steps = operator.index(n_steps)
-    except TypeError:
-        raise ValueError(f"n_steps must be an integer, got {n_steps!r}") from None
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
+    n_steps = _step_count(n_steps)
     if not 0.0 < horizon < math.inf:  # NaN too
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
     if not math.isfinite(tau0):

@@ -48,7 +48,6 @@ __all__ = [
     "kappa_study",
     "norm_study",
     "lip_surface",
-    "shot_noise_norms",
     "perturbation_bound",
     "perturbation_empirical",
     "study_to_csv",
@@ -377,22 +376,6 @@ def lip_surface(params: ToyParams, grid1: np.ndarray, grid2: np.ndarray) -> np.n
             out[:] = _norm_each(f2 - fa) / np.abs(t1 - grid2)
     surface[grid1[:, None] == grid2] = np.nan  # undefined there, not merely 0/0
     return surface
-
-
-def shot_noise_norms(f_mags, lambda_mags) -> tuple[float, float]:
-    """Aggregate deviation norms of the estimated linear system.
-
-    Per-entry deviations are ``sigma_kl = sqrt(sum_ij |f_ki f_lj|^2)`` for
-    the matrix and ``sigma_k = sqrt(sum_im |f_ki lambda_m|^2)`` for the
-    vector; returns the Frobenius norm of the matrix of sigma_kl and the
-    2-norm of the vector of sigma_k.
-    """
-    f_mags = np.atleast_2d(np.asarray(f_mags, dtype=float))
-    lambda_mags = np.atleast_1d(np.asarray(lambda_mags, dtype=float))
-    row_sq = np.sum(np.abs(f_mags) ** 2, axis=1)  # sum_i |f_ki|^2 per parameter k
-    sigma_kl = np.sqrt(np.outer(row_sq, row_sq))
-    sigma_k = np.sqrt(row_sq * np.sum(np.abs(lambda_mags) ** 2))
-    return float(np.linalg.norm(sigma_kl, "fro")), float(np.linalg.norm(sigma_k))
 
 
 def perturbation_bound(a, c, r_mat, r_vec, xi: float) -> float:

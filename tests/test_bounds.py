@@ -1,7 +1,6 @@
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st

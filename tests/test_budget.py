@@ -24,7 +24,6 @@ from rkbudget.budget import (
     min_steps_noisy,
     rows_to_csv,
     rows_to_json,
-    s_factor,
     sigma_bound,
 )
 from rkbudget.tableaux import MethodProfile, min_stages
@@ -224,33 +223,6 @@ def test_sigma_bound_monotonicity():
     assert sigma_bound(AnsatzDims(10, 3, 8), eta=0.1) > ref
     assert sigma_bound(AnsatzDims(10, 2, 9), eta=0.1) > ref
     assert sigma_bound(base, eta=0.05) > ref
-
-
-def test_s_factor_single_parameter():
-    assert s_factor([[0.5]], [3.0]) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_s_factor_single_nonzero_component():
-    theta = np.zeros(5)
-    theta[2] = -4.0
-    assert s_factor(np.full((5, 1), 0.5), theta) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_s_factor_linear_in_coefficients():
-    rng = np.random.default_rng(3)
-    f = rng.uniform(0.1, 1.0, size=(6, 2))
-    theta = rng.normal(size=6)
-    assert s_factor(2.0 * f, theta) == pytest.approx(2.0 * s_factor(f, theta), rel=1e-12)
-
-
-def test_s_factor_uniform_vector_scales_with_dimension():
-    # with the Euclidean denominator a uniform vector yields sqrt(n)
-    assert s_factor(np.full((4, 1), 0.5), np.ones(4)) == pytest.approx(2.0, rel=1e-14)
-
-
-def test_s_factor_rejects_zero_vector():
-    with pytest.raises(ValueError):
-        s_factor([[0.5]], [0.0])
 
 
 # -- table assembly ------------------------------------------------------------

@@ -237,6 +237,23 @@ def test_campaign_checks_its_inputs_before_the_noiseless_fallback(classical, del
         validate_noisy_bound(classical, builtin_tableau("euler"), n_steps=10, delta=delta, **kwargs)
 
 
+@pytest.mark.parametrize("delta", [0.0, 1e-3], ids=["noiseless", "noisy"])
+def test_campaign_rejects_a_fractional_step_count(classical, delta):
+    with pytest.raises(ValueError, match=r"^n_steps must be an integer, got 10\.5$"):
+        validate_noisy_bound(classical, builtin_tableau("rk4"), n_steps=10.5, delta=delta, trials=3)
+
+
+def test_noiseless_campaign_rejects_a_fractional_step_count(classical):
+    with pytest.raises(ValueError, match=r"^n_steps must be an integer, got 10\.5$"):
+        validate_noiseless_bound(classical, builtin_tableau("rk4"), [10, 10.5])
+
+
+@pytest.mark.parametrize("delta, steps", [(0.0, "[1]"), (1e-3, "1")], ids=["noiseless", "noisy"])
+def test_campaign_stores_its_step_count_as_an_int(classical, delta, steps):
+    report = validate_noisy_bound(classical, builtin_tableau("euler"), n_steps=True, delta=delta, trials=3)
+    assert json.dumps(report.config["n_steps"]) == steps  # not "true"
+
+
 @pytest.mark.parametrize("delta", [1e-170, 1e300])
 def test_noisy_campaign_rejects_a_delta_outside_the_exact_norm_range(classical, delta):
     with pytest.raises(ValueError, match=r"must lie in \[1e-150, 1e\+150\]"):

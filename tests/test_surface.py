@@ -33,8 +33,8 @@ OPTIONS = {
 OVERRIDE_KEYS = {"T", "K", "M", "L_fy", "L_ftau", "epsilon", "a_max", "b_max", "Sigma", "N_V", "N_d", "N"}
 LIBRARY_MODULES = ("bounds", "budget", "formats", "harness", "integrator", "scenarios", "sensitivity", "tableaux",
                    "toymodel")
-SETTABLE_VALUES = 232
-PUBLIC_NAMES = 83
+SETTABLE_VALUES = 225
+PUBLIC_NAMES = 79
 
 # a small request per command, and two values of each of its options; None
 # leaves the option out, and {out} and {ov} stand for an output and an

@@ -1,6 +1,5 @@
 import math
-import tempfile
-from pathlib import Path
+import re
 
 import numpy as np
 import pytest
@@ -15,9 +14,7 @@ from rkbudget.tableaux import (
     builtin_tableau,
     min_stages,
     profile,
-    read_tableau_file,
     validate_tableau,
-    write_tableau_file,
 )
 
 
@@ -129,6 +126,28 @@ def test_profile_rejects_inconsistent_tableau():
         profile(t, error_const=1.0)
 
 
+HEUN_A = [[0.0, 0.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "a, b, c, violation",
+    [
+        (HEUN_A, [0.5, 0.5], [0.0, math.nan], "row-sum != c_2 (got 1.0, expected nan)"),
+        (HEUN_A, [0.5, 0.5], [math.nan, 1.0], "c_1 != 0 (got nan)"),
+        (HEUN_A, [math.inf, -math.inf], [0.0, 1.0], "sum(b) != 1 (got nan)"),
+        (HEUN_A, [0.5, 0.5], [0.1, 1.0], "c_1 != 0 (got 0.1)"),
+        (HEUN_A, [0.5, 0.5], [0.0, 0.9], "row-sum != c_2 (got 1.0, expected 0.9)"),
+        ([[0.0, math.nan], [1.0, 0.0]], [0.5, 0.5], [0.0, 1.0], "a is not strictly lower triangular (a[1,2] != 0)"),
+        ([[math.inf, 0.0], [1.0, 0.0]], [0.5, 0.5], [0.0, 1.0], "a is not strictly lower triangular (a[1,1] != 0)"),
+    ],
+)
+def test_consistency_check_sees_nan_and_prints_plain_floats(a, b, c, violation):
+    t = ButcherTableau(a=a, b=b, c=c, order=2)
+    assert validate_tableau(t) == (violation,)
+    with pytest.raises(ValueError, match=f"^tableau fails consistency checks: {re.escape(violation)}$"):
+        profile(t, error_const=1.0)
+
+
 @pytest.mark.parametrize("p,s", [(1, 1), (2, 2), (3, 3), (4, 4), (5, 6), (6, 7), (7, 9), (8, 11), (9, 13), (10, 16)])
 def test_min_stages_table(p, s):
     assert min_stages(p) == s
@@ -152,20 +171,6 @@ def test_b_max_at_least_mean(name):
     assert prof.b_max >= 1.0 / prof.stages
 
 
-@pytest.mark.parametrize("name", sorted(BUILTIN_METHODS))
-def test_tableau_file_roundtrip(tmp_path, name):
-    t = builtin_tableau(name)
-    path = tmp_path / f"{name}.tab"
-    write_tableau_file(path, t)
-    loaded = read_tableau_file(path)
-    assert loaded.order == t.order
-    assert loaded.stages == t.stages
-    np.testing.assert_array_equal(loaded.a, t.a)
-    np.testing.assert_array_equal(loaded.b, t.b)
-    np.testing.assert_array_equal(loaded.c, t.c)
-    assert validate_tableau(loaded) == ()
-
-
 @st.composite
 def any_tableau(draw):
     s = draw(st.integers(1, 8))
@@ -174,34 +179,6 @@ def any_tableau(draw):
     b = draw(arrays(np.float64, s, elements=entries))
     c = draw(arrays(np.float64, s, elements=entries))
     return ButcherTableau(a=a, b=b, c=c, order=draw(st.integers(1, 10)))
-
-
-@given(any_tableau())
-def test_tableau_file_roundtrip_any_values(tableau):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "t.tab"
-        write_tableau_file(path, tableau)
-        loaded = read_tableau_file(path)
-    assert loaded == tableau
-    for x, y in ((loaded.a, tableau.a), (loaded.b, tableau.b), (loaded.c, tableau.c)):
-        assert [v.hex() for v in x.ravel().tolist()] == [v.hex() for v in y.ravel().tolist()]  # signs of zeros too
-
-
-def test_tableau_file_manual_text(tmp_path):
-    path = tmp_path / "heun.tab"
-    path.write_text("2 2\n\n1.0\n0.5 0.5\n0.0 1.0\n")
-    t = read_tableau_file(path)
-    assert t.stages == 2
-    assert t.order == 2
-    assert t.a[1, 0] == 1.0
-    assert validate_tableau(t) == ()
-
-
-def test_tableau_file_bad_row_width(tmp_path):
-    path = tmp_path / "bad.tab"
-    path.write_text("2 2\n0.5\n1.0\n0.5 0.5\n0.0 1.0\n")
-    with pytest.raises(ValueError, match="row 1"):
-        read_tableau_file(path)
 
 
 def test_tableaus_are_immutable():

@@ -20,7 +20,6 @@ from rkbudget.toymodel import (
     perturbation_bound,
     perturbation_empirical,
     sample_toy,
-    shot_noise_norms,
     study_to_csv,
 )
 
@@ -611,49 +610,6 @@ def test_lip_surface_csv_headers():
     assert lines[0].startswith("theta1/theta2,")
     assert len(lines) == 3
     assert float(lines[1].split(",")[0]) == 0.0
-
-
-# -- shot-noise norms -----------------------------------------------------------
-
-
-def test_shot_noise_norms_single_term():
-    kl_norm, k_norm = shot_noise_norms([[0.5]], [1.0])
-    assert kl_norm == pytest.approx(0.25, rel=1e-14)
-    assert k_norm == pytest.approx(0.5, rel=1e-14)
-
-
-def test_shot_noise_norms_reference_dimensions():
-    f = np.full((25, 1), 0.5)
-    lam = np.ones(16)
-    _, k_norm = shot_noise_norms(f, lam)
-    assert k_norm == pytest.approx(10.0, rel=1e-14)
-
-
-def test_shot_noise_norms_homogeneity():
-    rng = np.random.default_rng(8)
-    f = rng.uniform(0.1, 1.0, size=(5, 3))
-    lam = rng.uniform(0.5, 2.0, size=4)
-    kl1, k1 = shot_noise_norms(f, lam)
-    kl2, k2 = shot_noise_norms(2.0 * f, lam)
-    assert k2 == pytest.approx(2.0 * k1, rel=1e-12)
-    assert kl2 == pytest.approx(4.0 * kl1, rel=1e-12)
-
-
-@pytest.mark.parametrize("nv,nd,nh", [(1, 1, 1), (3, 2, 4), (10, 3, 7)])
-def test_shot_noise_norms_against_brute_force(nv, nd, nh):
-    rng = np.random.default_rng(nv * 100 + nd * 10 + nh)
-    f = rng.uniform(0.05, 1.5, size=(nv, nd))
-    lam = rng.uniform(0.1, 2.0, size=nh)
-    sigma_kl = np.zeros((nv, nv))
-    for k in range(nv):
-        for l in range(nv):
-            sigma_kl[k, l] = math.sqrt(sum(abs(f[k, i] * f[l, j]) ** 2 for i in range(nd) for j in range(nd)))
-    sigma_k = np.array(
-        [math.sqrt(sum(abs(f[k, i] * lam[m]) ** 2 for i in range(nd) for m in range(nh))) for k in range(nv)]
-    )
-    kl_norm, k_norm = shot_noise_norms(f, lam)
-    assert kl_norm == pytest.approx(np.linalg.norm(sigma_kl, "fro"), rel=1e-12)
-    assert k_norm == pytest.approx(np.linalg.norm(sigma_k), rel=1e-12)
 
 
 # -- linear-solve perturbations --------------------------------------------------
