@@ -38,6 +38,6 @@ for name in ("classical", "option_pricing", "tuned"):
 # follows from the ansatz dimensions, the confidence level (the paper's
 # eta = 0.05) and the assumed caps on the linear-system conditioning.
 sc = scenario("option_pricing")
-estimate = sigma_bound(sc.dims, eta=0.05, cap=60.0, gamma=3.0)
+estimate = sigma_bound(sc.dims, eta=0.05)
 print(f"shot-noise scale implied by the ansatz dimensions: {estimate:.3e}")
 print(f"value pinned in the scenario registry:             {sc.sigma:.3e}")

@@ -40,7 +40,7 @@ z = float(np.sum(u0))
 p0 = u0 / z
 
 p_final = heat_evolve(p0, transform.horizon, dx)
-price = recover_price(p_final, z, transform.a, transform.b, expiry, vol, x)
+price = recover_price(p_final, z, transform, x)
 
 print(f"{'spot':>8} {'recovered':>12} {'closed form':>12} {'rel err':>10}")
 for spot in (80.0, 90.0, 100.0, 110.0, 120.0):

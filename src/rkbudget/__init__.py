@@ -66,7 +66,6 @@ from .tableaux import (
     builtin_tableau,
     min_stages,
     profile,
-    validate_tableau,
 )
 from .toymodel import (
     SingularMatrixError,

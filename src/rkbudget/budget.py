@@ -37,6 +37,11 @@ __all__ = [
 ]
 
 ROW_KEYS = ("p", "s", "N_tau", "N_r", "cost", "N_circ", "circuits", "ratio", "flag")
+# sigma_bound's assumptions: the solution norm of the linear system is at most
+# SOLUTION_NORM_CAP, and its condition number grows as
+# n_params**CONDITION_EXPONENT.
+SOLUTION_NORM_CAP = 60.0
+CONDITION_EXPONENT = 3.0
 
 
 class InfeasibleShotsError(ValueError):
@@ -187,7 +192,7 @@ def budget_row(
     circuits = None if dims is None else math.nan
     circuit_evals = None if n_shots is None or dims is None else math.nan
     try:
-        n_steps = _min_steps(pb, prof, 1 if sigma is None else 2 * prof.order + 1)
+        n_steps = min_steps_noiseless(pb, prof) if sigma is None else min_steps_noisy(pb, prof)
         circuits = None if dims is None else distinct_circuits(n_steps, prof.stages, dims)
         if sigma is not None:
             n_shots = min_shots(pb, prof, sigma, n_steps)
@@ -229,22 +234,21 @@ def distinct_circuits(n_steps: float, stages: int, dims: AnsatzDims) -> float:
     return n_steps * stages * (nv**2 * nd**2 + nv * nd * nh)
 
 
-def sigma_bound(dims: AnsatzDims, eta: float, cap: float = 60.0, gamma: float = 3.0) -> float:
+def sigma_bound(dims: AnsatzDims, eta: float) -> float:
     """Upper bound on the aggregate single-shot deviation scale.
 
-    ``(cap / sqrt(eta)) * n_params**gamma * (|sigma_k| / sqrt(n_params)
-    + |sigma_kl| / n_params)`` using the worst-case norm surrogates
-    ``|sigma_kl| <= n_params * n_strings**2`` and
-    ``|sigma_k| <= n_params * n_strings * n_pauli``.  ``cap`` bounds the
-    solution norm of the linear system and ``gamma`` is the exponent of
-    the polynomial condition-number assumption.
+    ``(SOLUTION_NORM_CAP / sqrt(eta)) * n_params**CONDITION_EXPONENT
+    * (|sigma_k| / sqrt(n_params) + |sigma_kl| / n_params)`` using the
+    worst-case norm surrogates ``|sigma_kl| <= n_params * n_strings**2`` and
+    ``|sigma_k| <= n_params * n_strings * n_pauli``.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
     nv, nd, nh = dims.n_params, dims.n_strings, dims.n_pauli
     sigma_k_norm = nv * nd * nh
     sigma_kl_norm = nv * nd**2
-    return cap / math.sqrt(eta) * nv**gamma * (sigma_k_norm / math.sqrt(nv) + sigma_kl_norm / nv)
+    return (SOLUTION_NORM_CAP / math.sqrt(eta) * nv**CONDITION_EXPONENT
+            * (sigma_k_norm / math.sqrt(nv) + sigma_kl_norm / nv))
 
 
 def budget_table(

@@ -30,7 +30,7 @@ from .formats import csv_text, json_text
 from .harness import report_record, report_to_json, validate_noisy_bound
 from .harness import validate_noiseless_bound  # noqa: F401  (bench/spans.py wraps this name here)
 from .integrator import DELTA_RANGE, DegenerateSlopeError, empirical_order
-from .scenarios import SCENARIO_NAMES, apply_overrides, exp_ode, scenario
+from .scenarios import SCENARIO_NAMES, apply_overrides, exp_ode, parse_overrides, scenario
 from .tableaux import BUILTIN_METHODS, builtin_tableau
 
 DEFAULT_SEED = 20240817
@@ -40,10 +40,11 @@ SEED_ENV_VAR = "RKBUDGET_SEED"
 # points x points surface in proportion to it.
 MAX_SWEEP_POINTS = 1001
 MAX_LIP_POINTS = 1000
-
-
-class CliError(Exception):
-    """Configuration problem; maps to exit code 2."""
+# The largest array a request may build, far above the README's requests (a
+# 1000-trial, 100-step rk4 campaign draws a 3.2 MB noise block), so that a
+# mistyped count exits 2 instead of asking numpy for terabytes.  A campaign
+# holds its noise block twice.
+MAX_ARRAY_BYTES = 1 << 30
 
 
 def _seed(args) -> int:
@@ -58,9 +59,9 @@ def _seed(args) -> int:
         try:
             seed = int(raw)
         except ValueError:
-            raise CliError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
     if seed < 0:
-        raise CliError(f"{source} must be a non-negative integer, got {seed}")
+        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
     return seed
 
 
@@ -69,11 +70,11 @@ def _load_scenario(args):
     if getattr(args, "overrides", None):
         path = Path(args.overrides)
         if not path.exists():
-            raise CliError(f"override file not found: {path}")
+            raise ValueError(f"override file not found: {path}")
         try:
-            sc = apply_overrides(sc, path)
+            sc = apply_overrides(sc, parse_overrides(path.read_text()))
         except ValueError as exc:
-            raise CliError(f"bad override file: {exc}") from None
+            raise ValueError(f"bad override file: {exc}") from None
     return sc
 
 
@@ -84,10 +85,10 @@ def _parse_range(option: str, text: str) -> list[int]:
     except ValueError:
         nums = []
     if not 1 <= len(nums) <= 3 or nums[2:] == [0]:
-        raise CliError(f"{option}: bad integer range {text!r}, expected n, lo:hi or lo:hi:step with a non-zero step")
+        raise ValueError(f"{option}: bad integer range {text!r}, expected n, lo:hi or lo:hi:step with a non-zero step")
     values = nums if len(nums) == 1 else list(range(nums[0], nums[1] + 1, *nums[2:]))
     if not values:
-        raise CliError(f"{option}: range {text!r} is empty")
+        raise ValueError(f"{option}: range {text!r} is empty")
     return values
 
 
@@ -95,12 +96,19 @@ def _check_horizon(name: str, horizon: float) -> None:
     try:
         exp_ode().exact(horizon)  # exp(horizon/2), the benchmark ODE's exact solution
     except OverflowError:
-        raise CliError(f"{name}={horizon!r}: the exact solution exp(horizon/2) exceeds the float range") from None
+        raise ValueError(f"{name}={horizon!r}: the exact solution exp(horizon/2) exceeds the float range") from None
 
 
 def _check_step(name: str, horizon: float, n_steps: int, option: str) -> None:
     if horizon > 0.0 and not horizon / n_steps > 0.0:
-        raise CliError(f"{name}={horizon!r}: the step {name} / {n_steps} ({option}) underflows to 0")
+        raise ValueError(f"{name}={horizon!r}: the step {name} / {n_steps} ({option}) underflows to 0")
+
+
+def _check_size(floats: int, request: str) -> None:
+    """Reject a request whose largest array holds more than ``MAX_ARRAY_BYTES``."""
+    if 8 * floats > MAX_ARRAY_BYTES:
+        raise ValueError(f"{request} would build an array of up to {8 * floats:.3g} bytes,"
+                         f" above the limit of {MAX_ARRAY_BYTES} ({MAX_ARRAY_BYTES >> 30} GiB)")
 
 
 def _emit(args, text: str) -> None:
@@ -114,7 +122,7 @@ def _cmd_table(args) -> int:
     sc = _load_scenario(args)
     orders = _parse_range("--orders", args.orders)
     if any(p < 1 or p > 10 for p in orders):
-        raise CliError("orders must lie within 1..10")
+        raise ValueError("orders must lie within 1..10")
     rows = budget.budget_table(
         sc.pb,
         error_const=sc.error_const,
@@ -131,11 +139,11 @@ def _cmd_table(args) -> int:
 def _cmd_sweep(args) -> int:
     grid = {key: value for key in ("points", "order") if (value := getattr(args, key)) is not None}
     if args.target == "p" and grid:
-        raise CliError("--points and --order do not apply to --target p, which sweeps every order 1..10")
+        raise ValueError("--points and --order do not apply to --target p, which sweeps every order 1..10")
     if args.order is not None and not 1 <= args.order <= 10:
-        raise CliError(f"--order must lie within 1..10, got {args.order}")
+        raise ValueError(f"--order must lie within 1..10, got {args.order}")
     if args.points is not None and args.points > MAX_SWEEP_POINTS:
-        raise CliError(f"--points must be at most {MAX_SWEEP_POINTS}, got {args.points}")
+        raise ValueError(f"--points must be at most {MAX_SWEEP_POINTS}, got {args.points}")
     spec = sensitivity.SweepSpec(base=_load_scenario(args), target=args.target, mode=args.mode, **grid)
     curves = {args.target: sensitivity.sweep(spec)}
     _emit(args, sensitivity.curves_to_json(curves) if args.format == "json" else sensitivity.curves_to_csv(curves))
@@ -145,12 +153,15 @@ def _cmd_sweep(args) -> int:
 def _cmd_study(args) -> int:
     nv_grid = _parse_range("--nv", args.nv)
     if any(nv < 1 for nv in nv_grid):
-        raise CliError(f"--nv: dimensions must be positive, got {args.nv!r}")
+        raise ValueError(f"--nv: dimensions must be positive, got {args.nv!r}")
     if not math.isfinite(args.theta):
-        raise CliError(f"--theta must be finite, got {args.theta}")
+        raise ValueError(f"--theta must be finite, got {args.theta}")
     seed = _seed(args)
     if args.samples < 30:
-        raise CliError(f"--samples: need at least 30 samples per grid point, got {args.samples}")
+        raise ValueError(f"--samples: need at least 30 samples per grid point, got {args.samples}")
+    _check_size(5 * max(nv_grid) ** 2, f"--nv {max(nv_grid)}")  # one draw's coefficient planes
+    # per sample: its stream's four seed words, and up to four measures per dimension
+    _check_size(4 * len(nv_grid) * args.samples, f"--samples {args.samples} with --nv {args.nv}")
     kappa = args.study == "kappa"
     study = toymodel.kappa_study if kappa else toymodel.norm_study
     result = study(nv_grid, args.samples, theta=args.theta, seed=seed)
@@ -168,16 +179,17 @@ def _cmd_study(args) -> int:
 
 def _cmd_lip(args) -> int:
     if args.nv < 1:
-        raise CliError(f"--nv must be positive, got {args.nv}")
+        raise ValueError(f"--nv must be positive, got {args.nv}")
     seed = _seed(args)
     if not (math.isfinite(args.lo) and math.isfinite(args.hi)):
-        raise CliError(f"--lo and --hi must be finite, got {args.lo} and {args.hi}")
+        raise ValueError(f"--lo and --hi must be finite, got {args.lo} and {args.hi}")
     if args.lo >= args.hi:
-        raise CliError(f"--lo must be below --hi, got {args.lo} >= {args.hi}")
+        raise ValueError(f"--lo must be below --hi, got {args.lo} >= {args.hi}")
     if not math.isfinite(args.hi - args.lo):
-        raise CliError(f"--hi - --lo overflows the float range, got --lo {args.lo} and --hi {args.hi}")
+        raise ValueError(f"--hi - --lo overflows the float range, got --lo {args.lo} and --hi {args.hi}")
     if not 2 <= args.points <= MAX_LIP_POINTS:
-        raise CliError(f"--points must be at least 2 and at most {MAX_LIP_POINTS}, got {args.points}")
+        raise ValueError(f"--points must be at least 2 and at most {MAX_LIP_POINTS}, got {args.points}")
+    _check_size(5 * args.nv**2, f"--nv {args.nv}")  # the draw's coefficient planes
     _, params = toymodel.sample_toy(args.nv, rng=seed)
     grid = np.linspace(args.lo, args.hi, args.points)
     surface = toymodel.lip_surface(params, grid, grid)
@@ -192,19 +204,24 @@ def _cmd_validate(args) -> int:
     sc = _load_scenario(args)
     _check_horizon("T", sc.pb.horizon)
     if args.ntau < 1:
-        raise CliError(f"--ntau must be at least 1, got {args.ntau}")
+        raise ValueError(f"--ntau must be at least 1, got {args.ntau}")
     _check_step("T", sc.pb.horizon, args.ntau, "--ntau")
     if args.trials < 0:
-        raise CliError(f"--trials must be non-negative, got {args.trials}")
+        raise ValueError(f"--trials must be non-negative, got {args.trials}")
     if not 0.0 < args.eta < 1.0:  # NaN too
-        raise CliError(f"--eta must lie in (0, 1), got {args.eta}")
+        raise ValueError(f"--eta must lie in (0, 1), got {args.eta}")
     if args.delta != 0.0 and not DELTA_RANGE[0] <= args.delta <= DELTA_RANGE[1]:  # NaN and +-inf too
-        raise CliError(
+        raise ValueError(
             f"--delta must be 0 or lie in [{DELTA_RANGE[0]:g}, {DELTA_RANGE[1]:g}], where the"
             f" perturbation norms neither underflow nor overflow; got {args.delta:g}"
         )
     tableau = builtin_tableau(args.method)
     seed = _seed(args)
+    if args.delta == 0.0:  # one trajectory's states
+        _check_size(args.ntau + 1, f"--ntau {args.ntau}")
+    else:  # the noise block, or the batch's states
+        _check_size(max(args.trials * args.ntau * tableau.stages, max(args.trials, 1) * (args.ntau + 1)),
+                    f"--trials {args.trials} and --ntau {args.ntau} with {tableau.stages}-stage --method {args.method}")
     mode = "clipped-gaussian" if args.mode == "clipped" else "gaussian"
     # At --delta 0 this is one noiseless check, made after the same input checks.
     report = validate_noisy_bound(
@@ -229,19 +246,20 @@ def _cmd_convergence(args) -> int:
     try:
         steps = [int(s) for s in args.steps.split(",")]
     except ValueError:
-        raise CliError(f"--steps: expected comma-separated integers, got {args.steps!r}") from None
+        raise ValueError(f"--steps: expected comma-separated integers, got {args.steps!r}") from None
     if len(set(steps)) < 4:
-        raise CliError(f"--steps: need at least 4 step counts, all distinct, got {args.steps!r}")
+        raise ValueError(f"--steps: need at least 4 step counts, all distinct, got {args.steps!r}")
     if min(steps) < 1:
-        raise CliError(f"--steps: step counts must be at least 1, got {args.steps!r}")
+        raise ValueError(f"--steps: step counts must be at least 1, got {args.steps!r}")
     if not 0.0 < args.horizon < math.inf:  # NaN too
-        raise CliError(f"--horizon must be finite and positive, got {args.horizon}")
+        raise ValueError(f"--horizon must be finite and positive, got {args.horizon}")
     _check_horizon("--horizon", args.horizon)
     _check_step("--horizon", args.horizon, max(steps), "the largest of --steps")
+    _check_size(max(steps) + 1, f"the largest of --steps, {max(steps)},")  # the longest trajectory's states
     try:
         slope = empirical_order(tableau, exp_ode(), steps, horizon=args.horizon)
     except DegenerateSlopeError as exc:
-        raise CliError(f"{exc}; no slope at --horizon {args.horizon!r} with --steps {args.steps}") from None
+        raise ValueError(f"{exc}; no slope at --horizon {args.horizon!r} with --steps {args.steps}") from None
     if args.format == "json":
         _emit(args, json_text({"method": args.method, "slope": slope, "steps": steps}, indent=None))
     else:
@@ -324,7 +342,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -126,7 +126,9 @@ class EvaluationOracle:
     The oracle owns a private random stream so that two oracles built from
     the same seed produce bit-identical perturbation sequences.  It also
     counts how often it was called and how often a raw draw exceeded the
-    noise bound, which the validation harness reports.
+    noise bound.  The validation campaigns do not step through it: they
+    draw each trial's perturbations as one block up front and count its
+    exceedances there.
     """
 
     def __init__(

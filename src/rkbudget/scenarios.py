@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
@@ -164,16 +163,14 @@ def parse_overrides(text: str) -> dict[str, float]:
     return overrides
 
 
-def apply_overrides(base: Scenario, overrides: Mapping[str, float] | Path) -> Scenario:
+def apply_overrides(base: Scenario, overrides: Mapping[str, float]) -> Scenario:
     """Return a copy of ``base`` with selected constants replaced.
 
-    ``overrides`` may be a mapping or the path of a file of ``key=value``
-    lines (see :func:`parse_overrides`).  Unknown keys are rejected, and so
-    are non-finite constants and fractional dimensions, each with a message
+    ``overrides`` maps override keys to values, as :func:`parse_overrides`
+    reads them from a file.  Unknown keys are rejected, and so are
+    non-finite constants and fractional dimensions, each with a message
     naming the key.
     """
-    if isinstance(overrides, Path):
-        overrides = parse_overrides(overrides.read_text())
     pb_kwargs, scalar_kwargs, dim_kwargs = {}, {}, {}
     for key, value in overrides.items():
         value = float(value)
@@ -283,15 +280,14 @@ def heat_evolve(u0: np.ndarray, tau: float, dx: float) -> np.ndarray:
     return np.convolve(u0, kernel, mode="full")[half : half + len(u0)]
 
 
-def recover_price(p_x, gamma_inv: float, a: float, b: float, expiry: float, volatility: float, x) -> np.ndarray | float:
+def recover_price(p_x, gamma_inv: float, transform: HeatTransform, x) -> np.ndarray | float:
     """Invert the normalization and the heat-equation change of variables.
 
-    ``gamma_inv * p_x * exp(a*x + b*expiry*volatility**2)``.  The exponent
-    uses the full transformed horizon ``expiry * volatility**2``, which is
-    what inverting the forward substitution requires.
+    ``gamma_inv * p_x * exp(a*x + b*horizon)`` with ``a``, ``b`` and the
+    transformed horizon of ``transform`` (see :func:`bs_transform`).
     """
     p_x = np.asarray(p_x, dtype=float)
     if np.any(p_x < 0):
         raise ValueError("p_x must be non-negative")
-    out = gamma_inv * p_x * np.exp(a * np.asarray(x, dtype=float) + b * expiry * volatility**2)
+    out = gamma_inv * p_x * np.exp(transform.a * np.asarray(x, dtype=float) + transform.b * transform.horizon)
     return float(out) if out.ndim == 0 else out

@@ -11,7 +11,7 @@ threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "ButcherTableau",
     "MethodProfile",
     "builtin_tableau",
-    "validate_tableau",
     "profile",
     "min_stages",
     "BUILTIN_METHODS",
@@ -39,7 +38,7 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ButcherTableau:
     """Coefficients of one explicit Runge-Kutta method.
 
@@ -59,17 +58,17 @@ class ButcherTableau:
     ``stage_rows`` holds, per stage ``i``, the coupling row ``a[i, :i]`` as
     a read-only view and the node ``c[i]`` as a Python float.  They are
     built once here, so a step does not slice ``a`` or index ``c`` at every
-    stage.  The consistency violations that :func:`validate_tableau` returns
-    and the coefficient maxima that :func:`profile` reads are computed once
-    here too, since the arrays are read-only.  None of these are fields, and
-    they take no part in eq, hash or repr.
+    stage.  The consistency violations and the coefficient maxima that
+    :func:`profile` reads are computed once here too, since the arrays are
+    read-only.  None of these are fields, and none is in the repr.  Tableaux
+    compare and hash by identity.
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     order: int
-    name: str = field(default="custom", compare=False)
+    name: str = "custom"
 
     def __post_init__(self):
         a = _readonly(np.atleast_2d(self.a)) if np.size(self.a) else _readonly(np.zeros((len(self.b), len(self.b))))
@@ -92,18 +91,6 @@ class ButcherTableau:
     @property
     def stages(self) -> int:
         return len(self.b)
-
-    # Value semantics over the arrays: the generated field-wise versions
-    # would compare ndarrays with ``==`` and hash them, which raises.
-    def __eq__(self, other):
-        if not isinstance(other, ButcherTableau):
-            return NotImplemented
-        return self.order == other.order and all(
-            np.array_equal(x, y) for x, y in ((self.a, other.a), (self.b, other.b), (self.c, other.c))
-        )
-
-    def __hash__(self):
-        return hash((self.order, *(tuple(x.ravel().tolist()) for x in (self.a, self.b, self.c))))
 
 
 @dataclass(frozen=True)
@@ -174,20 +161,14 @@ def _violations(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[str, ...]:
     return tuple(violations)
 
 
-def validate_tableau(tableau: ButcherTableau) -> tuple[str, ...]:
-    """Check the consistency identities of an explicit tableau.
-
-    Returns the violated identities, one message each; the tuple is empty
-    iff the weights sum to one, every row sum of ``a`` matches its node,
-    ``c[0] == 0`` and ``a`` is strictly lower triangular, all within
-    ``CONSISTENCY_TOL``.  Violations are data, not faults.  The tableau
-    computed them when it was built.
-    """
-    return tableau._violations
-
-
 def profile(tableau: ButcherTableau, error_const: float) -> MethodProfile:
-    """Extract the scalar profile (order, stages, coefficient maxima) of a valid tableau."""
+    """Extract the scalar profile (order, stages, coefficient maxima) of a valid tableau.
+
+    A tableau is valid when its weights sum to one, every row sum of ``a``
+    matches its node, ``c[0] == 0`` and ``a`` is strictly lower triangular,
+    all within ``CONSISTENCY_TOL``; otherwise the ValueError lists every
+    violated identity.
+    """
     if tableau._violations:
         raise ValueError("tableau fails consistency checks: " + "; ".join(tableau._violations))
     return MethodProfile(order=tableau.order, stages=tableau.stages, a_max=tableau._a_max, b_max=tableau._b_max,

@@ -87,23 +87,14 @@ class ToyParams:
     def n_params(self) -> int:
         return self.c_coeffs.shape[0]
 
-    def matrix(self, theta: float) -> np.ndarray:
-        return _entries(self.a_coeffs, theta)
-
-    def vector(self, theta: float) -> np.ndarray:
-        return _entries(self.c_coeffs, theta)
-
-    def system(self, theta: float) -> "ToySystem":
-        return ToySystem(a=self.matrix(theta), c=self.vector(theta), theta=theta)
-
 
 @dataclass(frozen=True)
 class ToySystem:
-    """One sampled linear system ``A f = C`` evaluated at scalar input ``theta``."""
+    """One sampled linear system ``A f = C``, evaluated by :func:`sample_toy`
+    at the scalar input 0.5."""
 
     a: np.ndarray
     c: np.ndarray
-    theta: float
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -177,17 +168,17 @@ def _draw_planes(streams: Iterable[np.random.Generator], count: int, nv: int) ->
 
 def sample_toy(
     n_params: int,
-    theta: float = 0.5,
     rng: np.random.Generator | int | Sequence[int] | None = None,
 ) -> tuple[ToySystem, ToyParams]:
-    """Draw fresh Fourier coefficients and evaluate them at ``theta``.
+    """Draw fresh Fourier coefficients and evaluate them at 0.5, the studies'
+    default input.
 
     The same seed reproduces the same system bit for bit.
     """
     if n_params < 1:
         raise ValueError("n_params must be at least 1")
     a, c = _draw_planes([np.random.default_rng(rng)], 1, n_params)  # a study chunk of one draw
-    system = ToySystem(a=_entries(a, theta, 1)[0], c=_entries(c, theta, 1)[0], theta=theta)
+    system = ToySystem(a=_entries(a, 0.5, 1)[0], c=_entries(c, 0.5, 1)[0])
     return system, ToyParams(a_coeffs=np.moveaxis(a[0], 0, -1), c_coeffs=np.moveaxis(c[0], 0, -1))
 
 

@@ -142,7 +142,7 @@ def test_c02_c03_noisy_resource_tables(name, table):
 
 def test_c04_sigma_estimate():
     sc = scenario("option_pricing")
-    value = sigma_bound(sc.dims, eta=0.05, cap=60.0, gamma=3.0)
+    value = sigma_bound(sc.dims, eta=0.05)
     err = rel_err(value, 3.4e8)
     report("C4", err <= 0.02, f"sigma estimate {value:.4e} vs 3.4e8 (rel err {err:.4%})")
 
@@ -326,7 +326,7 @@ def test_c12_option_price_roundtrip():
     u0 = np.exp(-tr.a * x) * payoff(np.exp(x), strike)
     z = float(np.sum(u0))
     p_final = heat_evolve(u0 / z, tr.horizon, dx)
-    recovered = recover_price(p_final, z, tr.a, tr.b, expiry, vol, x)
+    recovered = recover_price(p_final, z, tr, x)
 
     def call_price(s):
         d1 = (math.log(s / strike) + (rate + 0.5 * vol**2) * expiry) / (vol * math.sqrt(expiry))

@@ -201,18 +201,20 @@ def test_distinct_circuits_anchor(option_pricing):
 
 
 def test_sigma_bound_option_anchor(option_pricing):
-    value = sigma_bound(option_pricing.dims, eta=0.05, cap=60.0, gamma=3.0)
+    value = sigma_bound(option_pricing.dims, eta=0.05)
     assert value == pytest.approx(3.4e8, rel=0.02)
 
 
 def test_sigma_bound_trivial_case():
     dims = AnsatzDims(n_params=1, n_strings=1, n_pauli=1)
-    assert sigma_bound(dims, eta=1.0 - 1e-12, cap=1.0, gamma=0.0) == pytest.approx(2.0, rel=1e-6)
+    # the cap, times n_params**3 = 1, times |sigma_k| + |sigma_kl| = 2
+    assert sigma_bound(dims, eta=1.0 - 1e-12) == pytest.approx(2.0 * budget.SOLUTION_NORM_CAP, rel=1e-6)
 
 
-def test_sigma_bound_linear_in_cap(option_pricing):
-    one = sigma_bound(option_pricing.dims, eta=0.05, cap=60.0)
-    two = sigma_bound(option_pricing.dims, eta=0.05, cap=120.0)
+def test_sigma_bound_linear_in_cap(option_pricing, monkeypatch):
+    one = sigma_bound(option_pricing.dims, eta=0.05)
+    monkeypatch.setattr(budget, "SOLUTION_NORM_CAP", 2.0 * budget.SOLUTION_NORM_CAP)
+    two = sigma_bound(option_pricing.dims, eta=0.05)
     assert two == pytest.approx(2.0 * one, rel=1e-14)
 
 

@@ -766,7 +766,7 @@ def test_toy_lip_symmetric_surface(capsys):
 def test_toy_lip_csv_is_the_per_cell_rendering_of_its_surface(capsys, seed, points):
     code, out, _ = run_cli(capsys, "toy", "lip", "--nv", "5", "--points", str(points), "--seed", seed)
     assert code == 0
-    _, params = toymodel.sample_toy(5, theta=0.5, rng=int(seed))
+    _, params = toymodel.sample_toy(5, rng=int(seed))
     grid = np.linspace(0.0, 10.0, points)
     surface = toymodel.lip_surface(params, grid, grid)
     bits = surface.view(np.uint64)
@@ -1018,6 +1018,40 @@ def test_steps_that_cannot_be_taken_exit_2_naming_the_option(capsys, tmp_path, a
     else:
         code, out, err = run_with_overrides(capsys, tmp_path, overrides, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# requests whose largest array would pass cli.MAX_ARRAY_BYTES; the first five
+# once asked numpy for it and exited 1 with a MemoryError traceback
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("validate --method euler --delta 1e-4 --ntau 1000000000000 --trials 1000",
+         "--trials 1000 and --ntau 1000000000000 with 1-stage --method euler"
+         " would build an array of up to 8e+15 bytes"),
+        ("validate --method euler --delta 0 --ntau 1000000000000 --trials 1000",
+         "--ntau 1000000000000 would build an array of up to 8e+12 bytes"),
+        ("convergence --method euler --steps 1000000000000,2000000000000,3000000000000,4000000000000",
+         "the largest of --steps, 4000000000000, would build an array of up to 3.2e+13 bytes"),
+        ("toy kappa --nv 100000 --samples 30", "--nv 100000 would build an array of up to 4e+11 bytes"),
+        ("toy lip --nv 100000", "--nv 100000 would build an array of up to 4e+11 bytes"),
+        ("toy norms --nv 10:20 --samples 40000000",
+         "--samples 40000000 with --nv 10:20 would build an array of up to 1.41e+10 bytes"),
+    ],
+    ids=["validate-noise-block", "validate-states", "convergence-states", "toy-kappa-planes", "toy-lip-planes",
+         "toy-norms-samples"],
+)
+def test_oversized_requests_exit_2_naming_the_options(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out, err) == (2, "", f"error: {message}, above the limit of 1073741824 (1 GiB)\n")
+
+
+def test_a_request_at_the_array_limit_runs(capsys, monkeypatch):
+    # eleven states of one float each: 88 bytes
+    argv = ("validate", "--method", "euler", "--delta", "0", "--ntau", "10")
+    monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", 88)
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", 87)
+    assert run_cli(capsys, *argv)[:2] == (2, "")
 
 
 def test_validate_against_a_noiseless_bound_of_0_counts_a_violation(capsys, tmp_path):

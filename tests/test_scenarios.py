@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from rkbudget import scenarios
 from rkbudget.scenarios import (
     BlackScholesSpec,
+    HeatTransform,
     apply_overrides,
     bs_transform,
     exp_ode,
@@ -245,7 +247,7 @@ def test_heat_evolve_rejects_bad_input():
 
 def test_recover_price_trivial_map():
     p = np.array([0.1, 0.4, 0.5])
-    out = recover_price(p, 1.0, 0.0, 0.0, 1.0, 0.2, np.zeros(3))
+    out = recover_price(p, 1.0, HeatTransform(a=0.0, b=0.0, horizon=0.04), np.zeros(3))
     np.testing.assert_allclose(out, p, rtol=1e-15)
 
 
@@ -258,7 +260,7 @@ def test_recover_price_inverts_boundary_map():
     u0 = np.exp(-tr.a * x) * v0
     z = float(np.sum(u0))
     p0 = u0 / z
-    recovered = recover_price(p0, z, tr.a, tr.b, 0.0, spec.volatility, x)
+    recovered = recover_price(p0, z, replace(tr, horizon=0.0), x)
     np.testing.assert_allclose(recovered, v0, rtol=1e-12, atol=1e-12)
 
 
@@ -272,7 +274,7 @@ def test_full_roundtrip_matches_closed_form():
     z = float(np.sum(u0))
     p0 = u0 / z
     p_final = heat_evolve(p0, tr.horizon, dx)
-    recovered = recover_price(p_final, z, tr.a, tr.b, spec.expiry, spec.volatility, x)
+    recovered = recover_price(p_final, z, tr, x)
     moneyness = np.exp(x) / spec.strike
     mask = (moneyness >= 0.8) & (moneyness <= 1.2)
     oracle = np.array([bs_call_price(s, spec.strike, spec.rate, spec.volatility, spec.expiry) for s in np.exp(x[mask])])
@@ -304,7 +306,7 @@ def test_apply_overrides_reproduces_tuned(option_pricing, tuned):
 def test_apply_overrides_from_file(tmp_path, classical):
     path = tmp_path / "overrides.txt"
     path.write_text("epsilon=0.01\nM=26\n")
-    out = apply_overrides(classical, path)
+    out = apply_overrides(classical, parse_overrides(path.read_text()))
     assert out.pb.target_error == 0.01
     assert out.pb.field_bound == 26.0
     assert out.pb.lip_time == classical.pb.lip_time

@@ -1,16 +1,25 @@
-"""The settable surface of the CLI and the library, pinned.
+"""The settable surface of the CLI and the library, pinned, and reached.
 
 Every option a command takes and every value a library caller can set is a
 knob a reader has to understand; a knob that changes no output is waste.
 This test records both surfaces, so that adding a knob (or removing one)
 is a visible edit here, made together with a test that the knob changes
 what its command prints.
+
+A public name or member that no command, demo or benchmark reaches is
+waste too: only its own tests call it.  The reach tests parse the program
+(``src/rkbudget``, ``demos`` and ``bench``, not the tests) with ``ast`` and
+find a reference to every name in an ``__all__`` outside its own
+definition, and a read of every public method, property and classmethod of
+a public class outside that class's body.  References are matched by name.
 """
 
 import argparse
+import ast
 import dataclasses
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -33,8 +42,8 @@ OPTIONS = {
 OVERRIDE_KEYS = {"T", "K", "M", "L_fy", "L_ftau", "epsilon", "a_max", "b_max", "Sigma", "N_V", "N_d", "N"}
 LIBRARY_MODULES = ("bounds", "budget", "formats", "harness", "integrator", "scenarios", "sensitivity", "tableaux",
                    "toymodel")
-SETTABLE_VALUES = 225
-PUBLIC_NAMES = 79
+SETTABLE_VALUES = 217
+PUBLIC_NAMES = 78
 
 # a small request per command, and two values of each of its options; None
 # leaves the option out, and {out} and {ov} stand for an output and an
@@ -112,3 +121,80 @@ def test_each_option_changes_stdout(capsys, tmp_path, command, option):
         assert err == ""
         printed.append(out)
     assert printed[0] != printed[1]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+PROGRAM = sorted(
+    [p for p in (ROOT / "src" / "rkbudget").glob("*.py") if p.name != "__init__.py"]
+    + list((ROOT / "demos").glob("*.py"))
+    + list((ROOT / "bench").glob("*.py")),
+)
+# (module, name) pairs that stay public with no caller in the program.
+UNREACHED_ON_PURPOSE = {
+    # The README documents it as the one sigma / sqrt(n_shots) conversion.
+    ("src/rkbudget/harness.py", "shots_to_delta"),
+}
+
+
+def _references() -> list[tuple[str, str, str, str | None]]:
+    """``(kind, name, module, owner)`` for each reference in the program:
+    kind ``name`` for a loaded name or a ``from ... import``, ``attr`` for a
+    loaded attribute; owner is the top-level function or class that holds
+    it, or None."""
+    refs = []
+    for path in PROGRAM:
+        rel = str(path.relative_to(ROOT))
+        for stmt in ast.parse(path.read_text(), filename=rel).body:
+            defines = isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            owner = stmt.name if defines else None
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    refs.append(("name", node.id, rel, owner))
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    refs.append(("attr", node.attr, rel, owner))
+                elif isinstance(node, ast.ImportFrom):
+                    refs += [("name", alias.name, rel, owner) for alias in node.names]
+    return refs
+
+
+def _public_surface() -> list[tuple[str, str, str | None]]:
+    """``(module, name, None)`` for each name in a module's ``__all__``, and
+    ``(module, class, member)`` for each public method, property and
+    classmethod of a class in it."""
+    surface = []
+    for path in PROGRAM:
+        tree = ast.parse(path.read_text())
+        rel = str(path.relative_to(ROOT))
+        exported = [elt.value for node in tree.body if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                    for elt in node.value.elts]
+        classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+        for name in exported:
+            surface.append((rel, name, None))
+            members = classes[name].body if name in classes else []
+            surface += [(rel, name, member.name) for member in members
+                        if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")]
+    return surface
+
+
+def _reached(refs, module: str, name: str, member: str | None) -> bool:
+    """A name is reached by a reference outside its own definition; a member
+    by an attribute read outside its class's body."""
+    if member is None:
+        return any(ref[1] == name and ref[2:] != (module, name) for ref in refs)
+    return any(ref[:2] == ("attr", member) and ref[2:] != (module, name) for ref in refs)
+
+
+def test_every_public_name_and_member_has_a_caller_in_the_program():
+    refs = _references()
+    unreached = [(module, name, member) for module, name, member in _public_surface()
+                 if not _reached(refs, module, name, member) and (module, name) not in UNREACHED_ON_PURPOSE]
+    assert unreached == []
+
+
+def test_each_unreached_on_purpose_name_is_still_public_and_unreached():
+    refs = _references()
+    surface = _public_surface()
+    for module, name in UNREACHED_ON_PURPOSE:
+        assert (module, name, None) in surface
+        assert not _reached(refs, module, name, None)

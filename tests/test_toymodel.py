@@ -42,16 +42,14 @@ def constant_params(nv, amp1=1.0, freq1=0.0, phase=0.0, amp2=1.0, freq2=0.0):
 def test_degenerate_coefficients_give_unit_entries():
     # zero frequencies and phases: cos(0) + sin(0) contributes the first amplitude only
     params = constant_params(4)
-    system = params.system(0.7)
-    np.testing.assert_array_equal(system.a, np.ones((4, 4)))
-    np.testing.assert_array_equal(system.c, np.ones(4))
+    np.testing.assert_array_equal(toymodel._entries(params.a_coeffs, 0.7), np.ones((4, 4)))
+    np.testing.assert_array_equal(toymodel._entries(params.c_coeffs, 0.7), np.ones(4))
 
 
 def test_zero_input_drops_sine_term():
     params = constant_params(3, amp1=2.0, phase=0.4, amp2=5.0, freq2=3.0)
-    system = params.system(0.0)
-    np.testing.assert_allclose(system.a, 2.0 * math.cos(0.4), rtol=1e-15)
-    np.testing.assert_allclose(system.c, 2.0 * math.cos(0.4), rtol=1e-15)
+    np.testing.assert_allclose(toymodel._entries(params.a_coeffs, 0.0), 2.0 * math.cos(0.4), rtol=1e-15)
+    np.testing.assert_allclose(toymodel._entries(params.c_coeffs, 0.0), 2.0 * math.cos(0.4), rtol=1e-15)
 
 
 def test_entry_distribution_centered_near_one():
@@ -59,7 +57,7 @@ def test_entry_distribution_centered_near_one():
     # so entries average close to one
     entries = []
     for i in range(16):
-        system, _ = sample_toy(25, theta=0.5, rng=(99, i))
+        system, _ = sample_toy(25, rng=(99, i))
         entries.append(system.a.ravel())
     entries = np.concatenate(entries)
     assert entries.size >= 10_000
@@ -67,9 +65,9 @@ def test_entry_distribution_centered_near_one():
 
 
 def test_sampling_is_seed_deterministic():
-    sys_a, par_a = sample_toy(6, theta=0.5, rng=42)
-    sys_b, par_b = sample_toy(6, theta=0.5, rng=42)
-    sys_c, _ = sample_toy(6, theta=0.5, rng=43)
+    sys_a, par_a = sample_toy(6, rng=42)
+    sys_b, par_b = sample_toy(6, rng=42)
+    sys_c, _ = sample_toy(6, rng=43)
     assert np.array_equal(sys_a.a, sys_b.a)
     assert np.array_equal(sys_a.c, sys_b.c)
     assert np.array_equal(par_a.a_coeffs, par_b.a_coeffs)
@@ -248,12 +246,14 @@ def test_study_pipeline_matches_per_draw_loop_bitwise(workers, theta):
 @pytest.mark.parametrize("theta", [0.5, 0.0, -7.3, 1e3])
 @pytest.mark.parametrize("nv", [1, 3, 25])
 def test_sample_toy_matches_the_per_draw_reference_bitwise(nv, theta):
-    system, params = sample_toy(nv, theta, rng=(5, nv))
+    # the system is evaluated at 0.5, its coefficients at theta
+    system, params = sample_toy(nv, rng=(5, nv))
     a, c, a_coeffs, c_coeffs = reference_draw(nv, theta, np.random.default_rng((5, nv)))
-    for got, want in ((system.a, a), (system.c, c), (params.a_coeffs, a_coeffs), (params.c_coeffs, c_coeffs)):
+    a_half, c_half, _, _ = reference_draw(nv, 0.5, np.random.default_rng((5, nv)))
+    for got, want in ((system.a, a_half), (system.c, c_half), (params.a_coeffs, a_coeffs),
+                      (params.c_coeffs, c_coeffs), (toymodel._entries(params.a_coeffs, theta), a),
+                      (toymodel._entries(params.c_coeffs, theta), c)):
         assert_bitwise_equal(got, want)
-    assert_bitwise_equal(params.matrix(theta), a)
-    assert_bitwise_equal(params.vector(theta), c)
 
 
 # no concurrent callers here: at 10^4 entries or more OpenBLAS factorizes on
@@ -449,7 +449,8 @@ def lip_surface_reference(params, grid1, grid2):
     def solve_at(theta):
         if theta not in cache:
             try:
-                cache[theta] = np.linalg.solve(params.matrix(theta), params.vector(theta))
+                a, c = toymodel._entries(params.a_coeffs, theta), toymodel._entries(params.c_coeffs, theta)
+                cache[theta] = np.linalg.solve(a, c)
             except np.linalg.LinAlgError:
                 cache[theta] = None
         return cache[theta]
