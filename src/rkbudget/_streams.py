@@ -3,36 +3,31 @@
 Every random stream of the program is keyed: trial ``t`` of a campaign with
 seed ``s`` draws from ``np.random.default_rng((s, t))``, and draw ``i`` of a
 toy study at dimension ``nv`` from ``np.random.default_rng((s, nv, i))``.
-Building one ``default_rng`` per key costs a SeedSequence hash, a PCG64
-seeding step and two Python objects each time.  :class:`KeyedStreams` gives
-the same streams, bit for bit, for a whole range of last key entries: it
-runs numpy's SeedSequence hash over that range as uint32 array operations,
-does PCG64's seeding step on Python integers, and sets the states into one
-reused generator.
+Building one ``default_rng`` per key costs a SeedSequence hash in Python
+objects each time.  :class:`KeyedStreams` gives the same streams, bit for
+bit, for a whole range of last key entries: it runs numpy's SeedSequence
+hash (restated from ``numpy/random/bit_generator.pyx``) over that range as
+uint32 array operations, and numpy's PCG64 seeds each stream from its words.
 
-The hash and the seeding step restate numpy's own (``numpy/random/
-bit_generator.pyx`` and PCG64's ``pcg64_set_seed``).  NEP 19 lets
-``default_rng`` change between numpy versions; ``tests/test_streams.py``
-holds these streams to ``default_rng`` bit for bit, so such a change fails
-there.
+NEP 19 lets ``default_rng`` change between numpy versions;
+``tests/test_streams.py`` holds these streams to ``default_rng`` bit for
+bit, so such a change fails there.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Iterator, Sequence
 
 import numpy as np
 
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 # SeedSequence: pool size, hash constants and mixing multipliers.
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-# PCG64's 128-bit LCG multiplier.
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _words(part) -> list[int]:
@@ -91,15 +86,30 @@ def _seed_words(key: Sequence[int], indices: range) -> np.ndarray:
     return np.stack([words[2 * k] | words[2 * k + 1] << 32 for k in range(_POOL_SIZE)], axis=1)
 
 
+@functools.cache
+def _seed_words_type() -> type:
+    """An ``ISeedSequence`` that hands PCG64 a given row of seed words, made on
+    first use: importing ``numpy.random`` costs a CLI start about 10 ms."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # the four uint64 words PCG64 asks for
+
+    return SeedWords
+
+
 class KeyedStreams:
     """The streams ``np.random.default_rng((*key, i))`` for ``i`` in ``indices``.
 
-    Iterating yields one generator per index, in index order, in the state
-    ``default_rng`` would give it.  It is one generator, re-seeded for each
-    index, so draw from it before taking the next.  Each iteration makes its
-    own generator, so threads may iterate the same streams at once.  Key
-    entries must be non-negative integers, with the errors ``default_rng``
-    raises for others.  The streams hold 32 bytes per index until iterated.
+    Iterating yields a new generator per index, in index order, in the state
+    ``default_rng`` would give it, so streams taken together may be drawn in
+    any order, and threads may iterate the same streams at once.  Key entries
+    must be non-negative integers, with the errors ``default_rng`` raises for
+    others.  The streams hold 32 bytes per index until iterated.
     """
 
     def __init__(self, key: Sequence[int], indices: range):
@@ -109,16 +119,6 @@ class KeyedStreams:
         return len(self._seed_words)
 
     def __iter__(self) -> Iterator[np.random.Generator]:
-        rng = np.random.Generator(np.random.PCG64(0))
-        bit_generator = rng.bit_generator
-        for seed_hi, seed_lo, inc_hi, inc_lo in map(np.ndarray.tolist, self._seed_words):
-            # PCG64's seeding (pcg64_set_seed): state 0, step, add the seed, step.
-            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-            state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield rng
+        seed_words = _seed_words_type()
+        for words in self._seed_words:
+            yield np.random.Generator(np.random.PCG64(seed_words(words)))

@@ -124,10 +124,10 @@ def validate_noisy_bound(
     all of its perturbations up front from the stream
     ``np.random.default_rng((seed, t))``, so reports do not depend on how
     trials are scheduled; the trials are then stepped together as one
-    batch.  The streams are unchanged, but built for all trials in one pass
-    by :class:`~rkbudget._streams.KeyedStreams` instead of one
-    ``default_rng`` per trial; ``tests/test_streams.py`` holds its states
-    and draws to ``default_rng`` bit for bit.
+    batch.  The streams are unchanged, but :class:`~rkbudget._streams.KeyedStreams`
+    hashes all trials' keys in one pass and numpy's PCG64 seeds each trial's
+    generator; ``tests/test_streams.py`` holds its states and draws to
+    ``default_rng`` bit for bit.
     """
     if not 0.0 <= delta < math.inf:  # NaN too
         raise ValueError(f"delta must be finite and non-negative, got {delta}")

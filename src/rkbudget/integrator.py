@@ -85,12 +85,11 @@ class NoiseSpec:
         Stream ``i`` fills row ``i`` of the block with ``(count, dim)``
         standard normals in one call, which equals ``count`` successive draws
         of ``dim`` components.  One scaling of the whole block then gives, bit
-        for bit, what ``rng.normal(0.0, scale)`` draws from each stream.  The
-        streams are consumed in order, so ``rngs`` may be a
-        :class:`~rkbudget._streams.KeyedStreams` that re-seeds one generator
-        per row; ``tests/test_streams.py`` holds its streams to
-        ``np.random.default_rng`` bit for bit, and ``tests/test_integrator.py``
-        this block to per-evaluation ``rng.normal`` draws.  Returns the
+        for bit, what ``rng.normal(0.0, scale)`` draws from each stream.
+        ``rngs`` may be a :class:`~rkbudget._streams.KeyedStreams`;
+        ``tests/test_streams.py`` holds its streams to ``default_rng`` bit
+        for bit, and ``tests/test_integrator.py`` this block to
+        per-evaluation ``rng.normal`` draws.  Returns the
         ``(len(rngs), count, dim)`` block, clipped onto the delta sphere in
         clipped mode, and the number of draws whose norm exceeded delta.
         """
@@ -105,9 +104,10 @@ class NoiseSpec:
         # -0.0 product into +0.0 as it does.
         block *= scale
         block += 0.0
-        # Row norms as dot products, like np.linalg.norm of a single draw, so
-        # that a block and per-evaluation draws clip alike bit for bit.
-        norms = np.sqrt(np.vecdot(block, block))
+        # Draw norms as np.linalg.norm takes them, so that a block and per-
+        # evaluation draws clip alike bit for bit.  In 1-D, sqrt(fl(x * x)) == |x|
+        # where x * x is normal; under DELTA_RANGE other draws are within delta.
+        norms = np.abs(block[..., 0]) if dim == 1 else np.sqrt(np.vecdot(block, block))
         over = norms > delta
         exceeded = int(np.count_nonzero(over))
         if exceeded and self.mode == "clipped-gaussian":

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,53 @@ def test_bad_integer_ranges_exit_2(capsys, argv, message):
     assert code == 2
     assert err.startswith(f"error: {message}")
     assert out == ""
+
+
+def run_with_one_gib_of_address_space(argv) -> subprocess.CompletedProcess:
+    """Run the CLI in a child that cannot map more than 1 GiB, so a request
+    that builds its values fails there instead of filling the machine."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def limit():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run([sys.executable, "-m", "rkbudget.cli", *argv], env=env, capture_output=True, text=True,
+                          timeout=60, preexec_fn=limit)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("table", "--orders", "1:10000000000"), "orders must lie within 1..10\n"),
+        (("toy", "kappa", "--nv", "1:10000000000"), "--nv 10000000000 would build an array of up to 4e+21 bytes,"),
+        (("toy", "norms", "--nv", "0:10000000000"), "--nv: dimensions must be positive, got '0:10000000000'\n"),
+    ],
+)
+def test_ranges_of_ten_billion_values_exit_2_without_building_them(argv, message):
+    # a list of these values would need ~400 GB
+    result = run_with_one_gib_of_address_space(argv)
+    assert (result.returncode, result.stdout) == (2, ""), result.stderr
+    assert result.stderr.startswith(f"error: {message}")
+
+
+def test_parsing_a_million_value_range_allocates_no_list():
+    tracemalloc.start()
+    try:
+        values = cli._parse_range("--nv", "1:1000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert (len(values), values[0], values[-1]) == (1000000, 1, 1000000)
+
+
+@pytest.mark.parametrize("text, values", [("4", [4]), ("2:4", [2, 3, 4]), ("1:10:4", [1, 5, 9])])
+def test_parsed_ranges_hold_the_values_they_name(text, values):
+    assert list(cli._parse_range("--orders", text)) == values
 
 
 def test_table_unknown_scenario_exits_2(capsys):
@@ -1182,13 +1230,15 @@ def test_seed_is_rejected_by_commands_without_randomness(capsys, argv):
     assert "--seed" in capsys.readouterr().err
 
 
-def test_importing_the_cli_leaves_out_the_thread_pool_and_logging():
+def test_importing_the_cli_leaves_out_the_thread_pool_logging_and_numpy_random():
     # concurrent.futures pulls in logging, tens of milliseconds of every CLI
-    # start, so no module the CLI imports may pull either in
+    # start, and numpy.random about ten more, which only seeded commands use;
+    # so no module the CLI imports may pull any of them in
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, rkbudget.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    modules = "{'concurrent.futures', 'logging', 'numpy.random'}"
+    code = f"import sys, rkbudget.cli; print(sorted({modules} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"

@@ -153,6 +153,66 @@ def test_block_draw_equals_sequential_oracle_draws(dim, mode):
     assert exceeded == oracle.delta_exceedances == ref_exceeded > 0
 
 
+def vecdot_route(block, delta, clipped):
+    """Reference: draw norms as sqrt(x @ x) at every dimension; the over-delta
+    mask, its count and the block clipped in clipped mode."""
+    norms = np.sqrt(np.vecdot(block, block))
+    over = norms > delta
+    block = block.copy()
+    if clipped:
+        block[over] *= (delta / norms[over])[:, None]
+    return over, int(np.count_nonzero(over)), block
+
+
+class GivenNormals:
+    """A stand-in stream whose standard normals are the given values."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def standard_normal(self, out):
+        out[...] = self.z
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # |z| <= 1e158 keeps every draw z * scale finite, squares past overflow included
+    z=arrays(np.float64, st.integers(1, 50), elements=st.floats(-14, 14) | st.floats(-1e158, 1e158)),
+    delta=st.floats(*DELTA_RANGE),
+    eta=st.floats(0.01, 0.99),
+    mode=st.sampled_from(NOISE_MODES),
+)
+def test_one_dimensional_draw_norms_are_magnitudes(z, delta, eta, mode):
+    # perturbations takes a 1-D draw's norm as |x|; sqrt(fl(x * x)) gives the
+    # same mask, count and clipped bytes for every finite draw x
+    spec = NoiseSpec(delta, eta, mode)
+    block, exceeded = spec.perturbations([GivenNormals(z[:, None])], len(z), 1)
+    x = z[:, None] * (delta * math.sqrt(eta))
+    x += 0.0
+    with np.errstate(over="ignore"):
+        over, count, reference = vecdot_route(x, delta, mode == "clipped-gaussian")
+        squares_finite = np.isfinite(x * x)[:, 0]
+    assert np.array_equal(np.abs(x[:, 0]) > delta, over)
+    assert exceeded == count
+    # A square overflows only past 1.3e154, a normal 1e3 times beyond the
+    # ziggurat's |z| < 14 at the top of DELTA_RANGE; there sqrt(x @ x) is
+    # inf, which clips the draw to 0 where |x| puts it on the delta sphere.
+    assert block[0][squares_finite].tobytes() == reference[squares_finite].tobytes()
+
+
+@pytest.mark.parametrize("mode", NOISE_MODES)
+def test_a_seeded_one_dimensional_block_equals_its_vecdot_reference(mode):
+    spec = NoiseSpec(1e-3, 0.5, mode)  # eta 0.5: about one draw in six exceeds delta
+    streams = KeyedStreams((20240817,), range(1000))
+    block, exceeded = spec.perturbations(streams, 400, 1)
+    raw = np.stack([rng.standard_normal((400, 1)) for rng in streams])
+    raw *= spec.delta * math.sqrt(spec.eta)
+    raw += 0.0
+    _, count, reference = vecdot_route(raw, spec.delta, mode == "clipped-gaussian")
+    assert exceeded == count > 0
+    assert block.tobytes() == reference.tobytes()
+
+
 def test_block_draw_keeps_streams_apart():
     spec = NoiseSpec.from_delta(1e-3, eta=0.5)
     block, exceeded = spec.perturbations([np.random.default_rng((2, t)) for t in range(3)], 50, 2)

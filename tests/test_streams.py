@@ -8,9 +8,9 @@ from rkbudget.cli import DEFAULT_SEED
 
 # A numpy release may change what default_rng((seed, t)) gives (NEP 19).  The
 # campaigns and toy studies promise exactly those streams, and KeyedStreams
-# rebuilds them by hand, so such a release must fail here.
+# restates SeedSequence's hash by hand, so such a release must fail here.
 NEP19 = ("rkbudget._streams.KeyedStreams no longer matches np.random.default_rng on numpy "
-         f"{np.__version__}: update its SeedSequence/PCG64 seeding to the new default_rng")
+         f"{np.__version__}: update its SeedSequence hash to the new default_rng")
 
 # one-, two-, three- and five-word seeds, the word boundaries, and the CLI default
 SEEDS = [0, 1, 1000, 2**31 + 5, 2**32 - 1, 2**32, 2**40 + 17, 2**64 + 3, 2**73 + 12345, 2**128 + 9, DEFAULT_SEED]
@@ -60,6 +60,19 @@ def test_interleaved_iterations_draw_their_own_streams():
     expected = [rng.standard_normal(4).tobytes() for rng in a]
     drawn = [rng_a.standard_normal(4).tobytes() for rng_a, _ in zip(a, b)]
     assert drawn == expected
+
+
+def test_taken_streams_are_distinct_generators_drawn_in_any_order():
+    # every index gets a generator of its own, so streams taken all at once
+    # draw what default_rng draws, whichever is drawn from first
+    key, indices = (DEFAULT_SEED, 3), range(5, 12)
+    streams = list(KeyedStreams(key, indices))
+    assert len({id(rng) for rng in streams}) == len(indices)
+    firsts = [rng.standard_normal(3) for rng in reversed(streams)][::-1]  # the last stream first
+    seconds = [rng.standard_normal(3) for rng in streams]  # then each again, in index order
+    for i, first, second in zip(indices, firsts, seconds, strict=True):
+        expected = np.random.default_rng((*key, i)).standard_normal(6)
+        assert np.concatenate([first, second]).tobytes() == expected.tobytes(), NEP19
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, np.float64(2.0), None], ids=repr)
