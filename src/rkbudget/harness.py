@@ -28,7 +28,7 @@ import numpy as np
 from .bounds import global_error_bound_noiseless, global_error_bound_noisy
 from .formats import json_text
 from ._streams import KeyedStreams, _words
-from .integrator import NOISE_MODES, NoiseSpec, _error_norm, _step_count, integrate
+from .integrator import NoiseSpec, _check_noise, _check_positive, _error_norm, _step_count, integrate
 from .scenarios import Scenario, exp_ode
 from .tableaux import ButcherTableau, profile
 
@@ -107,41 +107,32 @@ def validate_noiseless_bound(sc: Scenario, tableau: ButcherTableau, n_steps_list
     )
 
 
-def validate_noisy_bound(
-    sc: Scenario,
-    tableau: ButcherTableau,
-    n_steps: int,
-    delta: float,
-    trials: int = 1000,
-    seed: int = 0,
-    mode: str = "clipped-gaussian",
-    eta: float = 0.05,
-) -> CampaignReport:
+def _check_trials(trials: int) -> None:
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
+
+
+def validate_noisy_bound(sc: Scenario, tableau: ButcherTableau, n_steps: int, delta: float, trials: int = 1000,
+                         seed: int = 0, mode: str = "clipped-gaussian", eta: float = 0.05) -> CampaignReport:
     """Run seeded noisy integrations and count bound violations.
 
     ``delta == 0`` falls back to a single noiseless check, after the same
-    checks of ``trials``, ``eta``, ``mode`` and ``seed``.  Trial ``t`` draws
-    all of its perturbations up front from the stream
-    ``np.random.default_rng((seed, t))``, so reports do not depend on how
-    trials are scheduled; the trials are then stepped together as one
-    batch.  The streams are unchanged, but :class:`~rkbudget._streams.KeyedStreams`
+    checks of ``trials``, ``eta``, ``mode`` and ``seed``, by the rules the
+    CLI's options apply too.  Trial ``t`` draws all of its perturbations up
+    front from the stream ``np.random.default_rng((seed, t))``, so reports do
+    not depend on how trials are scheduled; the trials are then stepped
+    together as one batch.  The streams are unchanged, but :class:`~rkbudget._streams.KeyedStreams`
     hashes all trials' keys in one pass and numpy's PCG64 seeds each trial's
     generator; ``tests/test_streams.py`` holds its states and draws to
     ``default_rng`` bit for bit.
     """
-    if not 0.0 <= delta < math.inf:  # NaN too
-        raise ValueError(f"delta must be finite and non-negative, got {delta}")
-    if trials < 0:
-        raise ValueError(f"trials must be non-negative, got {trials}")
-    if not 0.0 < eta < 1.0:  # NaN too
-        raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    if mode not in NOISE_MODES:
-        raise ValueError(f"mode must be one of {NOISE_MODES}, got {mode!r}")
+    _check_noise(delta, eta, mode)
+    _check_trials(trials)
     _words(seed)  # the streams' own seed check, without building them
     n_steps = _step_count(n_steps)
     if delta == 0.0:
         return validate_noiseless_bound(sc, tableau, [n_steps])
-    noise = NoiseSpec.from_delta(delta, eta=eta, mode=mode)
+    noise = NoiseSpec(delta, eta, mode)
     problem = exp_ode()
     prof = profile(tableau, sc.error_const)
     reference = problem.exact(sc.pb.horizon)
@@ -191,10 +182,8 @@ def validate_noisy_bound(
 
 def shots_to_delta(sigma: float, n_shots: float) -> float:
     """Per-evaluation noise bound implied by a shot count: ``sigma / sqrt(n_shots)``."""
-    if not 0.0 < sigma < math.inf:  # NaN too
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
-    if not 0.0 < n_shots < math.inf:
-        raise ValueError(f"n_shots must be finite and positive, got {n_shots}")
+    _check_positive("sigma", sigma)
+    _check_positive("n_shots", n_shots)
     return sigma / math.sqrt(n_shots)
 
 

@@ -39,6 +39,18 @@ NOISE_MODES = ("gaussian", "clipped-gaussian")
 DELTA_RANGE = (1e-150, 1e150)
 
 
+def _check_noise(delta: float, eta: float = 0.5, mode: str = NOISE_MODES[0], off: bool = True) -> None:
+    """The noise inputs' rules: ``delta`` in ``DELTA_RANGE``, or 0 (no noise) where ``off``
+    allows it; ``eta`` in (0, 1); a known ``mode``.  The defaults pass."""
+    if not (off and delta == 0.0 or DELTA_RANGE[0] <= delta <= DELTA_RANGE[1]):  # NaN too
+        raise ValueError(f"delta must lie in [{DELTA_RANGE[0]:g}, {DELTA_RANGE[1]:g}], where the perturbation norms"
+                         f" neither underflow nor overflow{', or be 0 for no noise' if off else ''}; got {delta:g}")
+    if not 0.0 < eta < 1.0:  # NaN too
+        raise ValueError(f"eta must lie in (0, 1), got {eta}")
+    if mode not in NOISE_MODES:
+        raise ValueError(f"mode must be one of {NOISE_MODES}, got {mode!r}")
+
+
 class StepFailureError(RuntimeError):
     """A stage evaluation returned a non-finite value."""
 
@@ -69,15 +81,7 @@ class NoiseSpec:
     mode: str
 
     def __post_init__(self):
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError("eta must lie in (0, 1)")
-        if self.mode not in NOISE_MODES:
-            raise ValueError(f"mode must be one of {NOISE_MODES}")
-        if not DELTA_RANGE[0] <= self.delta <= DELTA_RANGE[1]:  # NaN too
-            raise ValueError(
-                f"delta must lie in [{DELTA_RANGE[0]:g}, {DELTA_RANGE[1]:g}], where the"
-                f" perturbation norms neither underflow nor overflow; got {self.delta:g}"
-            )
+        _check_noise(self.delta, self.eta, self.mode, off=False)
 
     def perturbations(self, rngs: Collection[np.random.Generator], count: int, dim: int) -> tuple[np.ndarray, int]:
         """Perturbations for ``count`` evaluations of a ``dim``-component field per stream.
@@ -194,8 +198,7 @@ def rk_step(tableau, oracle: Callable, tau_n: float, y_n: np.ndarray, dt: float)
     conversion at every call, and the IEEE product is the same.  Each stage
     costs one field call and a few small numpy calls.
     """
-    if not 0.0 < dt < math.inf:  # NaN too
-        raise ValueError(f"dt must be finite and positive, got {dt}")
+    _check_positive("dt", dt)
     y_n = np.asarray(y_n, dtype=float)
     if y_n.ndim == 0:
         y_n = y_n.reshape(1)
@@ -225,18 +228,24 @@ def _step_count(n_steps) -> int:
     except TypeError:
         raise ValueError(f"n_steps must be an integer, got {n_steps!r}") from None
     if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     return int(n_steps)
 
 
-def integrate(
-    tableau,
-    oracle: Callable,
-    y0: np.ndarray,
-    tau0: float,
-    horizon: float,
-    n_steps: int,
-) -> Trajectory:
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:  # NaN too
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _slope_steps(steps: Iterable[int]) -> list[int]:
+    """``steps`` as sorted step counts, at least 4 of them distinct, as a slope estimate needs."""
+    steps = sorted(_step_count(n) for n in steps)
+    if len(set(steps)) < 4:
+        raise ValueError(f"need at least 4 distinct step counts for a slope estimate, got {steps}")
+    return steps
+
+
+def integrate(tableau, oracle: Callable, y0: np.ndarray, tau0: float, horizon: float, n_steps: int) -> Trajectory:
     """Run ``n_steps`` fixed-size steps over ``[tau0, tau0 + horizon]``.
 
     ``y0`` is one state ``(dim,)`` or a batch ``(trials, dim)``; the
@@ -244,8 +253,7 @@ def integrate(
     The inputs are checked once here; each step is one :func:`rk_step` call.
     """
     n_steps = _step_count(n_steps)
-    if not 0.0 < horizon < math.inf:  # NaN too
-        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    _check_positive("horizon", horizon)
     if not math.isfinite(tau0):
         raise ValueError(f"tau0 must be finite, got {tau0}")
     y = np.atleast_1d(np.asarray(y0, dtype=float))
@@ -289,9 +297,7 @@ def empirical_order(tableau, problem, steps: Iterable[int], horizon: float) -> f
     Raises :class:`DegenerateSlopeError` if any error vanishes or falls
     to the machine-precision floor, where no meaningful slope exists.
     """
-    steps = sorted(int(n) for n in steps)
-    if len(set(steps)) < 4:
-        raise ValueError(f"need at least 4 distinct step counts for a slope estimate, got {steps}")
+    steps = _slope_steps(steps)
     reference = np.atleast_1d(np.asarray(problem.exact(horizon), dtype=float))
     floor = 64.0 * np.finfo(float).eps * max(1.0, float(_error_norm(reference)))
     errors = []

@@ -35,10 +35,14 @@ DEFAULT_ORDER = 2
 DEFAULT_POINTS = 25
 
 
-def default_factors(points: int = DEFAULT_POINTS) -> np.ndarray:
-    """``points`` log-spaced scaling factors between 1/8 and 8, including exactly 1."""
+def _check_points(points: int) -> None:
     if points < 3 or points % 2 == 0:
         raise ValueError(f"points must be an odd integer >= 3 so the grid contains factor 1, got {points}")
+
+
+def default_factors(points: int = DEFAULT_POINTS) -> np.ndarray:
+    """``points`` log-spaced scaling factors between 1/8 and 8, including exactly 1."""
+    _check_points(points)
     return 2.0 ** np.linspace(-3.0, 3.0, points)
 
 

@@ -166,6 +166,14 @@ def _draw_planes(streams: Iterable[np.random.Generator], count: int, nv: int) ->
     return a, c
 
 
+def _check_draws(n_params: int = 1, samples: int = 30) -> None:
+    """The rules of a draw's dimension and a study's sample count; the defaults pass."""
+    if n_params < 1:
+        raise ValueError(f"n_params must be at least 1, got {n_params}")
+    if samples < 30:
+        raise ValueError(f"need at least 30 samples per grid point, got {samples}")
+
+
 def sample_toy(
     n_params: int,
     rng: np.random.Generator | int | Sequence[int] | None = None,
@@ -175,8 +183,7 @@ def sample_toy(
 
     The same seed reproduces the same system bit for bit.
     """
-    if n_params < 1:
-        raise ValueError("n_params must be at least 1")
+    _check_draws(n_params)
     a, c = _draw_planes([np.random.default_rng(rng)], 1, n_params)  # a study chunk of one draw
     system = ToySystem(a=_entries(a, 0.5, 1)[0], c=_entries(c, 0.5, 1)[0])
     return system, ToyParams(a_coeffs=np.moveaxis(a[0], 0, -1), c_coeffs=np.moveaxis(c[0], 0, -1))
@@ -276,11 +283,10 @@ def _study(nv_grid: Iterable[int], samples: int, theta: float, seed, norms: bool
     draw ``i`` from the stream ``np.random.default_rng((seed, nv, i))``:
     deterministic and independent of evaluation order.
     """
-    if samples < 30:
-        raise ValueError("need at least 30 samples per grid point")
+    _check_draws(samples=samples)
     grid = list(nv_grid)
-    if any(nv < 1 for nv in grid):
-        raise ValueError("n_params must be at least 1")
+    for nv in grid:
+        _check_draws(nv)
     if not grid:
         return []
     chunks = []

@@ -72,21 +72,29 @@ def test_table_orders_subrange(capsys):
     assert [r["p"] for r in rows] == ["2", "3", "4"]
 
 
+# Test ids that name a case by a message keep that message's earlier
+# wording, from before the options were checked by argparse types, so that
+# each case keeps its name.
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("table", "--orders", "5:3"), "--orders: range '5:3' is empty"),
-        (("table", "--orders", "1:10:0"), "--orders: bad integer range '1:10:0'"),
-        (("table", "--orders", "1:2:3:4"), "--orders: bad integer range '1:2:3:4'"),
-        (("table", "--orders", "x"), "--orders: bad integer range 'x'"),
-        (("toy", "kappa", "--nv", "10:5"), "--nv: range '10:5' is empty"),
-        (("toy", "kappa", "--nv", "10:20:0"), "--nv: bad integer range '10:20:0'"),
-        (("toy", "norms", "--nv", "20:10:5"), "--nv: range '20:10:5' is empty"),
-        (("sweep", "--target", "K", "--order", "0"), "--order must lie within 1..10, got 0\n"),
-        (("sweep", "--target", "K", "--order", "11"), "--order must lie within 1..10, got 11\n"),
+        (("table", "--orders", "5:3"), "argument --orders: range '5:3' is empty\n"),
+        (("table", "--orders", "1:10:0"), "argument --orders: bad integer range '1:10:0', expected n, lo:hi or"),
+        (("table", "--orders", "1:2:3:4"), "argument --orders: bad integer range '1:2:3:4', expected n, lo:hi or"),
+        (("table", "--orders", "x"), "argument --orders: bad integer range 'x', expected n, lo:hi or"),
+        (("toy", "kappa", "--nv", "10:5"), "argument --nv: range '10:5' is empty\n"),
+        (("toy", "kappa", "--nv", "10:20:0"), "argument --nv: bad integer range '10:20:0', expected n, lo:hi or"),
+        (("toy", "norms", "--nv", "20:10:5"), "argument --nv: range '20:10:5' is empty\n"),
+        (("sweep", "--target", "K", "--order", "0"), "argument --order: order must be in 1..10, got 0\n"),
+        (("sweep", "--target", "K", "--order", "11"), "argument --order: order must be in 1..10, got 11\n"),
         # past the cap, so that no grid of this size is built
-        (("sweep", "--target", "K", "--points", "1003"), "--points must be at most 1001, got 1003\n"),
+        (("sweep", "--target", "K", "--points", "1003"), "argument --points: points must lie in 3..1001, got 1003\n"),
     ],
+    ids=["argv0---orders: range '5:3' is empty", "argv1---orders: bad integer range '1:10:0'",
+         "argv2---orders: bad integer range '1:2:3:4'", "argv3---orders: bad integer range 'x'",
+         "argv4---nv: range '10:5' is empty", "argv5---nv: bad integer range '10:20:0'",
+         "argv6---nv: range '20:10:5' is empty", "argv7---order must lie within 1..10, got 0\n",
+         "argv8---order must lie within 1..10, got 11\n", "argv9---points must be at most 1001, got 1003\n"],
 )
 def test_bad_integer_ranges_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -114,10 +122,12 @@ def run_with_one_gib_of_address_space(argv) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("table", "--orders", "1:10000000000"), "orders must lie within 1..10\n"),
+        (("table", "--orders", "1:10000000000"), "argument --orders: order must be in 1..10, got 10000000000\n"),
         (("toy", "kappa", "--nv", "1:10000000000"), "--nv 10000000000 would build an array of up to 4e+21 bytes,"),
-        (("toy", "norms", "--nv", "0:10000000000"), "--nv: dimensions must be positive, got '0:10000000000'\n"),
+        (("toy", "norms", "--nv", "0:10000000000"), "argument --nv: n_params must be at least 1, got 0\n"),
     ],
+    ids=["argv0-orders must lie within 1..10\n", "argv1---nv 10000000000 would build an array of up to 4e+21 bytes,",
+         "argv2---nv: dimensions must be positive, got '0:10000000000'\n"],
 )
 def test_ranges_of_ten_billion_values_exit_2_without_building_them(argv, message):
     # a list of these values would need ~400 GB
@@ -129,7 +139,7 @@ def test_ranges_of_ten_billion_values_exit_2_without_building_them(argv, message
 def test_parsing_a_million_value_range_allocates_no_list():
     tracemalloc.start()
     try:
-        values = cli._parse_range("--nv", "1:1000000")
+        values = cli._parse_range("1:1000000")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -139,7 +149,21 @@ def test_parsing_a_million_value_range_allocates_no_list():
 
 @pytest.mark.parametrize("text, values", [("4", [4]), ("2:4", [2, 3, 4]), ("1:10:4", [1, 5, 9])])
 def test_parsed_ranges_hold_the_values_they_name(text, values):
-    assert list(cli._parse_range("--orders", text)) == values
+    assert list(cli._parse_range(text)) == values
+
+
+# the example once gave [5, 4, 3]: a negative step stopped at hi + 1
+@given(lo=st.integers(-20, 20), count=st.integers(0, 10), step=st.integers(-5, 5).filter(bool))
+@example(lo=5, count=4, step=-1)
+def test_a_range_whose_step_divides_its_span_holds_both_ends(lo, count, step):
+    hi = lo + count * step
+    values = cli._parse_range(f"{lo}:{hi}:{step}")
+    assert (values[0], values[-1], len(values)) == (lo, hi, count + 1)
+
+
+def test_a_descending_order_range_tables_every_order_it_names(capsys):
+    # once only order 3
+    assert run_cli(capsys, "table", "--orders", "3:1:-1") == run_cli(capsys, "table", "--orders", "1:3")
 
 
 def test_table_unknown_scenario_exits_2(capsys):
@@ -744,7 +768,8 @@ def test_sweep_unit_factor_agreement(capsys):
 def test_sweep_without_factor_1_on_its_grid_exits_2_naming_points(capsys, points):
     code, out, err = run_cli(capsys, "sweep", "--target", "K", "--points", points)
     assert (code, out) == (2, "")
-    assert err == f"error: points must be an odd integer >= 3 so the grid contains factor 1, got {points}\n"
+    assert err == ("error: argument --points: points must be an odd integer >= 3 so the grid contains factor 1,"
+                   f" got {points}\n")
 
 
 def test_sweep_sigma_in_cost_mode_rejected(capsys):
@@ -825,40 +850,42 @@ def test_toy_lip_csv_is_the_per_cell_rendering_of_its_surface(capsys, seed, poin
 
 
 def test_toy_lip_requires_single_nv(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["toy", "lip", "--nv", "5:10:5"])
-    assert excinfo.value.code == 2
-    assert "argument --nv: invalid int value: '5:10:5'" in capsys.readouterr().err
+    assert run_cli(capsys, "toy", "lip", "--nv", "5:10:5") == (2, "",
+                                                               "error: argument --nv: invalid int value: '5:10:5'\n")
 
 
-@pytest.mark.parametrize(
-    "args, message",
-    [
-        ("lip --lo nan", "--lo and --hi must be finite"),
-        ("lip --hi inf", "--lo and --hi must be finite"),
-        ("lip --lo=-inf", "--lo and --hi must be finite"),
-        ("lip --lo 5 --hi 5", "--lo must be below --hi"),
-        ("lip --lo 6 --hi 5", "--lo must be below --hi"),
-        ("lip --lo=-1e308 --hi=1e308", "--hi - --lo overflows the float range, got --lo -1e+308 and --hi 1e+308"),
-        ("lip --points 0", "--points must be at least 2"),
-        ("lip --points 1", "--points must be at least 2"),
-        ("lip --points 1001", "--points must be at least 2 and at most 1000, got 1001"),
-        ("lip --nv 0", "--nv must be positive, got 0"),
-        ("kappa --nv 0:2", "--nv: dimensions must be positive, got '0:2'"),
-        ("kappa --theta inf", "--theta must be finite"),
-        ("norms --theta=-inf", "--theta must be finite"),
-        ("kappa --seed -1", "--seed must be a non-negative integer, got -1"),
-        ("norms --seed -1", "--seed must be a non-negative integer, got -1"),
-        ("lip --seed -1", "--seed must be a non-negative integer, got -1"),
-    ],
-)
+TOY_REJECTIONS = [
+    ("lip --lo nan", "argument --lo: expected a finite number, got nan", "--lo and --hi must be finite"),
+    ("lip --hi inf", "argument --hi: expected a finite number, got inf", "--lo and --hi must be finite"),
+    ("lip --lo=-inf", "argument --lo: expected a finite number, got -inf", "--lo and --hi must be finite"),
+    ("lip --lo 5 --hi 5", "--lo must be below --hi, got 5.0 >= 5.0", "--lo must be below --hi"),
+    ("lip --lo 6 --hi 5", "--lo must be below --hi, got 6.0 >= 5.0", "--lo must be below --hi"),
+    ("lip --lo=-1e308 --hi=1e308", "--hi - --lo overflows the float range, got --lo -1e+308 and --hi 1e+308",
+     "--hi - --lo overflows the float range, got --lo -1e+308 and --hi 1e+308"),
+    ("lip --points 0", "argument --points: points must lie in 2..1000, got 0", "--points must be at least 2"),
+    ("lip --points 1", "argument --points: points must lie in 2..1000, got 1", "--points must be at least 2"),
+    ("lip --points 1001", "argument --points: points must lie in 2..1000, got 1001",
+     "--points must be at least 2 and at most 1000, got 1001"),
+    ("lip --nv 0", "argument --nv: n_params must be at least 1, got 0", "--nv must be positive, got 0"),
+    ("kappa --nv 0:2", "argument --nv: n_params must be at least 1, got 0",
+     "--nv: dimensions must be positive, got '0:2'"),
+    ("kappa --theta inf", "argument --theta: expected a finite number, got inf", "--theta must be finite"),
+    ("norms --theta=-inf", "argument --theta: expected a finite number, got -inf", "--theta must be finite"),
+    ("kappa --seed -1", "argument --seed: expected non-negative integer",
+     "--seed must be a non-negative integer, got -1"),
+    ("norms --seed -1", "argument --seed: expected non-negative integer",
+     "--seed must be a non-negative integer, got -1"),
+    ("lip --seed -1", "argument --seed: expected non-negative integer",
+     "--seed must be a non-negative integer, got -1"),
+]
+
+
+@pytest.mark.parametrize("args, message", [case[:2] for case in TOY_REJECTIONS],
+                         ids=[f"{case[0]}-{case[2]}" for case in TOY_REJECTIONS])
 def test_toy_rejects_bad_inputs_exits_2(capsys, args, message):
     study, *rest = args.split()
     samples = () if study == "lip" else ("--samples", "30")
-    code, out, err = run_cli(capsys, "toy", study, "--nv", "4", *samples, *rest)
-    assert code == 2
-    assert message in err
-    assert out == ""
+    assert run_cli(capsys, "toy", study, "--nv", "4", *samples, *rest) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("study", ["kappa", "norms"])
@@ -866,7 +893,7 @@ def test_toy_rejects_bad_inputs_exits_2(capsys, args, message):
 def test_toy_too_few_samples_exits_2_naming_the_option(capsys, study, samples):
     code, out, err = run_cli(capsys, "toy", study, "--nv", "10", "--samples", samples)
     assert code == 2
-    assert err == f"error: --samples: need at least 30 samples per grid point, got {samples}\n"
+    assert err == f"error: argument --samples: need at least 30 samples per grid point, got {samples}\n"
     assert out == ""
 
 
@@ -972,8 +999,9 @@ def test_validate_csv_is_byte_identical(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == VALIDATE_CSV_DIGESTS[argv]
 
 
-DELTA_MESSAGE = ("--delta must be 0 or lie in [1e-150, 1e+150], where the perturbation norms neither underflow"
-                 " nor overflow; got ")
+DELTA_MESSAGE = ("argument --delta: delta must lie in [1e-150, 1e+150], where the perturbation norms neither"
+                 " underflow nor overflow, or be 0 for no noise; got ")
+HORIZON_MESSAGE = "argument --horizon: horizon must be finite and positive, got "
 
 
 @pytest.mark.parametrize(
@@ -982,10 +1010,10 @@ DELTA_MESSAGE = ("--delta must be 0 or lie in [1e-150, 1e+150], where the pertur
         (("validate", "--method", "euler", "--delta", "nan"), f"{DELTA_MESSAGE}nan"),
         (("validate", "--method", "euler", "--delta", "inf"), f"{DELTA_MESSAGE}inf"),
         (("validate", "--method", "euler", "--delta=-inf"), f"{DELTA_MESSAGE}-inf"),
-        (("convergence", "--method", "euler", "--horizon", "nan"), "--horizon must be finite and positive, got nan"),
-        (("convergence", "--method", "euler", "--horizon", "inf"), "--horizon must be finite and positive, got inf"),
-        (("convergence", "--method", "euler", "--horizon=-1"), "--horizon must be finite and positive, got -1.0"),
-        (("convergence", "--method", "euler", "--horizon", "0"), "--horizon must be finite and positive, got 0.0"),
+        (("convergence", "--method", "euler", "--horizon", "nan"), f"{HORIZON_MESSAGE}nan"),
+        (("convergence", "--method", "euler", "--horizon", "inf"), f"{HORIZON_MESSAGE}inf"),
+        (("convergence", "--method", "euler", "--horizon=-1"), f"{HORIZON_MESSAGE}-1.0"),
+        (("convergence", "--method", "euler", "--horizon", "0"), f"{HORIZON_MESSAGE}0.0"),
     ],
     ids=["validate-delta-nan", "validate-delta-inf", "validate-delta-minus-inf", "convergence-horizon-nan",
          "convergence-horizon-inf", "convergence-horizon-minus-1", "convergence-horizon-0"],
@@ -1054,7 +1082,7 @@ def test_convergence_past_the_square_overflow_has_a_slope(capsys):
     "argv, overrides, message",
     [
         (("validate", "--method", "euler"), "T=1e-322\n", "T=1e-322: the step T / 100 (--ntau) underflows to 0"),
-        (("validate", "--method", "euler", "--ntau", "0"), None, "--ntau must be at least 1, got 0"),
+        (("validate", "--method", "euler", "--ntau", "0"), None, "argument --ntau: n_steps must be at least 1, got 0"),
         (("convergence", "--method", "euler", "--horizon", "5e-324"), None,
          "--horizon=5e-324: the step --horizon / 512 (the largest of --steps) underflows to 0"),
     ],
@@ -1077,13 +1105,14 @@ def test_steps_that_cannot_be_taken_exit_2_naming_the_option(capsys, tmp_path, a
          "--trials 1000 and --ntau 1000000000000 with 1-stage --method euler"
          " would build an array of up to 8e+15 bytes"),
         ("validate --method euler --delta 0 --ntau 1000000000000 --trials 1000",
-         "--ntau 1000000000000 would build an array of up to 8e+12 bytes"),
+         "--ntau 1000000000000 with 1-stage --method euler would build an array of up to 8e+12 bytes"),
         ("convergence --method euler --steps 1000000000000,2000000000000,3000000000000,4000000000000",
-         "the largest of --steps, 4000000000000, would build an array of up to 3.2e+13 bytes"),
+         "--steps 1000000000000,2000000000000,3000000000000,4000000000000 with 1-stage --method euler"
+         " would build an array of up to 3.2e+13 bytes"),
         ("toy kappa --nv 100000 --samples 30", "--nv 100000 would build an array of up to 4e+11 bytes"),
         ("toy lip --nv 100000", "--nv 100000 would build an array of up to 4e+11 bytes"),
         ("toy norms --nv 10:20 --samples 40000000",
-         "--samples 40000000 with --nv 10:20 would build an array of up to 1.41e+10 bytes"),
+         "--samples 40000000 with 11 --nv values would build an array of up to 1.41e+10 bytes"),
     ],
     ids=["validate-noise-block", "validate-states", "convergence-states", "toy-kappa-planes", "toy-lip-planes",
          "toy-norms-samples"],
@@ -1102,6 +1131,59 @@ def test_a_request_at_the_array_limit_runs(capsys, monkeypatch):
     assert run_cli(capsys, *argv)[:2] == (2, "")
 
 
+# Both once passed every check and stepped for about half an hour: a step
+# costs about the same however few trials it carries, so the limit counts
+# stage evaluations per trajectory.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("validate --method rk4 --delta 0 --ntau 100000000",
+         "--ntau 100000000 with 4-stage --method rk4 would make 4e+08 stage evaluations"),
+        ("validate --method rk4 --delta 1e-3 --trials 0 --ntau 100000000",
+         "--trials 0 and --ntau 100000000 with 4-stage --method rk4 would make 4e+08 stage evaluations"),
+        ("convergence --method euler --steps 1000000,2000000,3000000,4000000",
+         "--steps 1000000,2000000,3000000,4000000 with 1-stage --method euler would make 1e+07 stage evaluations"),
+    ],
+    ids=["validate-noiseless", "validate-no-trials", "convergence"],
+)
+def test_requests_past_the_stage_evaluation_limit_exit_2_before_stepping(capsys, monkeypatch, argv, message):
+    def not_run(*args, **kwargs):
+        raise AssertionError("the request ran")
+
+    for name in ("validate_noisy_bound", "empirical_order"):
+        monkeypatch.setattr(cli, name, not_run)
+    assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}, above the limit of 4e+06\n")
+
+
+@pytest.mark.parametrize("noise", [("--delta", "0"), ("--delta", "1e-3", "--trials", "3")], ids=["noiseless", "noisy"])
+def test_a_request_at_the_stage_evaluation_limit_runs(capsys, monkeypatch, noise):
+    # ten steps of four stage evaluations each, per trial
+    argv = ("validate", "--method", "rk4", "--ntau", "10", *noise)
+    monkeypatch.setattr(cli, "MAX_STAGE_EVALUATIONS", 40)
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "MAX_STAGE_EVALUATIONS", 39)
+    assert run_cli(capsys, *argv)[:2] == (2, "")
+
+
+@pytest.mark.parametrize("delta", ["0", "1e-3"], ids=["noiseless", "noisy"])
+@pytest.mark.parametrize("method", sorted(BUILTIN_METHODS))
+def test_the_stage_evaluation_limit_counts_what_stepping_does(capsys, monkeypatch, method, delta):
+    # what the limit counts per trajectory, times the trials when noise is on
+    counted = []
+    check_size = cli._check_size
+
+    def recording(floats, request, evaluations=0):
+        counted.append(evaluations)
+        check_size(floats, request, evaluations)
+
+    monkeypatch.setattr(cli, "_check_size", recording)
+    trials = 3
+    code, out, _ = run_cli(capsys, "validate", "--method", method, "--delta", delta, "--ntau", "7",
+                           "--trials", str(trials), "--format", "json")
+    assert code == 0 and len(counted) == 1
+    assert json.loads(out)["evaluations"] == counted[0] * (trials if delta != "0" else 1)
+
+
 def test_validate_against_a_noiseless_bound_of_0_counts_a_violation(capsys, tmp_path):
     # the bound underflows to 0; realized / bound divided by zero
     code, out, err = run_with_overrides(capsys, tmp_path, "M=1e-300\nK=1e-300\n", "validate", "--method", "rk4",
@@ -1114,15 +1196,15 @@ def test_validate_against_a_noiseless_bound_of_0_counts_a_violation(capsys, tmp_
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("--delta", "0", "--eta", "1.5"), "--eta must lie in (0, 1), got 1.5"),
-        (("--delta", "0", "--eta", "nan"), "--eta must lie in (0, 1), got nan"),
-        (("--delta", "0", "--eta", "0"), "--eta must lie in (0, 1), got 0.0"),
-        (("--delta", "0", "--trials", "-5"), "--trials must be non-negative, got -5"),
-        (("--delta", "1e-4", "--eta", "1.5"), "--eta must lie in (0, 1), got 1.5"),
-        (("--delta", "1e-170"), "--delta must be 0 or lie in [1e-150, 1e+150]"),
-        (("--delta", "1e300"), "--delta must be 0 or lie in [1e-150, 1e+150]"),
-        (("--delta", "1e-4", "--seed", "-1"), "--seed must be a non-negative integer, got -1"),
-        (("--delta", "0", "--seed", "-1"), "--seed must be a non-negative integer, got -1"),
+        (("--delta", "0", "--eta", "1.5"), "argument --eta: eta must lie in (0, 1), got 1.5\n"),
+        (("--delta", "0", "--eta", "nan"), "argument --eta: eta must lie in (0, 1), got nan\n"),
+        (("--delta", "0", "--eta", "0"), "argument --eta: eta must lie in (0, 1), got 0.0\n"),
+        (("--delta", "0", "--trials", "-5"), "argument --trials: trials must be non-negative, got -5\n"),
+        (("--delta", "1e-4", "--eta", "1.5"), "argument --eta: eta must lie in (0, 1), got 1.5\n"),
+        (("--delta", "1e-170"), f"{DELTA_MESSAGE}1e-170\n"),
+        (("--delta", "1e300"), f"{DELTA_MESSAGE}1e+300\n"),
+        (("--delta", "1e-4", "--seed", "-1"), "argument --seed: expected non-negative integer\n"),
+        (("--delta", "0", "--seed", "-1"), "argument --seed: expected non-negative integer\n"),
     ],
     ids=["noiseless-eta-1.5", "noiseless-eta-nan", "noiseless-eta-0", "noiseless-trials", "noisy-eta",
          "delta-below-range", "delta-above-range", "negative-seed", "noiseless-negative-seed"],
@@ -1176,13 +1258,14 @@ def test_convergence_csv(capsys):
 def test_convergence_needs_enough_steps(capsys):
     code, _, err = run_cli(capsys, "convergence", "--method", "euler", "--steps", "8,16")
     assert code == 2
-    assert "4 step counts" in err
+    assert "4 distinct step counts" in err
 
 
 def test_convergence_rejects_repeated_steps(capsys):
     code, out, err = run_cli(capsys, "convergence", "--method", "euler", "--steps", "64,64,64,64")
     assert code == 2
-    assert err == "error: --steps: need at least 4 step counts, all distinct, got '64,64,64,64'\n"
+    assert err == ("error: argument --steps: need at least 4 distinct step counts for a slope estimate,"
+                   " got [64, 64, 64, 64]\n")
     assert out == ""
 
 
@@ -1190,7 +1273,7 @@ def test_convergence_rejects_repeated_steps(capsys):
 def test_convergence_non_integer_steps_exit_2_naming_the_option(capsys, steps):
     code, out, err = run_cli(capsys, "convergence", "--method", "euler", "--steps", steps)
     assert code == 2
-    assert err == f"error: --steps: expected comma-separated integers, got {steps!r}\n"
+    assert err == f"error: argument --steps: expected comma-separated integers, got {steps!r}\n"
     assert out == ""
 
 
@@ -1198,23 +1281,30 @@ def test_convergence_non_integer_steps_exit_2_naming_the_option(capsys, steps):
 def test_convergence_non_positive_steps_exit_2_naming_the_option(capsys, steps):
     code, out, err = run_cli(capsys, "convergence", "--method", "euler", "--steps", steps)
     assert code == 2
-    assert err == f"error: --steps: step counts must be at least 1, got {steps!r}\n"
+    first_bad = next(s for s in steps.split(",") if int(s) < 1)
+    assert err == f"error: argument --steps: n_steps must be at least 1, got {first_bad}\n"
     assert out == ""
 
 
 # -- argparse-level failures -------------------------------------------------------
 
 
+def exit_code(argv) -> int:
+    """``main``'s return code, or that of argparse's SystemExit: a bad option
+    value reaches ``main`` as an ArgumentError, but whether an unknown flag or
+    a missing argument does too depends on the Python version."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_unknown_flag_exits_2(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["table", "--bogus"])
-    assert excinfo.value.code == 2
+    assert exit_code(["table", "--bogus"]) == 2
 
 
 def test_missing_subcommand_exits_2(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main([])
-    assert excinfo.value.code == 2
+    assert exit_code([]) == 2
 
 
 @pytest.mark.parametrize(
@@ -1224,9 +1314,7 @@ def test_missing_subcommand_exits_2(capsys):
 )
 def test_seed_is_rejected_by_commands_without_randomness(capsys, argv):
     # only toy and validate draw random numbers
-    with pytest.raises(SystemExit) as excinfo:
-        main([*argv, "--seed", "5"])
-    assert excinfo.value.code == 2
+    assert exit_code([*argv, "--seed", "5"]) == 2
     assert "--seed" in capsys.readouterr().err
 
 
@@ -1307,9 +1395,7 @@ def test_usage_error_between_calls_leaves_later_output_unchanged(capsys, bad_arg
     argv = ("table", "--scenario", "classical")
     cli._parser.cache_clear()
     _, fresh, _ = run_cli(capsys, *argv)
-    with pytest.raises(SystemExit) as excinfo:
-        main(list(bad_argv))
-    assert excinfo.value.code == 2
+    assert exit_code(bad_argv) == 2
     capsys.readouterr()
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -1346,9 +1432,7 @@ def test_build_parser_returns_a_fresh_parser():
     ids=" ".join,
 )
 def test_an_option_the_study_does_not_read_is_rejected(capsys, argv):
-    with pytest.raises(SystemExit) as excinfo:
-        main([*argv[:2], "--nv", "2", *argv[2:]])
-    assert excinfo.value.code == 2
+    assert exit_code([*argv[:2], "--nv", "2", *argv[2:]]) == 2
     assert f"error: unrecognized arguments: {argv[2]} {argv[3]}\n" in capsys.readouterr().err
 
 

@@ -209,7 +209,7 @@ def test_noise_block_must_not_be_overrun(classical, monkeypatch):
 
 @pytest.mark.parametrize("delta", [math.nan, math.inf, -1e-3])
 def test_noisy_campaign_rejects_a_non_finite_or_negative_delta(classical, delta):
-    with pytest.raises(ValueError, match="delta must be finite and non-negative"):
+    with pytest.raises(ValueError, match=r"delta must lie in \[1e-150, 1e\+150\], .* or be 0 for no noise; got"):
         validate_noisy_bound(classical, builtin_tableau("euler"), n_steps=10, delta=delta, trials=3)
 
 

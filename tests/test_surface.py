@@ -16,9 +16,11 @@ a public class outside that class's body.  References are matched by name.
 
 import argparse
 import ast
+import contextlib
 import dataclasses
 import importlib
 import inspect
+import io
 from pathlib import Path
 
 import pytest
@@ -121,6 +123,44 @@ def test_each_option_changes_stdout(capsys, tmp_path, command, option):
         assert err == ""
         printed.append(out)
     assert printed[0] != printed[1]
+
+
+# Every option with an argparse type, on top of its command's smallest valid
+# request, fed values at and past the edges of the usual rules.  toy lip's
+# grid is wide enough that each value fed to --lo or --hi leaves --lo below
+# --hi, a check that spans both options.
+SMALLEST_REQUESTS = {
+    ("table",): (),
+    ("sweep",): ("--target", "K", "--points", "3"),
+    ("toy", "kappa"): ("--nv", "1", "--samples", "30", "--seed", "1"),
+    ("toy", "norms"): ("--nv", "1", "--samples", "30", "--seed", "1"),
+    ("toy", "lip"): ("--nv", "1", "--points", "2", "--lo=-2", "--hi=2", "--seed", "1"),
+    ("validate",): ("--method", "euler", "--ntau", "1", "--trials", "1"),
+    ("convergence",): ("--method", "euler"),
+}
+EDGE_VALUES = ("nan", "inf", "-inf", "-1", "0", "1.5", "1e400", "")
+TYPED_OPTIONS = [(path, opt) for path, sub in subcommands(cli.build_parser()) for action in sub._actions
+                 if action.type is not None for opt in action.option_strings]
+
+
+def test_every_command_with_typed_options_has_a_smallest_request():
+    assert {path for path, _ in TYPED_OPTIONS} == set(SMALLEST_REQUESTS)
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES)
+@pytest.mark.parametrize("command, option", TYPED_OPTIONS,
+                         ids=lambda item: " ".join(item) if isinstance(item, tuple) else item)
+def test_a_typed_option_runs_or_exits_2_naming_itself(command, option, value):
+    # a value either runs, or stops where argparse reads it with one line
+    # naming the option; it never raises
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*command, *SMALLEST_REQUESTS[command], f"{option}={value}"])
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith(f"error: argument {option}:"), err.getvalue()
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert code in (0, 1) and err.getvalue() == "", (code, err.getvalue())
 
 
 ROOT = Path(__file__).resolve().parent.parent
