@@ -45,8 +45,7 @@ MAX_SWEEP_POINTS = 1001
 MAX_LIP_POINTS = 1000
 # The largest array a request may build, far above the README's requests (a
 # 1000-trial, 100-step rk4 campaign draws a 3.2 MB noise block), so that a
-# mistyped count exits 2 instead of asking numpy for terabytes.  A campaign
-# holds its noise block twice.
+# mistyped count exits 2 instead of asking numpy for terabytes.
 MAX_ARRAY_BYTES = 1 << 30
 # The most stage evaluations a request's trajectories may make, 100 times the
 # README's and the benchmark's largest (10000 rk4 steps), so that a mistyped
@@ -85,6 +84,14 @@ def _points(low: int, high: int):
     return check
 
 
+def _check_seed(seed: int) -> None:
+    """The streams' seed rule, naming the value that numpy's message leaves out."""
+    try:
+        _words(seed)
+    except ValueError as exc:
+        raise ValueError(f"{exc}, got {seed}") from None
+
+
 def _seed(args) -> int:
     """The master seed: ``--seed``, else the environment's under the same rule, else ``DEFAULT_SEED``."""
     if args.seed is not None:
@@ -92,7 +99,7 @@ def _seed(args) -> int:
     if (raw := os.environ.get(SEED_ENV_VAR)) is None:
         return DEFAULT_SEED
     try:
-        _words(seed := int(raw))
+        _check_seed(seed := int(raw))
     except ValueError:
         raise ValueError(f"{SEED_ENV_VAR} must be a non-negative integer, got {raw}") from None
     return seed
@@ -217,11 +224,10 @@ def _cmd_validate(args) -> int:
     tableau = builtin_tableau(args.method)
     evaluations = args.ntau * tableau.stages  # per trial: one batch steps them all
     request = f"--ntau {args.ntau} with {tableau.stages}-stage --method {args.method}"
-    if args.delta == 0.0:  # one trajectory's states
-        _check_size(args.ntau + 1, request, evaluations)
-    else:  # the noise block, or the batch's states
-        _check_size(max(args.trials * evaluations, max(args.trials, 1) * (args.ntau + 1)),
-                    f"--trials {args.trials} and {request}", evaluations)
+    if args.delta == 0.0:  # stepping holds only the current state
+        _check_size(0, request, evaluations)
+    else:  # the noise block
+        _check_size(args.trials * evaluations, f"--trials {args.trials} and {request}", evaluations)
     mode = "clipped-gaussian" if args.mode == "clipped" else "gaussian"
     # At --delta 0 this is one noiseless check, made after the same input checks.
     report = validate_noisy_bound(sc, tableau, args.ntau, args.delta, trials=args.trials, seed=_seed(args),
@@ -242,7 +248,7 @@ def _cmd_convergence(args) -> int:
     tableau = builtin_tableau(args.method)
     steps, text = args.steps, ",".join(map(str, args.steps))
     _check_steps("--horizon", args.horizon, max(steps), "the largest of --steps")
-    _check_size(max(steps) + 1, f"--steps {text} with {tableau.stages}-stage --method {args.method}",
+    _check_size(0, f"--steps {text} with {tableau.stages}-stage --method {args.method}",  # no array grows
                 sum(steps) * tableau.stages)
     try:
         slope = empirical_order(tableau, exp_ode(), steps, horizon=args.horizon)
@@ -263,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default=None, help="output path (default stdout)")
         if seeded:
-            p.add_argument("--seed", type=_typed(int, _words), default=None,
+            p.add_argument("--seed", type=_typed(int, _check_seed), default=None,
                            help=f"master seed (default {DEFAULT_SEED}, env {SEED_ENV_VAR})")
         if scenario_default is not None:
             p.add_argument("--scenario", default=scenario_default, help=f"one of {SCENARIO_NAMES}")

@@ -11,10 +11,11 @@ constants do hold for the ODE any violation signals an implementation
 defect; in plain Gaussian mode the per-evaluation exceedance rate itself is
 the quantity under test.
 
-A noisy campaign draws each trial's perturbations up front, one row per
-trial, then steps all trials as one ``(trials, dim)`` batch.  It reads the
-draws from one evaluation-major copy of that block, so each field
-evaluation adds one contiguous ``(trials, dim)`` slab.
+A noisy campaign draws each trial's perturbations up front, one column per
+trial of an evaluation-major ``(evaluations, trials, dim)`` block, then
+steps all trials as one ``(trials, dim)`` batch, so each field evaluation
+adds one contiguous ``(trials, dim)`` slab.  Only the batch's current state
+is kept, so the block is the one array that grows with the request.
 """
 
 from __future__ import annotations
@@ -140,10 +141,6 @@ def validate_noisy_bound(sc: Scenario, tableau: ButcherTableau, n_steps: int, de
     streams = KeyedStreams((seed,), range(trials))
     count = n_steps * tableau.stages
     block, exceedances = noise.perturbations(streams, count, problem.y0.size)
-    # One evaluation-major copy, (count, trials, dim), in place of the
-    # stream-major block: evaluation k adds block[k], a contiguous slab,
-    # where block[:, k] would be a strided column.
-    block = np.ascontiguousarray(block.swapaxes(0, 1))
     calls = 0
 
     def noisy_field(tau, y):

@@ -8,6 +8,10 @@ below ``delta`` with probability at least ``1 - eta`` (and always, in
 clipped mode).  A shot count enters only through that bound,
 ``delta = sigma / sqrt(n_shots)``, which :func:`rkbudget.harness.shots_to_delta`
 computes.
+
+Stepping keeps only the state it steps: :func:`integrate` returns the state
+at the end of the horizon, where the bounds measure the error, and its
+memory does not grow with the step count.
 """
 
 from __future__ import annotations
@@ -86,24 +90,28 @@ class NoiseSpec:
     def perturbations(self, rngs: Collection[np.random.Generator], count: int, dim: int) -> tuple[np.ndarray, int]:
         """Perturbations for ``count`` evaluations of a ``dim``-component field per stream.
 
-        Stream ``i`` fills row ``i`` of the block with ``(count, dim)``
-        standard normals in one call, which equals ``count`` successive draws
-        of ``dim`` components.  One scaling of the whole block then gives, bit
-        for bit, what ``rng.normal(0.0, scale)`` draws from each stream.
-        ``rngs`` may be a :class:`~rkbudget._streams.KeyedStreams`;
-        ``tests/test_streams.py`` holds its streams to ``default_rng`` bit
-        for bit, and ``tests/test_integrator.py`` this block to
-        per-evaluation ``rng.normal`` draws.  Returns the
-        ``(len(rngs), count, dim)`` block, clipped onto the delta sphere in
-        clipped mode, and the number of draws whose norm exceeded delta.
+        Stream ``i`` draws ``(count, dim)`` standard normals in one call,
+        which equals ``count`` successive draws of ``dim`` components, into a
+        reused buffer copied into column ``i`` of the block.  One scaling of
+        the whole block then gives, bit for bit, what ``rng.normal(0.0,
+        scale)`` draws from each stream.  ``rngs`` may be a
+        :class:`~rkbudget._streams.KeyedStreams`; ``tests/test_streams.py``
+        holds its streams to ``default_rng`` bit for bit, and
+        ``tests/test_integrator.py`` this block to per-evaluation
+        ``rng.normal`` draws.  Returns the evaluation-major ``(count,
+        len(rngs), dim)`` block, so evaluation ``k`` reads the contiguous slab
+        ``block[k]``, clipped onto the delta sphere in clipped mode, and the
+        number of draws whose norm exceeded delta.
         """
         if dim < 1:
             raise ValueError("noise needs a field value with at least one component; got a zero-dimensional one")
         delta = self.delta
         scale = delta * math.sqrt(self.eta / dim)
-        block = np.empty((len(rngs), count, dim))
-        for row, rng in zip(block, rngs):
-            rng.standard_normal(out=row)
+        block = np.empty((count, len(rngs), dim))
+        draws = np.empty((count, dim))
+        for i, rng in enumerate(rngs):
+            rng.standard_normal(out=draws)
+            block[:, i] = draws
         # normal(0.0, scale) computes 0.0 + scale * z; adding 0.0 turns a
         # -0.0 product into +0.0 as it does.
         block *= scale
@@ -159,26 +167,10 @@ class EvaluationOracle:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly spaced solution samples produced by :func:`integrate`."""
+    """What :func:`integrate` returns: the state at the end of the horizon and the number of steps taken."""
 
-    times: np.ndarray
-    states: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        states = np.asarray(self.states, dtype=float)
-        if len(times) != len(states):
-            raise ValueError("times and states must have equal length")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.times) - 1
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
+    final: np.ndarray
+    n_steps: int
 
 
 def rk_step(tableau, oracle: Callable, tau_n: float, y_n: np.ndarray, dt: float) -> np.ndarray:
@@ -249,8 +241,10 @@ def integrate(tableau, oracle: Callable, y0: np.ndarray, tau0: float, horizon: f
     """Run ``n_steps`` fixed-size steps over ``[tau0, tau0 + horizon]``.
 
     ``y0`` is one state ``(dim,)`` or a batch ``(trials, dim)``; the
-    trajectory's states then have shape ``(n_steps + 1,) + y0.shape``.
-    The inputs are checked once here; each step is one :func:`rk_step` call.
+    trajectory's final state has the same shape.  The inputs are checked
+    once here; each step is one :func:`rk_step` call.  Only the current state
+    is held, and step ``n`` starts at ``np.linspace(tau0, tau0 + horizon,
+    n_steps + 1)[n]``, computed by linspace's own arithmetic, bit for bit.
     """
     n_steps = _step_count(n_steps)
     _check_positive("horizon", horizon)
@@ -260,16 +254,15 @@ def integrate(tableau, oracle: Callable, y0: np.ndarray, tau0: float, horizon: f
     if not np.isfinite(y).all():
         raise ValueError("y0 must be finite")
     dt = horizon / n_steps
-    times = np.linspace(tau0, tau0 + horizon, n_steps + 1)
-    states = np.empty((n_steps + 1,) + y.shape)
-    states[0] = y
-    for n, tau_n in enumerate(times[:-1].tolist(), start=1):
+    span = (tau0 + horizon) - tau0
+    spacing = span / n_steps  # linspace scales by span / n_steps, or by n / n_steps where that underflows to 0
+    for n in range(n_steps):
+        tau_n = (n * spacing if spacing else n / n_steps * span) + tau0
         try:
             y = rk_step(tableau, oracle, tau_n, y, dt)
         except StepFailureError as exc:
-            raise StepFailureError(f"integration aborted at step {n}: {exc}", step=n, stage=exc.stage) from exc
-        states[n] = y
-    return Trajectory(times=times, states=states)
+            raise StepFailureError(f"integration aborted at step {n + 1}: {exc}", step=n + 1, stage=exc.stage) from exc
+    return Trajectory(final=y, n_steps=n_steps)
 
 
 def _error_norm(x: np.ndarray) -> float | np.ndarray:

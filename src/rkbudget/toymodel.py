@@ -375,6 +375,13 @@ def lip_surface(params: ToyParams, grid1: np.ndarray, grid2: np.ndarray) -> np.n
     return surface
 
 
+def _disturbed_system(a, c, xi: float) -> tuple[np.ndarray, np.ndarray]:
+    """``A`` and ``C`` as float arrays, once the disturbance size ``xi`` passes its rule."""
+    if xi < 0:
+        raise ValueError("xi must be non-negative")
+    return np.asarray(a, dtype=float), np.asarray(c, dtype=float)
+
+
 def perturbation_bound(a, c, r_mat, r_vec, xi: float) -> float:
     """First-order bound on the relative solution error of a disturbed solve.
 
@@ -382,10 +389,7 @@ def perturbation_bound(a, c, r_mat, r_vec, xi: float) -> float:
     second-order remainder is excluded.  Matrix norms are Frobenius,
     vector norms Euclidean.
     """
-    if xi < 0:
-        raise ValueError("xi must be non-negative")
-    a = np.asarray(a, dtype=float)
-    c = np.asarray(c, dtype=float)
+    a, c = _disturbed_system(a, c, xi)
     kappa = condition_number(a)
     return xi * kappa * (
         np.linalg.norm(np.asarray(r_vec, dtype=float)) / np.linalg.norm(c)
@@ -396,10 +400,7 @@ def perturbation_bound(a, c, r_mat, r_vec, xi: float) -> float:
 def perturbation_empirical(a, c, r_mat, r_vec, xi: float) -> float:
     """Actual relative solution error of the disturbed solve
     ``(A + xi R) f_hat = C + xi r`` against ``A f = C``."""
-    if xi < 0:
-        raise ValueError("xi must be non-negative")
-    a = np.asarray(a, dtype=float)
-    c = np.asarray(c, dtype=float)
+    a, c = _disturbed_system(a, c, xi)
     try:
         f = np.linalg.solve(a, c)
         f_hat = np.linalg.solve(a + xi * np.asarray(r_mat, dtype=float), c + xi * np.asarray(r_vec, dtype=float))

@@ -871,11 +871,11 @@ TOY_REJECTIONS = [
      "--nv: dimensions must be positive, got '0:2'"),
     ("kappa --theta inf", "argument --theta: expected a finite number, got inf", "--theta must be finite"),
     ("norms --theta=-inf", "argument --theta: expected a finite number, got -inf", "--theta must be finite"),
-    ("kappa --seed -1", "argument --seed: expected non-negative integer",
+    ("kappa --seed -1", "argument --seed: expected non-negative integer, got -1",
      "--seed must be a non-negative integer, got -1"),
-    ("norms --seed -1", "argument --seed: expected non-negative integer",
+    ("norms --seed -1", "argument --seed: expected non-negative integer, got -1",
      "--seed must be a non-negative integer, got -1"),
-    ("lip --seed -1", "argument --seed: expected non-negative integer",
+    ("lip --seed -1", "argument --seed: expected non-negative integer, got -1",
      "--seed must be a non-negative integer, got -1"),
 ]
 
@@ -1096,7 +1096,7 @@ def test_steps_that_cannot_be_taken_exit_2_naming_the_option(capsys, tmp_path, a
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-# requests whose largest array would pass cli.MAX_ARRAY_BYTES; the first five
+# requests whose largest array would pass cli.MAX_ARRAY_BYTES; the first three
 # once asked numpy for it and exited 1 with a MemoryError traceback
 @pytest.mark.parametrize(
     "argv, message",
@@ -1104,18 +1104,12 @@ def test_steps_that_cannot_be_taken_exit_2_naming_the_option(capsys, tmp_path, a
         ("validate --method euler --delta 1e-4 --ntau 1000000000000 --trials 1000",
          "--trials 1000 and --ntau 1000000000000 with 1-stage --method euler"
          " would build an array of up to 8e+15 bytes"),
-        ("validate --method euler --delta 0 --ntau 1000000000000 --trials 1000",
-         "--ntau 1000000000000 with 1-stage --method euler would build an array of up to 8e+12 bytes"),
-        ("convergence --method euler --steps 1000000000000,2000000000000,3000000000000,4000000000000",
-         "--steps 1000000000000,2000000000000,3000000000000,4000000000000 with 1-stage --method euler"
-         " would build an array of up to 3.2e+13 bytes"),
         ("toy kappa --nv 100000 --samples 30", "--nv 100000 would build an array of up to 4e+11 bytes"),
         ("toy lip --nv 100000", "--nv 100000 would build an array of up to 4e+11 bytes"),
         ("toy norms --nv 10:20 --samples 40000000",
          "--samples 40000000 with 11 --nv values would build an array of up to 1.41e+10 bytes"),
     ],
-    ids=["validate-noise-block", "validate-states", "convergence-states", "toy-kappa-planes", "toy-lip-planes",
-         "toy-norms-samples"],
+    ids=["validate-noise-block", "toy-kappa-planes", "toy-lip-planes", "toy-norms-samples"],
 )
 def test_oversized_requests_exit_2_naming_the_options(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv.split())
@@ -1123,17 +1117,18 @@ def test_oversized_requests_exit_2_naming_the_options(capsys, argv, message):
 
 
 def test_a_request_at_the_array_limit_runs(capsys, monkeypatch):
-    # eleven states of one float each: 88 bytes
-    argv = ("validate", "--method", "euler", "--delta", "0", "--ntau", "10")
-    monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", 88)
+    # a noise block of one trial's ten one-float evaluations: 80 bytes
+    argv = ("validate", "--method", "euler", "--delta", "1e-4", "--trials", "1", "--ntau", "10")
+    monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", 80)
     assert run_cli(capsys, *argv)[0] == 0
-    monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", 87)
+    monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", 79)
     assert run_cli(capsys, *argv)[:2] == (2, "")
 
 
-# Both once passed every check and stepped for about half an hour: a step
-# costs about the same however few trials it carries, so the limit counts
-# stage evaluations per trajectory.
+# The first three once passed every check and stepped for about half an
+# hour: a step costs about the same however few trials it carries, so the
+# limit counts stage evaluations per trajectory.  The last two once exited 1
+# with a MemoryError traceback, asking numpy for every state.
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -1143,8 +1138,13 @@ def test_a_request_at_the_array_limit_runs(capsys, monkeypatch):
          "--trials 0 and --ntau 100000000 with 4-stage --method rk4 would make 4e+08 stage evaluations"),
         ("convergence --method euler --steps 1000000,2000000,3000000,4000000",
          "--steps 1000000,2000000,3000000,4000000 with 1-stage --method euler would make 1e+07 stage evaluations"),
+        ("validate --method euler --delta 0 --ntau 1000000000000 --trials 1000",
+         "--ntau 1000000000000 with 1-stage --method euler would make 1e+12 stage evaluations"),
+        ("convergence --method euler --steps 1000000000000,2000000000000,3000000000000,4000000000000",
+         "--steps 1000000000000,2000000000000,3000000000000,4000000000000 with 1-stage --method euler"
+         " would make 1e+13 stage evaluations"),
     ],
-    ids=["validate-noiseless", "validate-no-trials", "convergence"],
+    ids=["validate-noiseless", "validate-no-trials", "convergence", "validate-states", "convergence-states"],
 )
 def test_requests_past_the_stage_evaluation_limit_exit_2_before_stepping(capsys, monkeypatch, argv, message):
     def not_run(*args, **kwargs):
@@ -1203,8 +1203,8 @@ def test_validate_against_a_noiseless_bound_of_0_counts_a_violation(capsys, tmp_
         (("--delta", "1e-4", "--eta", "1.5"), "argument --eta: eta must lie in (0, 1), got 1.5\n"),
         (("--delta", "1e-170"), f"{DELTA_MESSAGE}1e-170\n"),
         (("--delta", "1e300"), f"{DELTA_MESSAGE}1e+300\n"),
-        (("--delta", "1e-4", "--seed", "-1"), "argument --seed: expected non-negative integer\n"),
-        (("--delta", "0", "--seed", "-1"), "argument --seed: expected non-negative integer\n"),
+        (("--delta", "1e-4", "--seed", "-1"), "argument --seed: expected non-negative integer, got -1\n"),
+        (("--delta", "0", "--seed", "-1"), "argument --seed: expected non-negative integer, got -1\n"),
     ],
     ids=["noiseless-eta-1.5", "noiseless-eta-nan", "noiseless-eta-0", "noiseless-trials", "noisy-eta",
          "delta-below-range", "delta-above-range", "negative-seed", "noiseless-negative-seed"],

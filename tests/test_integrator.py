@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -15,7 +16,6 @@ from rkbudget.integrator import (
     EvaluationOracle,
     NoiseSpec,
     StepFailureError,
-    Trajectory,
     _error_norm,
     empirical_order,
     integrate,
@@ -27,6 +27,22 @@ from rkbudget.tableaux import BUILTIN_METHODS, ButcherTableau, builtin_tableau
 
 def half_field(tau, y):
     return 0.5 * y
+
+
+def recording(field):
+    """``field``, and the list of the ``(tau, y.copy())`` of each call it gets."""
+    calls = []
+
+    def recorded(tau, y):
+        calls.append((tau, y.copy()))
+        return field(tau, y)
+
+    return recorded, calls
+
+
+def call_bytes(calls):
+    """Each recorded call as the bytes of its time and the shape and bytes of its state."""
+    return [(np.float64(tau).tobytes(), y.shape, y.tobytes()) for tau, y in calls]
 
 
 def test_euler_single_step():
@@ -66,19 +82,24 @@ def test_rk4_accuracy_at_64_steps():
 
 
 def test_trajectory_grid_uniform():
-    traj = integrate(builtin_tableau("euler"), EvaluationOracle(half_field), np.array([1.0]), 1.0, 5.0, 7)
-    assert traj.times[0] == 1.0
-    assert traj.times[-1] == pytest.approx(6.0, rel=1e-15)
-    spacings = np.diff(traj.times)
+    # euler evaluates once per step, at the step's start
+    field, calls = recording(half_field)
+    traj = integrate(builtin_tableau("euler"), EvaluationOracle(field), np.array([1.0]), 1.0, 5.0, 7)
+    starts = np.array([tau for tau, _ in calls])
+    assert starts[0] == 1.0
+    assert starts[-1] + 5.0 / 7 == pytest.approx(6.0, rel=1e-15)
+    spacings = np.diff(starts)
     np.testing.assert_allclose(spacings, spacings[0], rtol=1e-12)
     assert traj.n_steps == 7
 
 
 def test_linearity_in_initial_state():
     t = builtin_tableau("heun2")
-    base = integrate(t, EvaluationOracle(half_field), np.array([1.0]), 0.0, 3.0, 20)
-    scaled = integrate(t, EvaluationOracle(half_field), np.array([2.5]), 0.0, 3.0, 20)
-    np.testing.assert_allclose(scaled.states, 2.5 * base.states, rtol=1e-13)
+    (base_field, base_calls), (scaled_field, scaled_calls) = recording(half_field), recording(half_field)
+    base = integrate(t, EvaluationOracle(base_field), np.array([1.0]), 0.0, 3.0, 20)
+    scaled = integrate(t, EvaluationOracle(scaled_field), np.array([2.5]), 0.0, 3.0, 20)
+    np.testing.assert_allclose(scaled.final, 2.5 * base.final, rtol=1e-13)
+    np.testing.assert_allclose([y for _, y in scaled_calls], [2.5 * y for _, y in base_calls], rtol=1e-13)
 
 
 def test_one_oracle_call_per_stage():
@@ -90,19 +111,24 @@ def test_one_oracle_call_per_stage():
 
 def test_noiseless_runs_are_identical():
     t = builtin_tableau("rk4")
-    a = integrate(t, EvaluationOracle(half_field), np.array([1.0]), 0.0, 5.0, 32)
-    b = integrate(t, EvaluationOracle(half_field), np.array([1.0]), 0.0, 5.0, 32)
-    assert np.array_equal(a.states, b.states)
+    (field_a, calls_a), (field_b, calls_b) = recording(half_field), recording(half_field)
+    a = integrate(t, EvaluationOracle(field_a), np.array([1.0]), 0.0, 5.0, 32)
+    b = integrate(t, EvaluationOracle(field_b), np.array([1.0]), 0.0, 5.0, 32)
+    assert a.final.tobytes() == b.final.tobytes()
+    assert call_bytes(calls_a) == call_bytes(calls_b)
 
 
 def test_seeded_noise_is_reproducible():
     t = builtin_tableau("rk4")
     spec = NoiseSpec.from_delta(1e-3, mode="gaussian")
-    a = integrate(t, EvaluationOracle(half_field, noise=spec, rng=123), np.array([1.0]), 0.0, 5.0, 32)
-    b = integrate(t, EvaluationOracle(half_field, noise=spec, rng=123), np.array([1.0]), 0.0, 5.0, 32)
-    c = integrate(t, EvaluationOracle(half_field, noise=spec, rng=124), np.array([1.0]), 0.0, 5.0, 32)
-    assert np.array_equal(a.states, b.states)
-    assert not np.array_equal(a.states, c.states)
+    (field_a, calls_a), (field_b, calls_b), (field_c, calls_c) = (recording(half_field) for _ in range(3))
+    a = integrate(t, EvaluationOracle(field_a, noise=spec, rng=123), np.array([1.0]), 0.0, 5.0, 32)
+    b = integrate(t, EvaluationOracle(field_b, noise=spec, rng=123), np.array([1.0]), 0.0, 5.0, 32)
+    c = integrate(t, EvaluationOracle(field_c, noise=spec, rng=124), np.array([1.0]), 0.0, 5.0, 32)
+    assert a.final.tobytes() == b.final.tobytes()
+    assert call_bytes(calls_a) == call_bytes(calls_b)
+    assert a.final.tobytes() != c.final.tobytes()
+    assert call_bytes(calls_a) != call_bytes(calls_c)
 
 
 def test_clipped_mode_respects_bound_exactly():
@@ -148,8 +174,8 @@ def test_block_draw_equals_sequential_oracle_draws(dim, mode):
     sequential = np.array([oracle(0.0, np.zeros(dim)) for _ in range(400)])
     reference, ref_exceeded = per_evaluation_draws(spec, np.random.default_rng((9, 4)), 400, dim)
     block, exceeded = spec.perturbations([np.random.default_rng((9, 4))], 400, dim)
-    assert block.shape == (1, 400, dim)
-    assert block[0].tobytes() == sequential.tobytes() == reference.tobytes()
+    assert block.shape == (400, 1, dim)
+    assert block[:, 0].tobytes() == sequential.tobytes() == reference.tobytes()
     assert exceeded == oracle.delta_exceedances == ref_exceeded > 0
 
 
@@ -197,7 +223,7 @@ def test_one_dimensional_draw_norms_are_magnitudes(z, delta, eta, mode):
     # A square overflows only past 1.3e154, a normal 1e3 times beyond the
     # ziggurat's |z| < 14 at the top of DELTA_RANGE; there sqrt(x @ x) is
     # inf, which clips the draw to 0 where |x| puts it on the delta sphere.
-    assert block[0][squares_finite].tobytes() == reference[squares_finite].tobytes()
+    assert block[:, 0][squares_finite].tobytes() == reference[squares_finite].tobytes()
 
 
 @pytest.mark.parametrize("mode", NOISE_MODES)
@@ -205,7 +231,7 @@ def test_a_seeded_one_dimensional_block_equals_its_vecdot_reference(mode):
     spec = NoiseSpec(1e-3, 0.5, mode)  # eta 0.5: about one draw in six exceeds delta
     streams = KeyedStreams((20240817,), range(1000))
     block, exceeded = spec.perturbations(streams, 400, 1)
-    raw = np.stack([rng.standard_normal((400, 1)) for rng in streams])
+    raw = np.stack([rng.standard_normal((400, 1)) for rng in streams], axis=1)
     raw *= spec.delta * math.sqrt(spec.eta)
     raw += 0.0
     _, count, reference = vecdot_route(raw, spec.delta, mode == "clipped-gaussian")
@@ -218,7 +244,7 @@ def test_block_draw_keeps_streams_apart():
     block, exceeded = spec.perturbations([np.random.default_rng((2, t)) for t in range(3)], 50, 2)
     for t in range(3):
         alone, alone_exceeded = spec.perturbations([np.random.default_rng((2, t))], 50, 2)
-        assert block[t].tobytes() == alone[0].tobytes()
+        assert block[:, t].tobytes() == alone[:, 0].tobytes()
         exceeded -= alone_exceeded
     assert exceeded == 0
 
@@ -239,7 +265,7 @@ def test_block_draw_turns_a_negative_zero_draw_into_zero_as_normal_does():
     assert math.copysign(1.0, rng().standard_normal()) == -1.0
     spec = NoiseSpec.from_delta(1e-3, mode="gaussian")
     block, _ = spec.perturbations([rng()], 3, 1)
-    assert block.tobytes() == rng().normal(0.0, spec.delta * math.sqrt(spec.eta), (1, 3, 1)).tobytes()
+    assert block.tobytes() == rng().normal(0.0, spec.delta * math.sqrt(spec.eta), (3, 1, 1)).tobytes()
 
 
 def test_noise_rejects_zero_dimensional_field():
@@ -257,16 +283,20 @@ def wavy_field(tau, y):
 def test_batch_rows_match_lone_trajectories(name):
     t = builtin_tableau(name)
     y0 = np.array([[1.0], [0.3], [-2.5], [0.7]])
-    batch = integrate(t, EvaluationOracle(wavy_field), y0, 0.0, 2.0, 100)
-    assert batch.states.shape == (101, 4, 1)
+    field, batch_calls = recording(wavy_field)
+    batch = integrate(t, EvaluationOracle(field), y0, 0.0, 2.0, 100)
+    assert batch.final.shape == (4, 1)
     for row in range(len(y0)):
-        alone = integrate(t, EvaluationOracle(wavy_field), y0[row], 0.0, 2.0, 100)
+        field, calls = recording(wavy_field)
+        alone = integrate(t, EvaluationOracle(field), y0[row], 0.0, 2.0, 100)
+        assert [tau for tau, _ in batch_calls] == [tau for tau, _ in calls]
+        got, expected = [y[row] for _, y in batch_calls] + [batch.final[row]], [y for _, y in calls] + [alone.final]
         if name in ("euler", "heun2"):
-            np.testing.assert_array_equal(batch.states[:, row], alone.states)
+            np.testing.assert_array_equal(got, expected)
         else:
             # the stage contraction over a wider buffer may sum in another
             # BLAS order, which moves a few ulps over 100 steps
-            np.testing.assert_allclose(batch.states[:, row], alone.states, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_METHODS))
@@ -274,11 +304,13 @@ def test_state_and_batch_of_one_agree(name):
     # a lone state runs the batch code, so a (1, dim) batch gives its bits
     t = builtin_tableau(name)
     for y0 in (np.array([0.8]), np.array([1.0, -0.5, 2.0])):
-        lone = integrate(t, EvaluationOracle(wavy_field), y0, 0.0, 3.0, 40)
-        batch = integrate(t, EvaluationOracle(wavy_field), y0[None, :], 0.0, 3.0, 40)
-        assert lone.states.shape == (41, y0.size)
-        assert batch.states.shape == (41, 1, y0.size)
-        assert batch.states.tobytes() == lone.states.tobytes()
+        (lone_field, lone_calls), (batch_field, batch_calls) = recording(wavy_field), recording(wavy_field)
+        lone = integrate(t, EvaluationOracle(lone_field), y0, 0.0, 3.0, 40)
+        batch = integrate(t, EvaluationOracle(batch_field), y0[None, :], 0.0, 3.0, 40)
+        assert lone.final.shape == (y0.size,)
+        assert batch.final.shape == (1, y0.size)
+        assert batch.final.tobytes() == lone.final.tobytes()
+        assert call_bytes((tau, y[0]) for tau, y in batch_calls) == call_bytes(lone_calls)
 
 
 def test_non_finite_row_in_batch_aborts_with_index():
@@ -430,7 +462,8 @@ def reference_rk_step(tableau, oracle, tau_n, y_n, dt):
 
 
 def reference_integrate(tableau, oracle, y0, tau0, horizon, n_steps):
-    """Frozen copy of ``integrate`` from the same revision as :func:`reference_rk_step`."""
+    """Frozen copy of ``integrate`` from the same revision as :func:`reference_rk_step`;
+    returns the ``(n_steps + 1,) + y0.shape`` states it held."""
     dt = horizon / n_steps
     times = np.linspace(tau0, tau0 + horizon, n_steps + 1)
     y = np.atleast_1d(np.asarray(y0, dtype=float))
@@ -442,7 +475,7 @@ def reference_integrate(tableau, oracle, y0, tau0, horizon, n_steps):
         except StepFailureError as exc:
             raise StepFailureError(f"integration aborted at step {n + 1}: {exc}", step=n + 1, stage=exc.stage) from exc
         states[n + 1] = y
-    return Trajectory(times=times, states=states)
+    return states
 
 
 HEAT_POINTS = 401
@@ -472,11 +505,14 @@ STEPPED_PROBLEMS = {
 def test_stepping_is_bitwise_the_frozen_reference(name, problem, n_steps):
     field, y0, tau0, horizon = STEPPED_PROBLEMS[problem]
     t = builtin_tableau(name)
-    ref = reference_integrate(t, field, y0, tau0, horizon, n_steps)
-    got = integrate(t, field, y0, tau0, horizon, n_steps)
-    assert got.states.shape == ref.states.shape == (n_steps + 1,) + y0.shape
-    assert got.states.tobytes() == ref.states.tobytes()
-    assert got.times.tobytes() == ref.times.tobytes()
+    (ref_field, ref_calls), (got_field, got_calls) = recording(field), recording(field)
+    ref = reference_integrate(t, ref_field, y0, tau0, horizon, n_steps)
+    got = integrate(t, got_field, y0, tau0, horizon, n_steps)
+    assert (got.final.shape, got.n_steps) == (y0.shape, n_steps)
+    assert got.final.tobytes() == ref[-1].tobytes()
+    # each stage of each step: its time and state
+    assert len(got_calls) == n_steps * t.stages
+    assert call_bytes(got_calls) == call_bytes(ref_calls)
 
 
 @st.composite
@@ -502,12 +538,16 @@ def calm_field(tau, y):
 )
 def test_random_tableaux_step_bitwise_like_the_frozen_reference(tableau, shape, n_steps, tau0):
     y0 = np.linspace(-1.0, 2.0, math.prod(shape)).reshape(shape)
-    ref = reference_integrate(tableau, calm_field, y0, tau0, 1.5, n_steps)
-    got = integrate(tableau, calm_field, y0, tau0, 1.5, n_steps)
-    assert got.states.tobytes() == ref.states.tobytes()
+    (ref_field, ref_calls), (got_field, got_calls) = recording(calm_field), recording(calm_field)
+    ref = reference_integrate(tableau, ref_field, y0, tau0, 1.5, n_steps)
+    got = integrate(tableau, got_field, y0, tau0, 1.5, n_steps)
+    assert got.final.tobytes() == ref[-1].tobytes()
+    assert call_bytes(got_calls) == call_bytes(ref_calls)
     if y0.ndim == 1:  # a batch of one steps to the lone state's bits
-        batch = integrate(tableau, calm_field, y0[None, :], tau0, 1.5, n_steps)
-        assert batch.states.tobytes() == got.states.tobytes()
+        batch_field, batch_calls = recording(calm_field)
+        batch = integrate(tableau, batch_field, y0[None, :], tau0, 1.5, n_steps)
+        assert batch.final.tobytes() == got.final.tobytes()
+        assert call_bytes((tau, y[0]) for tau, y in batch_calls) == call_bytes(got_calls)
 
 
 def poisoned_field(bad, at_call, row=None):
@@ -589,9 +629,11 @@ def test_a_scalar_field_value_broadcasts_over_a_batch(name):
         return 2.0
 
     t = builtin_tableau(name)
-    got = integrate(t, constant, np.ones((3, 1)), 0.0, 1.0, 4)
-    assert got.states.shape == (5, 3, 1)
-    assert got.states.tobytes() == reference_integrate(t, constant, np.ones((3, 1)), 0.0, 1.0, 4).states.tobytes()
+    (got_field, got_calls), (ref_field, ref_calls) = recording(constant), recording(constant)
+    got = integrate(t, got_field, np.ones((3, 1)), 0.0, 1.0, 4)
+    assert got.final.shape == (3, 1)
+    assert got.final.tobytes() == reference_integrate(t, ref_field, np.ones((3, 1)), 0.0, 1.0, 4)[-1].tobytes()
+    assert call_bytes(got_calls) == call_bytes(ref_calls)
     np.testing.assert_allclose(got.final, 3.0, rtol=1e-15)
 
 
@@ -613,8 +655,44 @@ def test_integrate_steps_through_the_module_level_rk_step(monkeypatch):
 
     monkeypatch.setattr(integrator, "rk_step", counting_rk_step)
     traj = integrate(builtin_tableau("heun2"), half_field, np.array([1.0]), 0.0, 2.0, 13)
-    assert len(calls) == 13
-    assert calls == traj.times[:-1].tolist()
+    assert len(calls) == traj.n_steps == 13
+    assert calls == np.linspace(0.0, 2.0, 14)[:-1].tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tau0=st.floats(-1e300, 1e300),
+    horizon=st.floats(0.0, 1e300, exclude_min=True),
+    n_steps=st.integers(1, 50),
+)
+# tau0's ulp is 4 subnormal units and the horizon 5: (tau0 + horizon) - tau0
+# is 4 units, divided by 9 it underflows to 0, and linspace then scales by
+# n / 9 instead
+@example(tau0=2.0**-1020, horizon=5 * 2.0**-1074, n_steps=9)
+def test_steps_start_at_linspaces_times(tau0, horizon, n_steps):
+    assume(horizon / n_steps > 0.0)  # rk_step's dt
+    starts = []
+
+    def field(tau, y):  # euler evaluates once per step, at its start
+        starts.append(tau)
+        return np.zeros_like(y)
+
+    integrate(builtin_tableau("euler"), field, np.array([1.0]), tau0, horizon, n_steps)
+    assert np.array(starts).tobytes() == np.linspace(tau0, tau0 + horizon, n_steps + 1)[:-1].tobytes()
+
+
+def integrate_peak_bytes(n_steps: int) -> int:
+    tracemalloc.start()
+    try:
+        integrate(builtin_tableau("euler"), half_field, np.array([1.0]), 0.0, 1.0, n_steps)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_integrate_holds_no_memory_per_step():
+    # a stored state and start time per step would add 4.8 MB over 99000 steps
+    assert integrate_peak_bytes(100_000) <= integrate_peak_bytes(1000) + 4096
 
 
 # rk_step(t, wavy_field, 0.3, y, 0.1) and rk_step(t, exp_ode().field, 0.0,
@@ -688,5 +766,5 @@ def test_integrate_rejects_a_non_finite_initial_state(shape, bad):
 
 def test_a_scalar_initial_state_is_one_component():
     traj = integrate(builtin_tableau("euler"), half_field, 1.0, 0.0, 1.0, 2)
-    assert traj.states.shape == (3, 1)
+    assert traj.final.shape == (1,)
     assert rk_step(builtin_tableau("euler"), half_field, 0.0, 1.0, 0.5).shape == (1,)
