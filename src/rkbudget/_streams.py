@@ -86,6 +86,15 @@ def _seed_words(key: Sequence[int], indices: range) -> np.ndarray:
     return np.stack([words[2 * k] | words[2 * k + 1] << 32 for k in range(_POOL_SIZE)], axis=1)
 
 
+def _index_bytes(key: Sequence[int]) -> int:
+    """The most bytes per index that building ``KeyedStreams(key, indices)``
+    holds at once, besides a few kilobytes of array headers: the key's words
+    and the index's as uint32 (4 bytes each), a zero word (4), the pool (16),
+    the eight output words as uint64 (64), and the four paired words before
+    and after stacking (64).  Once built, the streams hold 32 bytes per index."""
+    return 152 + 4 * sum(len(_words(part)) for part in key)
+
+
 @functools.cache
 def _seed_words_type() -> type:
     """An ``ISeedSequence`` that hands PCG64 a given row of seed words, made on

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import budget, sensitivity, toymodel
-from ._streams import _words
+from ._streams import _index_bytes, _words
 from .formats import csv_text, json_text
 from .harness import _check_trials, report_record, report_to_json, validate_noisy_bound
 from .harness import validate_noiseless_bound  # noqa: F401  (bench/spans.py wraps this name here)
@@ -43,9 +43,10 @@ SEED_ENV_VAR = "RKBUDGET_SEED"
 # points x points surface in proportion to it.
 MAX_SWEEP_POINTS = 1001
 MAX_LIP_POINTS = 1000
-# The largest array a request may build, far above the README's requests (a
-# 1000-trial, 100-step rk4 campaign draws a 3.2 MB noise block), so that a
-# mistyped count exits 2 instead of asking numpy for terabytes.
+# The most a request's arrays may hold, far above the README's requests (a
+# 1000-trial, 100-step rk4 campaign holds about 4.2 MB, its 3.2 MB noise block
+# among them), so that a mistyped count exits 2 instead of asking numpy for
+# terabytes.
 MAX_ARRAY_BYTES = 1 << 30
 # The most stage evaluations a request's trajectories may make, 100 times the
 # README's and the benchmark's largest (10000 rk4 steps), so that a mistyped
@@ -149,10 +150,10 @@ def _check_steps(name: str, horizon: float, n_steps: int, option: str) -> None:
         raise ValueError(f"{name}={horizon!r}: the step {name} / {n_steps} ({option}) underflows to 0")
 
 
-def _check_size(floats: int, request: str, evaluations: int = 0) -> None:
-    """Reject a request whose largest array (``floats``) or stage evaluations pass their limit."""
-    if 8 * floats > MAX_ARRAY_BYTES:
-        raise ValueError(f"{request} would build an array of up to {8 * floats:.3g} bytes,"
+def _check_size(nbytes: int, request: str, evaluations: int = 0) -> None:
+    """Reject a request whose arrays (``nbytes``) or stage evaluations pass their limit."""
+    if nbytes > MAX_ARRAY_BYTES:
+        raise ValueError(f"{request} would build an array of up to {nbytes:.3g} bytes,"
                          f" above the limit of {MAX_ARRAY_BYTES} ({MAX_ARRAY_BYTES >> 30} GiB)")
     if evaluations > MAX_STAGE_EVALUATIONS:
         raise ValueError(f"{request} would make {evaluations:.3g} stage evaluations,"
@@ -186,9 +187,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_study(args) -> int:
     nv_max = max(args.nv[0], args.nv[-1])  # max(args.nv) would iterate the range
-    _check_size(5 * nv_max**2, f"--nv {nv_max}")  # one draw's coefficient planes
+    _check_size(8 * 5 * nv_max**2, f"--nv {nv_max}")  # one draw's coefficient planes
     # per sample: its stream's four seed words, and up to four measures per dimension
-    _check_size(4 * len(args.nv) * args.samples, f"--samples {args.samples} with {len(args.nv)} --nv values")
+    _check_size(8 * 4 * len(args.nv) * args.samples, f"--samples {args.samples} with {len(args.nv)} --nv values")
     kappa = args.study == "kappa"
     study = toymodel.kappa_study if kappa else toymodel.norm_study
     result = study(args.nv, args.samples, theta=args.theta, seed=_seed(args))
@@ -209,7 +210,7 @@ def _cmd_lip(args) -> int:
         raise ValueError(f"--lo must be below --hi, got {args.lo} >= {args.hi}")
     if not math.isfinite(args.hi - args.lo):
         raise ValueError(f"--hi - --lo overflows the float range, got --lo {args.lo} and --hi {args.hi}")
-    _check_size(5 * args.nv**2, f"--nv {args.nv}")  # the draw's coefficient planes
+    _check_size(8 * 5 * args.nv**2, f"--nv {args.nv}")  # the draw's coefficient planes
     _, params = toymodel.sample_toy(args.nv, rng=_seed(args))
     grid = np.linspace(args.lo, args.hi, args.points)
     surface = toymodel.lip_surface(params, grid, grid)
@@ -224,13 +225,16 @@ def _cmd_validate(args) -> int:
     tableau = builtin_tableau(args.method)
     evaluations = args.ntau * tableau.stages  # per trial: one batch steps them all
     request = f"--ntau {args.ntau} with {tableau.stages}-stage --method {args.method}"
+    seed = _seed(args)
     if args.delta == 0.0:  # stepping holds only the current state
         _check_size(0, request, evaluations)
-    else:  # the noise block
-        _check_size(args.trials * evaluations, f"--trials {args.trials} and {request}", evaluations)
+    else:  # per draw of exp_ode's 1-D noise, 8 bytes of block and 2 of exceedance masks; per trial, its seeding
+        # (one stream's reused draw buffer, 8 bytes per evaluation, stays under the evaluation limit's 32 MB)
+        _check_size(args.trials * (10 * evaluations + _index_bytes((seed,))), f"--trials {args.trials} and {request}",
+                    evaluations)
     mode = "clipped-gaussian" if args.mode == "clipped" else "gaussian"
     # At --delta 0 this is one noiseless check, made after the same input checks.
-    report = validate_noisy_bound(sc, tableau, args.ntau, args.delta, trials=args.trials, seed=_seed(args),
+    report = validate_noisy_bound(sc, tableau, args.ntau, args.delta, trials=args.trials, seed=seed,
                                   mode=mode, eta=args.eta)
     if args.delta == 0.0 or mode == "clipped-gaussian":
         failed = report.violations > 0

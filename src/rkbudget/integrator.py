@@ -11,7 +11,10 @@ computes.
 
 Stepping keeps only the state it steps: :func:`integrate` returns the state
 at the end of the horizon, where the bounds measure the error, and its
-memory does not grow with the step count.
+memory does not grow with the step count.  It binds the tableau to the
+state's shape and the step size once per call, so every step reuses one
+stage buffer, its views and the scaled nodes; :func:`rk_step` stays the one
+loop over stages.
 """
 
 from __future__ import annotations
@@ -119,11 +122,18 @@ class NoiseSpec:
         # Draw norms as np.linalg.norm takes them, so that a block and per-
         # evaluation draws clip alike bit for bit.  In 1-D, sqrt(fl(x * x)) == |x|
         # where x * x is normal; under DELTA_RANGE other draws are within delta.
-        norms = np.abs(block[..., 0]) if dim == 1 else np.sqrt(np.vecdot(block, block))
-        over = norms > delta
+        # |x| > delta is tested as x > delta or x < -delta, and |x| taken only
+        # of the draws that exceed it, so no block-sized float array is built.
+        if dim == 1:
+            x = block[..., 0]
+            over = x > delta
+            over |= x < -delta
+        else:
+            norms = np.sqrt(np.vecdot(block, block))
+            over = norms > delta
         exceeded = int(np.count_nonzero(over))
         if exceeded and self.mode == "clipped-gaussian":
-            block[over] *= (delta / norms[over])[:, None]
+            block[over] *= (delta / (np.abs(block[over][:, 0]) if dim == 1 else norms[over]))[:, None]
         return block, exceeded
 
     @classmethod
@@ -173,44 +183,80 @@ class Trajectory:
     n_steps: int
 
 
+class _Stages:
+    """A tableau bound to one state shape and step size ``dt``.
+
+    :func:`integrate` binds once per call and passes the binding to
+    :func:`rk_step` in the tableau's place at every step, so the stage
+    buffer and everything built from ``dt`` are made once per call, not once
+    per step.  It holds the flat ``(stages, size)`` stage buffer; per stage
+    ``i``, the coupling row, ``c_i * dt``, the prefix view ``flat[:i]`` and
+    the row ``flat[i]`` viewed in the state's shape; ``dt`` as a 0-d float64
+    array; and the zero vector of the finite check.  Every step overwrites
+    the buffer; no state handed to the field or returned aliases it.
+    """
+
+    __slots__ = ("stages", "shape", "lone", "b", "h", "zeros", "flat", "rows")
+
+    def __init__(self, tableau, shape: tuple[int, ...], dt: float):
+        _check_positive("dt", dt)
+        rows = tableau.stage_rows
+        self.stages = len(rows)
+        self.shape = shape
+        self.lone = len(shape) == 1  # a sum of buffer rows already has the state's shape
+        self.b = tableau.b
+        self.h = np.array(dt, dtype=float)
+        self.zeros = np.zeros(math.prod(shape))
+        self.flat = flat = np.empty((len(rows), self.zeros.size))
+        ks = flat.reshape((len(rows),) + shape)
+        self.rows = tuple((i, a_row, c_i * dt, flat[:i], ks[i]) for i, (a_row, c_i) in enumerate(rows))
+
+
 def rk_step(tableau, oracle: Callable, tau_n: float, y_n: np.ndarray, dt: float) -> np.ndarray:
     """Advance one step: ``y + dt * sum_i b_i k_i`` with the staged recursion for ``k_i``.
 
     ``y_n`` is one state ``(dim,)`` or a batch ``(trials, dim)``; the oracle
     receives stage states of the same shape.  A lone state is a batch of
-    one: the flat ``(stages, size)`` stage buffer is viewed as ``(stages,) +
-    y_n.shape`` and each increment is reshaped to ``y_n.shape``, both views.
-    Stage sums contract the buffer's rows with the tableau's precomputed
-    ``stage_rows``, so a batch row is stepped by the same arithmetic as a
-    lone state, up to BLAS summation order.  The stage and step sums call
-    ``ndarray.dot``: the same BLAS gemv as the ``@`` operator, bit for bit,
-    without the matmul ufunc's dispatch, which costs more than the sum of a
-    few rows.  They are scaled by ``dt`` held as a 0-d float64 array, built
-    once per step: under NEP 50 a Python float costs the multiply a scalar
-    conversion at every call, and the IEEE product is the same.  Each stage
-    costs one field call and a few small numpy calls.
+    one: the stage values fill the rows of one flat ``(stages, size)``
+    buffer, through views in ``y_n``'s shape, and the stage sums contract
+    its rows with the tableau's precomputed ``stage_rows``.  So a batch row
+    is stepped by the same arithmetic as a lone state, up to BLAS summation
+    order; only a batch's increments are reshaped to its shape.  The stage
+    and step sums call ``ndarray.dot``: the same BLAS gemv as the ``@``
+    operator, bit for bit, without the matmul ufunc's dispatch, which costs
+    more than the sum of a few rows.  They are scaled by ``dt`` held as a
+    0-d float64 array: under NEP 50 a Python float costs the multiply a
+    scalar conversion at every call, and the IEEE product is the same.  Each
+    stage costs one field call and a few small numpy calls.
+
+    Given a tableau, the step binds it to ``y_n``'s shape and ``dt`` for
+    itself (a private ``_Stages``), so its stage buffer is allocated once.
+    :func:`integrate` binds once per call and passes its binding in the
+    tableau's place; that binding carries the shape and ``dt`` it was made
+    for, and ``y_n`` is the array of that shape its previous step returned.
     """
-    _check_positive("dt", dt)
-    y_n = np.asarray(y_n, dtype=float)
-    if y_n.ndim == 0:
-        y_n = y_n.reshape(1)
-    rows = tableau.stage_rows
-    flat = np.empty((len(rows), y_n.size))
-    ks = flat.reshape((len(rows),) + y_n.shape)
-    zeros = np.zeros(y_n.size)
-    h = np.array(dt, dtype=float)
+    if isinstance(tableau, _Stages):
+        stages = tableau
+    else:
+        y_n = np.asarray(y_n, dtype=float)
+        if y_n.ndim == 0:
+            y_n = y_n.reshape(1)
+        stages = _Stages(tableau, y_n.shape, dt)
+    h, zeros, shape, lone = stages.h, stages.zeros, stages.shape, stages.lone
     y_stage = y_n
-    for i, (a_row, c_i) in enumerate(rows):
+    for i, a_row, c_dt, prefix, k_i in stages.rows:
         if i:
-            y_stage = y_n + (h * a_row.dot(flat[:i])).reshape(y_n.shape)
-        ks[i] = oracle(tau_n + c_i * dt, y_stage)
+            increment = h * a_row.dot(prefix)
+            y_stage = y_n + (increment if lone else increment.reshape(shape))
+        k_i[...] = oracle(tau_n + c_dt, y_stage)
         # Exact: 0 * x is +-0 for finite x, however large, and NaN for +-inf
         # or NaN.  vdot, unlike dot and matmul, warns of no invalid value at inf * 0.
         # Checked per stage, before the next stage state is built from it, so
         # a field never sees a state derived from a non-finite value.
-        if not math.isfinite(np.vdot(flat[i], zeros)):
+        if not math.isfinite(np.vdot(k_i, zeros)):
             raise StepFailureError(f"non-finite field value at stage {i + 1}", stage=i + 1)
-    return y_n + (h * tableau.b.dot(flat)).reshape(y_n.shape)
+    increment = h * stages.b.dot(stages.flat)
+    return y_n + (increment if lone else increment.reshape(shape))
 
 
 def _step_count(n_steps) -> int:
@@ -242,9 +288,13 @@ def integrate(tableau, oracle: Callable, y0: np.ndarray, tau0: float, horizon: f
 
     ``y0`` is one state ``(dim,)`` or a batch ``(trials, dim)``; the
     trajectory's final state has the same shape.  The inputs are checked
-    once here; each step is one :func:`rk_step` call.  Only the current state
-    is held, and step ``n`` starts at ``np.linspace(tau0, tau0 + horizon,
-    n_steps + 1)[n]``, computed by linspace's own arithmetic, bit for bit.
+    and the tableau bound to the state's shape and ``dt`` once here; each
+    step is one call of the module attribute :func:`rk_step` with that
+    binding in the tableau's place, so the steps share one stage buffer and
+    give the bits of a chain of lone ``rk_step(tableau, ...)`` calls.  Only
+    the current state is held, and step ``n`` starts at ``np.linspace(tau0,
+    tau0 + horizon, n_steps + 1)[n]``, computed by linspace's own
+    arithmetic, bit for bit.
     """
     n_steps = _step_count(n_steps)
     _check_positive("horizon", horizon)
@@ -254,12 +304,13 @@ def integrate(tableau, oracle: Callable, y0: np.ndarray, tau0: float, horizon: f
     if not np.isfinite(y).all():
         raise ValueError("y0 must be finite")
     dt = horizon / n_steps
+    stages = _Stages(tableau, y.shape, dt)
     span = (tau0 + horizon) - tau0
     spacing = span / n_steps  # linspace scales by span / n_steps, or by n / n_steps where that underflows to 0
     for n in range(n_steps):
         tau_n = (n * spacing if spacing else n / n_steps * span) + tau0
         try:
-            y = rk_step(tableau, oracle, tau_n, y, dt)
+            y = rk_step(stages, oracle, tau_n, y, dt)
         except StepFailureError as exc:
             raise StepFailureError(f"integration aborted at step {n + 1}: {exc}", step=n + 1, stage=exc.stage) from exc
     return Trajectory(final=y, n_steps=n_steps)

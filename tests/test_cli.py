@@ -1103,7 +1103,7 @@ def test_steps_that_cannot_be_taken_exit_2_naming_the_option(capsys, tmp_path, a
     [
         ("validate --method euler --delta 1e-4 --ntau 1000000000000 --trials 1000",
          "--trials 1000 and --ntau 1000000000000 with 1-stage --method euler"
-         " would build an array of up to 8e+15 bytes"),
+         " would build an array of up to 1e+16 bytes"),
         ("toy kappa --nv 100000 --samples 30", "--nv 100000 would build an array of up to 4e+11 bytes"),
         ("toy lip --nv 100000", "--nv 100000 would build an array of up to 4e+11 bytes"),
         ("toy norms --nv 10:20 --samples 40000000",
@@ -1117,12 +1117,40 @@ def test_oversized_requests_exit_2_naming_the_options(capsys, argv, message):
 
 
 def test_a_request_at_the_array_limit_runs(capsys, monkeypatch):
-    # a noise block of one trial's ten one-float evaluations: 80 bytes
-    argv = ("validate", "--method", "euler", "--delta", "1e-4", "--trials", "1", "--ntau", "10")
-    monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", 80)
+    # one trial's ten one-float evaluations: an 80-byte noise block, 20 bytes
+    # of exceedance masks, and 156 bytes to seed its stream from a one-word seed
+    argv = ("validate", "--method", "euler", "--delta", "1e-4", "--trials", "1", "--ntau", "10", "--seed", "7")
+    monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", 256)
     assert run_cli(capsys, *argv)[0] == 0
-    monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", 79)
+    monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", 255)
     assert run_cli(capsys, *argv)[:2] == (2, "")
+
+
+# the last seeds 20000 streams, whose hashing holds more than its noise block
+@pytest.mark.parametrize("method, trials, ntau", [("rk4", 1000, 100), ("euler", 200, 1000), ("euler", 20000, 10)])
+def test_a_campaign_holds_no_more_than_the_size_check_counts(capsys, monkeypatch, method, trials, ntau):
+    counted, peaks = [], []
+    check_size, campaign = cli._check_size, cli.validate_noisy_bound
+
+    def recording(nbytes, request, evaluations=0):
+        counted.append(nbytes)
+        check_size(nbytes, request, evaluations)
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return campaign(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_check_size", recording)
+    monkeypatch.setattr(cli, "validate_noisy_bound", traced)
+    argv = ("validate", "--method", method, "--delta", "1e-3", "--trials", str(trials), "--ntau", str(ntau))
+    run_cli(capsys, *argv)  # first-use imports and caches, traced but not compared
+    assert run_cli(capsys, *argv)[0] == 0
+    block = 8 * trials * ntau * cli.builtin_tableau(method).stages
+    assert block < peaks[-1] <= counted[-1]
 
 
 # The first three once passed every check and stepped for about half an

@@ -650,13 +650,66 @@ def test_integrate_steps_through_the_module_level_rk_step(monkeypatch):
     step = integrator.rk_step
 
     def counting_rk_step(*args, **kwargs):
-        calls.append(args[2])
+        # what the span's counter reads: the stages of args[0], the rows of args[3]
+        calls.append((args[2], args[0].stages, np.shape(args[3])))
         return step(*args, **kwargs)
 
     monkeypatch.setattr(integrator, "rk_step", counting_rk_step)
     traj = integrate(builtin_tableau("heun2"), half_field, np.array([1.0]), 0.0, 2.0, 13)
     assert len(calls) == traj.n_steps == 13
-    assert calls == np.linspace(0.0, 2.0, 14)[:-1].tolist()
+    assert calls == [(tau, 2, (1,)) for tau in np.linspace(0.0, 2.0, 14)[:-1].tolist()]
+    calls.clear()
+    integrate(builtin_tableau("rk4"), half_field, np.ones((5, 2)), 0.0, 2.0, 3)
+    assert calls == [(tau, 4, (5, 2)) for tau in np.linspace(0.0, 2.0, 4)[:-1].tolist()]
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 2)])
+@pytest.mark.parametrize("name", sorted(BUILTIN_METHODS))
+def test_integrate_is_a_chain_of_lone_steps_bit_for_bit(name, shape):
+    # integrate binds the tableau once per call; each lone step binds its own
+    t = builtin_tableau(name)
+    y0 = np.linspace(-1.0, 2.0, math.prod(shape)).reshape(shape)
+    (got_field, got_calls), (ref_field, ref_calls) = recording(wavy_field), recording(wavy_field)
+    got = integrate(t, got_field, y0, 0.3, 2.0, 50)
+    y = y0
+    for tau in np.linspace(0.3, 2.3, 51)[:-1].tolist():
+        y = rk_step(t, ref_field, tau, y, 2.0 / 50)
+    assert got.final.tobytes() == y.tobytes()
+    assert call_bytes(got_calls) == call_bytes(ref_calls)
+
+
+def test_a_field_that_integrates_gets_the_unnested_bits():
+    # the inner integrations run between the outer step's stages, with the
+    # outer tableau, shape and dt, each on its own stage buffer
+    t = builtin_tableau("rk4")
+    inner = []
+
+    def flow_field(tau, y):
+        inner.append((tau, y.copy(), integrate(t, wavy_field, y, tau, 0.4, 2).final))
+        return (inner[-1][2] - y) / 0.4
+
+    outer = integrate(t, flow_field, np.array([0.8, -1.3]), 0.0, 1.0, 5)
+    assert len(inner) == 5 * t.stages
+    for tau, y, nested in inner:
+        assert nested.tobytes() == integrate(t, wavy_field, y, tau, 0.4, 2).final.tobytes()
+    y = np.array([0.8, -1.3])
+    for tau in np.linspace(0.0, 1.0, 6)[:-1].tolist():
+        y = rk_step(t, flow_field, tau, y, 0.2)
+    assert outer.final.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+def test_a_step_failure_keeps_its_step_and_stage(stage):
+    t = builtin_tableau("rk4")
+    field, _ = poisoned_field(math.nan, stage)
+    with pytest.raises(StepFailureError) as lone:
+        rk_step(t, field, 0.0, np.array([1.0, 0.5]), 0.1)
+    assert (lone.value.step, lone.value.stage) == (None, stage)
+    field, _ = poisoned_field(math.nan, 2 * t.stages + stage)
+    with pytest.raises(StepFailureError) as stepped:
+        integrate(t, field, np.ones((3, 2)), 0.0, 1.0, 10)
+    assert (stepped.value.step, stepped.value.stage) == (3, stage)
+    assert str(stepped.value) == f"integration aborted at step 3: non-finite field value at stage {stage}"
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rkbudget._streams import KeyedStreams, _seed_words
+from rkbudget._streams import KeyedStreams, _index_bytes, _seed_words
 from rkbudget.cli import DEFAULT_SEED
 
 # A numpy release may change what default_rng((seed, t)) gives (NEP 19).  The
@@ -89,3 +91,17 @@ def test_bad_seeds_raise_as_default_rng_does(seed):
 def test_indices_must_be_one_word_unit_step_ranges(indices):
     with pytest.raises(ValueError, match="unit-step range within"):
         KeyedStreams((1,), indices)
+
+
+@pytest.mark.parametrize("key", [(0,), (DEFAULT_SEED,), (2**40,), (5, 7), (2**200, 3)])
+def test_seeding_holds_what_index_bytes_counts(key):
+    # per index, up to a few kilobytes of array headers
+    n = 20000
+    KeyedStreams(key, range(n))  # first-use caches
+    tracemalloc.start()
+    try:
+        KeyedStreams(key, range(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n * _index_bytes(key) <= peak <= n * _index_bytes(key) + 8192
