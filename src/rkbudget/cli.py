@@ -32,7 +32,8 @@ from ._streams import _index_bytes, _words
 from .formats import csv_text, json_text
 from .harness import _check_trials, report_record, report_to_json, validate_noisy_bound
 from .harness import validate_noiseless_bound  # noqa: F401  (bench/spans.py wraps this name here)
-from .integrator import DegenerateSlopeError, _check_positive, _check_noise, _slope_steps, _step_count, empirical_order
+from .integrator import (DegenerateSlopeError, _check_positive, _check_noise, _clip_bytes, _slope_steps, _step_count,
+                         empirical_order)
 from .scenarios import SCENARIO_NAMES, apply_overrides, exp_ode, parse_overrides, scenario
 from .tableaux import BUILTIN_METHODS, builtin_tableau, min_stages
 
@@ -188,11 +189,14 @@ def _cmd_sweep(args) -> int:
 def _cmd_study(args) -> int:
     nv_max = max(args.nv[0], args.nv[-1])  # max(args.nv) would iterate the range
     _check_size(8 * 5 * nv_max**2, f"--nv {nv_max}")  # one draw's coefficient planes
-    # per sample: its stream's four seed words, and up to four measures per dimension
-    _check_size(8 * 4 * len(args.nv) * args.samples, f"--samples {args.samples} with {len(args.nv)} --nv values")
-    kappa = args.study == "kappa"
+    kappa, seed = args.study == "kappa", _seed(args)
+    # per sample: seeding its stream, and its measures (one, or four for the norms) per dimension twice,
+    # in the gathered rows and in the well-conditioned rows kept of them
+    measures = 8 * (1 if kappa else 4) * len(args.nv)
+    _check_size(args.samples * (_index_bytes((seed, nv_max)) + 2 * measures),
+                f"--samples {args.samples} with {len(args.nv)} --nv values")
     study = toymodel.kappa_study if kappa else toymodel.norm_study
-    result = study(args.nv, args.samples, theta=args.theta, seed=_seed(args))
+    result = study(args.nv, args.samples, theta=args.theta, seed=seed)
     if args.format == "json":
         def records(points):
             return [dict(zip(toymodel.STUDY_KEYS, astuple(p))) for p in points]
@@ -228,9 +232,12 @@ def _cmd_validate(args) -> int:
     seed = _seed(args)
     if args.delta == 0.0:  # stepping holds only the current state
         _check_size(0, request, evaluations)
-    else:  # per draw of exp_ode's 1-D noise, 8 bytes of block and 2 of exceedance masks; per trial, its seeding
-        # (one stream's reused draw buffer, 8 bytes per evaluation, stays under the evaluation limit's 32 MB)
-        _check_size(args.trials * (10 * evaluations + _index_bytes((seed,))), f"--trials {args.trials} and {request}",
+    else:  # per draw of exp_ode's 1-D noise, 8 bytes of block and 2 of exceedance masks; per trial, its seeding;
+        # in clipped mode, one clipping slab's gathers.  One stream's reused draw buffer, 8 bytes per
+        # evaluation, stays under the evaluation limit's 32 MB.
+        draws = args.trials * evaluations
+        clipping = _clip_bytes(draws) if args.mode == "clipped" else 0
+        _check_size(10 * draws + args.trials * _index_bytes((seed,)) + clipping, f"--trials {args.trials} and {request}",
                     evaluations)
     mode = "clipped-gaussian" if args.mode == "clipped" else "gaussian"
     # At --delta 0 this is one noiseless check, made after the same input checks.

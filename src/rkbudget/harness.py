@@ -21,6 +21,7 @@ is kept, so the block is the one array that grows with the request.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -141,21 +142,20 @@ def validate_noisy_bound(sc: Scenario, tableau: ButcherTableau, n_steps: int, de
     streams = KeyedStreams((seed,), range(trials))
     count = n_steps * tableau.stages
     block, exceedances = noise.perturbations(streams, count, problem.y0.size)
-    calls = 0
+    field, slabs = problem.field, iter(block)  # evaluation k adds the slab block[k]
 
     def noisy_field(tau, y):
-        nonlocal calls
-        if calls == count:
-            raise RuntimeError(f"stepping asked for more than {count} field evaluations per trial,"
-                               f" the noise block holds {count}")
-        value = problem.field(tau, y)
-        value += block[calls]  # in place: exp_ode's field returns a new (trials, dim) array, held nowhere else
-        calls += 1
+        value = field(tau, y)
+        value += next(slabs)  # in place: exp_ode's field returns a new (trials, dim) array, held nowhere else
         return value
 
-    traj = integrate(tableau, noisy_field, np.tile(problem.y0, (trials, 1)), 0.0, sc.pb.horizon, n_steps)
-    if calls != count:
-        raise RuntimeError(f"stepping made {calls} field evaluations per trial, the noise block holds {count}")
+    try:
+        traj = integrate(tableau, noisy_field, np.tile(problem.y0, (trials, 1)), 0.0, sc.pb.horizon, n_steps)
+    except StopIteration:  # next(slabs) past the block's end
+        raise RuntimeError(f"stepping asked for more than {count} field evaluations per trial,"
+                           f" the noise block holds {count}") from None
+    if left := operator.length_hint(slabs):
+        raise RuntimeError(f"stepping made {count - left} field evaluations per trial, the noise block holds {count}")
     violations, worst = _tally(_error_norm(traj.final - reference), bound)
     config = {
         "campaign": "noisy-dominance",
@@ -171,7 +171,7 @@ def validate_noisy_bound(sc: Scenario, tableau: ButcherTableau, n_steps: int, de
         config=config,
         trials=trials,
         violations=violations,
-        evaluations=calls * trials,
+        evaluations=count * trials,
         delta_exceedances=exceedances,
         worst_margin=worst,
     )

@@ -14,7 +14,10 @@ at the end of the horizon, where the bounds measure the error, and its
 memory does not grow with the step count.  It binds the tableau to the
 state's shape and the step size once per call, so every step reuses one
 stage buffer, its views and the scaled nodes; :func:`rk_step` stays the one
-loop over stages.
+loop over stages.  A stage pays for its arithmetic and little else: its
+finite check calls vdot's C implementation without numpy's array-function
+dispatcher, and :func:`rkbudget.scenarios.exp_ode`'s field multiplies the
+float64 stage state it is handed without converting it.
 """
 
 from __future__ import annotations
@@ -37,6 +40,13 @@ __all__ = [
     "empirical_order",
 ]
 
+# vdot's C implementation, bound past the Python-level array-function
+# dispatcher (NEP 18) that np.vdot wraps it in: rk_step's finite check calls
+# it at every stage, and the dispatcher costs more than the product of a
+# short row.  Only vdot will do: ndarray.dot, np.inner and np.vecdot warn of
+# an invalid value at inf * 0, where vdot gives NaN silently.
+_vdot = getattr(np.vdot, "__wrapped__", np.vdot)
+
 NOISE_MODES = ("gaussian", "clipped-gaussian")
 # Per-evaluation noise bounds whose draw norms sqrt(x @ x) are exact to
 # rounding.  A normal from numpy's ziggurat has |z| < 14, so a draw's squared
@@ -44,6 +54,17 @@ NOISE_MODES = ("gaussian", "clipped-gaussian")
 # whose norm is near delta stay normal floats, so neither the exceedance test
 # nor the clipping factor sees an underflow.
 DELTA_RANGE = (1e-150, 1e150)
+# Draws that clipping gathers at most at once; a 100-trial campaign of 400
+# evaluations each, as the benchmark runs, is clipped in one slab.
+_CLIP_SLAB_DRAWS = 1 << 16
+
+
+def _clip_bytes(draws: int) -> int:
+    """The most bytes that clipping a block of ``draws`` one-component draws
+    holds at once, besides a few kilobytes of array headers: 32 per exceeding
+    draw (its gather, magnitude and factor, and the gather it scales), over at
+    most one slab of ``_CLIP_SLAB_DRAWS`` draws."""
+    return 32 * min(draws, _CLIP_SLAB_DRAWS)
 
 
 def _check_noise(delta: float, eta: float = 0.5, mode: str = NOISE_MODES[0], off: bool = True) -> None:
@@ -133,7 +154,12 @@ class NoiseSpec:
             over = norms > delta
         exceeded = int(np.count_nonzero(over))
         if exceeded and self.mode == "clipped-gaussian":
-            block[over] *= (delta / (np.abs(block[over][:, 0]) if dim == 1 else norms[over]))[:, None]
+            # Slab by slab of whole evaluations, so that the gathers of the
+            # exceeding draws are bounded however large the block.
+            rows = max(1, _CLIP_SLAB_DRAWS // (len(rngs) * dim))
+            for k in range(0, count, rows):
+                slab, mask = block[k:k + rows], over[k:k + rows]
+                slab[mask] *= (delta / (np.abs(slab[mask][:, 0]) if dim == 1 else norms[k:k + rows][mask]))[:, None]
         return block, exceeded
 
     @classmethod
@@ -227,7 +253,10 @@ def rk_step(tableau, oracle: Callable, tau_n: float, y_n: np.ndarray, dt: float)
     more than the sum of a few rows.  They are scaled by ``dt`` held as a
     0-d float64 array: under NEP 50 a Python float costs the multiply a
     scalar conversion at every call, and the IEEE product is the same.  Each
-    stage costs one field call and a few small numpy calls.
+    stage costs one field call, its stage sum and a finite check, ``0 . k_i``
+    by vdot's C implementation (``_vdot``, bound once at import), which skips
+    ``np.vdot``'s array-function dispatcher and, unlike ``ndarray.dot``,
+    ``np.inner`` and ``np.vecdot``, raises no warning at ``inf * 0``.
 
     Given a tableau, the step binds it to ``y_n``'s shape and ``dt`` for
     itself (a private ``_Stages``), so its stage buffer is allocated once.
@@ -253,7 +282,7 @@ def rk_step(tableau, oracle: Callable, tau_n: float, y_n: np.ndarray, dt: float)
         # or NaN.  vdot, unlike dot and matmul, warns of no invalid value at inf * 0.
         # Checked per stage, before the next stage state is built from it, so
         # a field never sees a state derived from a non-finite value.
-        if not math.isfinite(np.vdot(k_i, zeros)):
+        if not math.isfinite(_vdot(k_i, zeros)):
             raise StepFailureError(f"non-finite field value at stage {i + 1}", stage=i + 1)
     increment = h * stages.b.dot(stages.flat)
     return y_n + (increment if lone else increment.reshape(shape))

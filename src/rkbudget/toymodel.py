@@ -287,15 +287,13 @@ def _study(nv_grid: Iterable[int], samples: int, theta: float, seed, norms: bool
     grid = list(nv_grid)
     for nv in grid:
         _check_draws(nv)
-    if not grid:
-        return []
-    chunks = []
-    for nv in grid:
+    rows = np.empty((len(grid), samples, 4 if norms else 1))
+    for nv, measures in zip(grid, rows):
         size = max(1, _CHUNK_ENTRIES // (nv * nv))
         streams = iter(KeyedStreams((seed, nv), range(samples)))
         for start in range(0, samples, size):
-            chunks.append(_measure_chunk(nv, streams, min(size, samples - start), theta, norms))
-    rows = np.concatenate(chunks).reshape(len(grid), samples, -1)
+            measures[start:start + size] = _measure_chunk(nv, streams, min(size, samples - start), theta, norms)
+        del streams  # its seed words, 32 bytes per draw, go before the next dimension seeds its own
     out = []
     for nv, draws in zip(grid, rows):
         kept = draws[~np.isnan(draws[:, 0])]

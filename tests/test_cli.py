@@ -1107,7 +1107,7 @@ def test_steps_that_cannot_be_taken_exit_2_naming_the_option(capsys, tmp_path, a
         ("toy kappa --nv 100000 --samples 30", "--nv 100000 would build an array of up to 4e+11 bytes"),
         ("toy lip --nv 100000", "--nv 100000 would build an array of up to 4e+11 bytes"),
         ("toy norms --nv 10:20 --samples 40000000",
-         "--samples 40000000 with 11 --nv values would build an array of up to 1.41e+10 bytes"),
+         "--samples 40000000 with 11 --nv values would build an array of up to 3.46e+10 bytes"),
     ],
     ids=["validate-noise-block", "toy-kappa-planes", "toy-lip-planes", "toy-norms-samples"],
 )
@@ -1118,17 +1118,23 @@ def test_oversized_requests_exit_2_naming_the_options(capsys, argv, message):
 
 def test_a_request_at_the_array_limit_runs(capsys, monkeypatch):
     # one trial's ten one-float evaluations: an 80-byte noise block, 20 bytes
-    # of exceedance masks, and 156 bytes to seed its stream from a one-word seed
+    # of exceedance masks, 156 bytes to seed its stream from a one-word seed,
+    # and 320 bytes to clip them if all ten exceed delta
     argv = ("validate", "--method", "euler", "--delta", "1e-4", "--trials", "1", "--ntau", "10", "--seed", "7")
-    monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", 256)
+    monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", 576)
     assert run_cli(capsys, *argv)[0] == 0
-    monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", 255)
+    monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", 575)
     assert run_cli(capsys, *argv)[:2] == (2, "")
 
 
-# the last seeds 20000 streams, whose hashing holds more than its noise block
-@pytest.mark.parametrize("method, trials, ntau", [("rk4", 1000, 100), ("euler", 200, 1000), ("euler", 20000, 10)])
-def test_a_campaign_holds_no_more_than_the_size_check_counts(capsys, monkeypatch, method, trials, ntau):
+# The third seeds 20000 streams, whose hashing holds more than its noise
+# block.  The last clips about a third of its draws: their gathers, 32 bytes
+# each, once took 2.4 times the block where 1.3 times was counted.
+@pytest.mark.parametrize("method, trials, ntau, eta",
+                         [("rk4", 1000, 100, "0.05"), ("euler", 200, 1000, "0.05"), ("euler", 20000, 10, "0.05"),
+                          ("rk4", 1000, 100, "0.99")],
+                         ids=["rk4-1000-100", "euler-200-1000", "euler-20000-10", "rk4-1000-100-eta0.99"])
+def test_a_campaign_holds_no_more_than_the_size_check_counts(capsys, monkeypatch, method, trials, ntau, eta):
     counted, peaks = [], []
     check_size, campaign = cli._check_size, cli.validate_noisy_bound
 
@@ -1146,11 +1152,40 @@ def test_a_campaign_holds_no_more_than_the_size_check_counts(capsys, monkeypatch
 
     monkeypatch.setattr(cli, "_check_size", recording)
     monkeypatch.setattr(cli, "validate_noisy_bound", traced)
-    argv = ("validate", "--method", method, "--delta", "1e-3", "--trials", str(trials), "--ntau", str(ntau))
+    argv = ("validate", "--method", method, "--delta", "1e-3", "--eta", eta, "--trials", str(trials),
+            "--ntau", str(ntau))
     run_cli(capsys, *argv)  # first-use imports and caches, traced but not compared
     assert run_cli(capsys, *argv)[0] == 0
     block = 8 * trials * ntau * cli.builtin_tableau(method).stages
     assert block < peaks[-1] <= counted[-1]
+
+
+# Seeding dominates: 160 bytes per sample where 32 were once counted, an
+# 8 MB peak against 1.6 MB for the first.  The norms keep four measures per sample.
+@pytest.mark.parametrize("study, nv, samples", [("kappa", "2", 50000), ("norms", "2:4", 20000)])
+def test_a_toy_study_holds_no_more_than_the_size_check_counts(capsys, monkeypatch, study, nv, samples):
+    counted, peaks = [], []
+    name = "kappa_study" if study == "kappa" else "norm_study"
+    check_size, run = cli._check_size, getattr(toymodel, name)
+
+    def recording(nbytes, request, evaluations=0):
+        counted.append(nbytes)
+        check_size(nbytes, request, evaluations)
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return run(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_check_size", recording)
+    monkeypatch.setattr(toymodel, name, traced)
+    argv = ("toy", study, "--nv", nv, "--seed", "42", "--samples")
+    run_cli(capsys, *argv, "30")  # first-use imports and caches, traced but not compared
+    assert run_cli(capsys, *argv, str(samples))[0] == 0
+    assert 32 * samples < peaks[-1] <= counted[-1]
 
 
 # The first three once passed every check and stepped for about half an

@@ -17,6 +17,7 @@ from rkbudget.integrator import (
     NoiseSpec,
     StepFailureError,
     _error_norm,
+    _vdot,
     empirical_order,
     integrate,
     rk_step,
@@ -583,6 +584,23 @@ def test_a_non_finite_stage_stops_the_step_at_that_stage(stage, bad):
     assert (excinfo.value.step, excinfo.value.stage) == (2, stage)
     assert str(excinfo.value) == f"integration aborted at step 2: non-finite field value at stage {stage}"
     assert len(calls) == 4 + stage  # no later stage was evaluated
+
+
+@pytest.mark.parametrize("bad", [None, *BAD_VALUES], ids=["finite", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("shape", [(3,), (4, 2)], ids=["lone", "batch"])
+def test_the_bound_finite_check_agrees_with_np_vdot(shape, bad):
+    # a stage row of the flat buffer, viewed in the state's shape, as rk_step checks it
+    size = math.prod(shape)
+    k_i = np.empty((2, size)).reshape((2,) + shape)[1]
+    k_i[...] = np.array([1e308, -2.5, 5e-324, -0.0, 7.0, -1e308, 0.0, 1.0][:size]).reshape(shape)
+    if bad is not None:
+        k_i[(-1,) * len(shape)] = bad
+    zeros = np.zeros(size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # vdot gives inf * 0 as NaN without an invalid-value warning
+        got, want = _vdot(k_i, zeros), np.vdot(k_i, zeros)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert math.isfinite(got) is (bad is None)
 
 
 @pytest.mark.parametrize("bad", BAD_VALUES, ids=["nan", "inf", "-inf"])

@@ -3,6 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rkbudget import scenarios
 from rkbudget.scenarios import (
@@ -98,6 +101,29 @@ def test_exp_ode_field_is_the_bits_of_a_python_float_half(shape):
     got = exp_ode().field(0.0, y)
     assert got.shape == shape
     assert got.tobytes() == (0.5 * y).tobytes()
+
+
+FIELD_SHAPES = st.sampled_from([(), (1,), (5,), (3, 1), (4, 2)])  # 0-d, lone and batch states
+FIELD_FLOATS = arrays(np.float64, FIELD_SHAPES, elements=st.floats(width=64))
+FIELD_INTS = arrays(np.int64, FIELD_SHAPES, elements=st.integers(-(2**63), 2**63 - 1))
+FIELD_INPUTS = st.one_of(
+    FIELD_FLOATS,
+    FIELD_INTS,
+    FIELD_FLOATS.filter(np.ndim).map(np.ndarray.tolist),
+    FIELD_INTS.filter(np.ndim).map(np.ndarray.tolist),
+    FIELD_FLOATS.filter(np.ndim).map(lambda a: tuple(a.tolist())),
+    FIELD_INTS.filter(np.ndim).map(lambda a: tuple(a.tolist())),
+)
+
+
+@given(FIELD_INPUTS)
+def test_exp_ode_field_converts_its_input_as_asarray_float_did(y):
+    # the field multiplies y itself; the 0-d float64 rate converts a list, a
+    # tuple or an int array to the float64 that np.asarray(y, dtype=float) gives
+    got, want = exp_ode().field(0.0, y), scenarios._HALF * np.asarray(y, dtype=float)
+    assert type(got) is type(want) and got.dtype == want.dtype == np.float64
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_exp_ode_rate_is_a_read_only_0d_float64():
