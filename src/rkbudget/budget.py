@@ -10,6 +10,7 @@ up for execution.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 from dataclasses import dataclass
@@ -162,7 +163,13 @@ def min_shots(pb: ProblemBounds, prof, sigma: float, n_steps: float) -> float:
         raise InfeasibleShotsError(
             f"infeasible: truncation already exceeds target at n_steps={n_steps:.6g}"
         )
-    shots = 9.0 * sigma**2 / pb.lip_state**2 * bracket**-2
+    try:  # the direct form, whose bits the tables pin
+        shots = 9.0 * sigma**2 / pb.lip_state**2 * bracket**-2
+    except ArithmeticError:  # a power past the float range, or a division by an underflowed 0
+        shots = math.inf
+    if not math.isfinite(shots):  # the same count as one square, where only an intermediate left the range
+        with contextlib.suppress(ArithmeticError):
+            shots = (3.0 * sigma / (pb.lip_state * bracket))**2
     if not math.isfinite(shots):
         raise OverflowError(f"shot count exceeds the float range at n_steps={n_steps:.6g}")
     return shots

@@ -30,9 +30,8 @@ import numpy as np
 from . import budget, sensitivity, toymodel
 from ._streams import _index_bytes, _words
 from .formats import csv_text, json_text
-from .harness import _check_trials, report_record, report_to_json, validate_noisy_bound
-from .harness import validate_noiseless_bound  # noqa: F401  (bench/spans.py wraps this name here)
-from .integrator import (DegenerateSlopeError, _check_positive, _check_noise, _clip_bytes, _slope_steps, _step_count,
+from .harness import _check_trials, report_record, report_to_json, validate_noiseless_bound, validate_noisy_bound
+from .integrator import (DegenerateSlopeError, _check_positive, _check_noise, _slab_bytes, _slope_steps, _step_count,
                          empirical_order)
 from .scenarios import SCENARIO_NAMES, apply_overrides, exp_ode, parse_overrides, scenario
 from .tableaux import BUILTIN_METHODS, builtin_tableau, min_stages
@@ -229,23 +228,20 @@ def _cmd_validate(args) -> int:
     tableau = builtin_tableau(args.method)
     evaluations = args.ntau * tableau.stages  # per trial: one batch steps them all
     request = f"--ntau {args.ntau} with {tableau.stages}-stage --method {args.method}"
-    seed = _seed(args)
+    seed = _seed(args)  # checked at --delta 0 too, as every option is
     if args.delta == 0.0:  # stepping holds only the current state
         _check_size(0, request, evaluations)
-    else:  # per draw of exp_ode's 1-D noise, 8 bytes of block and 2 of exceedance masks; per trial, its seeding;
-        # in clipped mode, one clipping slab's gathers.  One stream's reused draw buffer, 8 bytes per
-        # evaluation, stays under the evaluation limit's 32 MB.
+        report = validate_noiseless_bound(sc, tableau, [args.ntau])
+    else:  # per draw of exp_ode's 1-D noise, 8 bytes of block; per trial, its seeding; one slab's masks and
+        # gathers.  One stream's reused draw buffer, 8 bytes per evaluation, stays under the evaluation limit's 32 MB.
         draws = args.trials * evaluations
-        clipping = _clip_bytes(draws) if args.mode == "clipped" else 0
-        _check_size(10 * draws + args.trials * _index_bytes((seed,)) + clipping, f"--trials {args.trials} and {request}",
-                    evaluations)
-    mode = "clipped-gaussian" if args.mode == "clipped" else "gaussian"
-    # At --delta 0 this is one noiseless check, made after the same input checks.
-    report = validate_noisy_bound(sc, tableau, args.ntau, args.delta, trials=args.trials, seed=seed,
-                                  mode=mode, eta=args.eta)
-    if args.delta == 0.0 or mode == "clipped-gaussian":
-        failed = report.violations > 0
-    else:
+        _check_size(8 * draws + args.trials * _index_bytes((seed,)) + _slab_bytes(draws),
+                    f"--trials {args.trials} and {request}", evaluations)
+        mode = "clipped-gaussian" if args.mode == "clipped" else "gaussian"
+        report = validate_noisy_bound(sc, tableau, args.ntau, args.delta, trials=args.trials, seed=seed,
+                                      mode=mode, eta=args.eta)
+    failed = report.violations > 0
+    if args.delta != 0.0 and args.mode == "gaussian":
         # The per-evaluation bound is only probabilistic here; gate on its
         # exceedance rate with three-sigma binomial slack.
         allowance = args.eta + 3.0 * math.sqrt(args.eta * (1.0 - args.eta) / max(report.evaluations, 1))

@@ -1,8 +1,7 @@
 """Empirical validation campaigns: do realized errors respect the bounds?
 
 Every campaign integrates the benchmark ODE ``y' = y / 2`` (:func:`exp_ode`),
-whatever the scenario, with a concrete tableau, with or without injected
-noise, and compares the realized final-time error against the closed-form
+whatever the scenario, with a concrete tableau, and compares the realized final-time error against the closed-form
 bound for the scenario's constants.  Those constants are not derived from
 that ODE: ``tuned`` sets ``L_fy = 0.1``, below its Lipschitz constant 0.5,
 so the bound's premise is false there.  In clipped noise mode every
@@ -11,7 +10,9 @@ constants do hold for the ODE any violation signals an implementation
 defect; in plain Gaussian mode the per-evaluation exceedance rate itself is
 the quantity under test.
 
-A noisy campaign draws each trial's perturbations up front, one column per
+Each campaign call does one job: :func:`validate_noiseless_bound` steps with
+exact evaluations, :func:`validate_noisy_bound` with noise of a nonzero
+bound ``delta``.  A noisy campaign draws each trial's perturbations up front, one column per
 trial of an evaluation-major ``(evaluations, trials, dim)`` block, then
 steps all trials as one ``(trials, dim)`` batch, so each field evaluation
 adds one contiguous ``(trials, dim)`` slab.  Only the batch's current state
@@ -29,8 +30,8 @@ import numpy as np
 
 from .bounds import global_error_bound_noiseless, global_error_bound_noisy
 from .formats import json_text
-from ._streams import KeyedStreams, _words
-from .integrator import NoiseSpec, _check_noise, _check_positive, _error_norm, _step_count, integrate
+from ._streams import KeyedStreams
+from .integrator import NoiseSpec, _check_positive, _error_norm, _step_count, integrate
 from .scenarios import Scenario, exp_ode
 from .tableaux import ButcherTableau, profile
 
@@ -118,23 +119,20 @@ def validate_noisy_bound(sc: Scenario, tableau: ButcherTableau, n_steps: int, de
                          seed: int = 0, mode: str = "clipped-gaussian", eta: float = 0.05) -> CampaignReport:
     """Run seeded noisy integrations and count bound violations.
 
-    ``delta == 0`` falls back to a single noiseless check, after the same
-    checks of ``trials``, ``eta``, ``mode`` and ``seed``, by the rules the
-    CLI's options apply too.  Trial ``t`` draws all of its perturbations up
-    front from the stream ``np.random.default_rng((seed, t))``, so reports do
-    not depend on how trials are scheduled; the trials are then stepped
-    together as one batch.  The streams are unchanged, but :class:`~rkbudget._streams.KeyedStreams`
+    ``delta`` must be a noise bound: :class:`~rkbudget.integrator.NoiseSpec`
+    rejects 0, and exact evaluations are :func:`validate_noiseless_bound`'s
+    campaign.  Trial ``t`` draws all of its perturbations up front from the
+    stream ``np.random.default_rng((seed, t))``, so reports do not depend on
+    how trials are scheduled; the trials are then stepped together as one
+    batch.  The streams are unchanged, but :class:`~rkbudget._streams.KeyedStreams`
     hashes all trials' keys in one pass and numpy's PCG64 seeds each trial's
     generator; ``tests/test_streams.py`` holds its states and draws to
-    ``default_rng`` bit for bit.
+    ``default_rng`` bit for bit.  A bad seed is rejected as the streams are
+    built, before anything is drawn.
     """
-    _check_noise(delta, eta, mode)
-    _check_trials(trials)
-    _words(seed)  # the streams' own seed check, without building them
-    n_steps = _step_count(n_steps)
-    if delta == 0.0:
-        return validate_noiseless_bound(sc, tableau, [n_steps])
     noise = NoiseSpec(delta, eta, mode)
+    _check_trials(trials)
+    n_steps = _step_count(n_steps)
     problem = exp_ode()
     prof = profile(tableau, sc.error_const)
     reference = problem.exact(sc.pb.horizon)

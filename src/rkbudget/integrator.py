@@ -54,17 +54,17 @@ NOISE_MODES = ("gaussian", "clipped-gaussian")
 # whose norm is near delta stay normal floats, so neither the exceedance test
 # nor the clipping factor sees an underflow.
 DELTA_RANGE = (1e-150, 1e150)
-# Draws that clipping gathers at most at once; a 100-trial campaign of 400
-# evaluations each, as the benchmark runs, is clipped in one slab.
+# Draws that one slab of a noise block holds at most: perturbations tests,
+# counts and clips a block in one pass over slabs of whole evaluations.
 _CLIP_SLAB_DRAWS = 1 << 16
 
 
-def _clip_bytes(draws: int) -> int:
-    """The most bytes that clipping a block of ``draws`` one-component draws
-    holds at once, besides a few kilobytes of array headers: 32 per exceeding
-    draw (its gather, magnitude and factor, and the gather it scales), over at
-    most one slab of ``_CLIP_SLAB_DRAWS`` draws."""
-    return 32 * min(draws, _CLIP_SLAB_DRAWS)
+def _slab_bytes(draws: int) -> int:
+    """The most bytes that testing and clipping ``draws`` one-component draws holds
+    at once, besides array headers: 34 per draw of one slab, 2 of exceedance masks
+    and 32 of clipping gathers.  An evaluation of more draws than a slab is a slab
+    of its own, outweighed by seeding its trials, over 150 bytes each."""
+    return 34 * min(draws, _CLIP_SLAB_DRAWS)
 
 
 def _check_noise(delta: float, eta: float = 0.5, mode: str = NOISE_MODES[0], off: bool = True) -> None:
@@ -118,14 +118,14 @@ class NoiseSpec:
         which equals ``count`` successive draws of ``dim`` components, into a
         reused buffer copied into column ``i`` of the block.  One scaling of
         the whole block then gives, bit for bit, what ``rng.normal(0.0,
-        scale)`` draws from each stream.  ``rngs`` may be a
-        :class:`~rkbudget._streams.KeyedStreams`; ``tests/test_streams.py``
-        holds its streams to ``default_rng`` bit for bit, and
-        ``tests/test_integrator.py`` this block to per-evaluation
-        ``rng.normal`` draws.  Returns the evaluation-major ``(count,
-        len(rngs), dim)`` block, so evaluation ``k`` reads the contiguous slab
-        ``block[k]``, clipped onto the delta sphere in clipped mode, and the
-        number of draws whose norm exceeded delta.
+        scale)`` draws from each stream, and one pass over slabs of whole
+        evaluations, at most ``_CLIP_SLAB_DRAWS`` draws each, tests, counts
+        and, in clipped mode, clips them onto the delta sphere.  ``rngs`` may
+        be a :class:`~rkbudget._streams.KeyedStreams`.  Returns the
+        evaluation-major ``(count, len(rngs), dim)`` block, so evaluation
+        ``k`` reads the contiguous ``block[k]``, and the number of draws whose
+        norm exceeded delta; ``tests/test_integrator.py`` holds both to
+        per-evaluation ``rng.normal`` draws.
         """
         if dim < 1:
             raise ValueError("noise needs a field value with at least one component; got a zero-dimensional one")
@@ -140,26 +140,24 @@ class NoiseSpec:
         # -0.0 product into +0.0 as it does.
         block *= scale
         block += 0.0
-        # Draw norms as np.linalg.norm takes them, so that a block and per-
-        # evaluation draws clip alike bit for bit.  In 1-D, sqrt(fl(x * x)) == |x|
-        # where x * x is normal; under DELTA_RANGE other draws are within delta.
-        # |x| > delta is tested as x > delta or x < -delta, and |x| taken only
-        # of the draws that exceed it, so no block-sized float array is built.
-        if dim == 1:
-            x = block[..., 0]
-            over = x > delta
-            over |= x < -delta
-        else:
-            norms = np.sqrt(np.vecdot(block, block))
-            over = norms > delta
-        exceeded = int(np.count_nonzero(over))
-        if exceeded and self.mode == "clipped-gaussian":
-            # Slab by slab of whole evaluations, so that the gathers of the
-            # exceeding draws are bounded however large the block.
-            rows = max(1, _CLIP_SLAB_DRAWS // (len(rngs) * dim))
-            for k in range(0, count, rows):
-                slab, mask = block[k:k + rows], over[k:k + rows]
-                slab[mask] *= (delta / (np.abs(slab[mask][:, 0]) if dim == 1 else norms[k:k + rows][mask]))[:, None]
+        # Norms as np.linalg.norm takes them, so that a block and per-evaluation
+        # draws clip alike bit for bit: in 1-D, sqrt(fl(x * x)) == |x| where x * x
+        # is normal (under DELTA_RANGE other draws are within delta), so x > delta
+        # or x < -delta is tested, and |x| taken of those.  One slab is not sliced.
+        rows = _CLIP_SLAB_DRAWS // (len(rngs) * dim or 1) or 1
+        exceeded = 0
+        for slab in (block,) if count <= rows else (block[k:k + rows] for k in range(0, count, rows)):
+            if dim == 1:
+                x = slab[..., 0]
+                over = x > delta
+                over |= x < -delta
+            else:
+                norms = np.sqrt(np.vecdot(slab, slab))
+                over = norms > delta
+            n = int(np.count_nonzero(over))
+            exceeded += n
+            if n and self.mode == "clipped-gaussian":
+                slab[over] *= (delta / (np.abs(slab[over][:, 0]) if dim == 1 else norms[over]))[:, None]
         return block, exceeded
 
     @classmethod

@@ -98,3 +98,17 @@ def test_readme_invocations_run_as_fresh_processes_next_to_the_floors():
         pair = entry["runs"][0]
         assert all(pair[side]["returncode"] == 0 and pair[side]["wall_ms"] > 0.0 for side in bench_record.SIDES), name
         assert entry["metrics"]["wall_ms"]["pairs"] == 1
+
+
+def test_an_unknown_pairs_name_exits_2_before_anything_runs(tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a pair ran before the --pairs names were checked")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", no_run)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exited:
+        bench_record.main(["--parent", str(tmp_path), "--out", str(out), "--pairs", "trajectory=1,cli=1,campaing=2"])
+    assert exited.value.code == 2
+    assert "unknown --pairs name(s): campaing; known: campaign, cli, planning, surrogate, tier1, trajectory" \
+        in capsys.readouterr().err
+    assert not out.exists()

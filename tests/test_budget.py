@@ -26,6 +26,7 @@ from rkbudget.budget import (
     rows_to_json,
     sigma_bound,
 )
+from rkbudget.scenarios import apply_overrides
 from rkbudget.tableaux import MethodProfile, min_stages
 
 
@@ -110,6 +111,27 @@ def test_min_shots_overflow_in_the_final_product_is_flagged(option_pricing):
     row = budget.budget_row(pb, prof, option_pricing.sigma, option_pricing.dims)
     assert not row.feasible
     assert math.isnan(row.n_shots)
+
+
+def option_table_at(sc, lip_state):
+    sc = apply_overrides(sc, {"L_fy": lip_state})
+    return budget_table(sc.pb, error_const=sc.error_const, p_range=range(1, 11), a_max=sc.a_max, b_max=sc.b_max,
+                        sigma=sc.sigma, dims=sc.dims)
+
+
+@pytest.mark.parametrize("lip_state", [1e-150, 1e-170])
+def test_min_shots_past_an_intermediate_overflow_is_the_moderate_count(option_pricing, lip_state):
+    # sigma**2 / lip_state**2 overflows at 1e-150, and lip_state**2 underflows
+    # to 0 at 1e-170, though the count is moderate: at small L_fy it tends to
+    # 9 sigma**2 n**2 dt**2 / target**2, 1.0404e22 at order 2 where L_fy = 1e-50.
+    moderate = option_table_at(option_pricing, 1e-50)
+    rows = option_table_at(option_pricing, lip_state)
+    assert all(row.feasible for row in rows)
+    assert [row.n_shots for row in rows] == pytest.approx([row.n_shots for row in moderate], rel=1e-12)
+    assert rows[1].n_shots == pytest.approx(1.0404e22, rel=1e-12)
+    # At L_fy = 1e-312 target / growth itself overflows, so every row stays
+    # flagged until a log-space closed-form core (ROADMAP item 1) lands.
+    assert not any(row.feasible for row in option_table_at(option_pricing, 1e-312))
 
 
 def test_budget_row_flags_a_cost_or_circuit_budget_beyond_the_float_range(option_pricing):

@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 from rkbudget import cli, toymodel
 from rkbudget.cli import DEFAULT_SEED, SEED_ENV_VAR, main
-from rkbudget.scenarios import SCENARIO_NAMES
+from rkbudget.harness import report_to_json, validate_noiseless_bound
+from rkbudget.scenarios import SCENARIO_NAMES, scenario
 from rkbudget.sensitivity import SWEEP_MODES, SWEEP_TARGETS
-from rkbudget.tableaux import BUILTIN_METHODS
+from rkbudget.tableaux import BUILTIN_METHODS, builtin_tableau
 
 
 def run_cli(capsys, *argv):
@@ -923,6 +924,13 @@ def test_validate_noiseless_rk4(capsys):
     assert payload["violations"] == 0
 
 
+@pytest.mark.parametrize("method", sorted(BUILTIN_METHODS))
+def test_noiseless_validate_prints_the_noiseless_campaign_s_report(capsys, method):
+    code, out, _ = run_cli(capsys, "validate", "--method", method, "--delta", "0", "--format", "json")
+    report = validate_noiseless_bound(scenario("classical"), builtin_tableau(method), [100])
+    assert (code, out) == (0, report_to_json(report) + "\n")
+
+
 def test_validate_clipped_euler(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -1103,7 +1111,7 @@ def test_steps_that_cannot_be_taken_exit_2_naming_the_option(capsys, tmp_path, a
     [
         ("validate --method euler --delta 1e-4 --ntau 1000000000000 --trials 1000",
          "--trials 1000 and --ntau 1000000000000 with 1-stage --method euler"
-         " would build an array of up to 1e+16 bytes"),
+         " would build an array of up to 8e+15 bytes"),
         ("toy kappa --nv 100000 --samples 30", "--nv 100000 would build an array of up to 4e+11 bytes"),
         ("toy lip --nv 100000", "--nv 100000 would build an array of up to 4e+11 bytes"),
         ("toy norms --nv 10:20 --samples 40000000",
@@ -1117,9 +1125,9 @@ def test_oversized_requests_exit_2_naming_the_options(capsys, argv, message):
 
 
 def test_a_request_at_the_array_limit_runs(capsys, monkeypatch):
-    # one trial's ten one-float evaluations: an 80-byte noise block, 20 bytes
-    # of exceedance masks, 156 bytes to seed its stream from a one-word seed,
-    # and 320 bytes to clip them if all ten exceed delta
+    # one trial's ten one-float evaluations: an 80-byte noise block, 156 bytes
+    # to seed its stream from a one-word seed, and 340 bytes for its one slab,
+    # 20 of exceedance masks and 320 to clip all ten if they exceed delta
     argv = ("validate", "--method", "euler", "--delta", "1e-4", "--trials", "1", "--ntau", "10", "--seed", "7")
     monkeypatch.setattr(cli, "MAX_ARRAY_BYTES", 576)
     assert run_cli(capsys, *argv)[0] == 0
@@ -1128,13 +1136,16 @@ def test_a_request_at_the_array_limit_runs(capsys, monkeypatch):
 
 
 # The third seeds 20000 streams, whose hashing holds more than its noise
-# block.  The last clips about a third of its draws: their gathers, 32 bytes
-# each, once took 2.4 times the block where 1.3 times was counted.
-@pytest.mark.parametrize("method, trials, ntau, eta",
-                         [("rk4", 1000, 100, "0.05"), ("euler", 200, 1000, "0.05"), ("euler", 20000, 10, "0.05"),
-                          ("rk4", 1000, 100, "0.99")],
-                         ids=["rk4-1000-100", "euler-200-1000", "euler-20000-10", "rk4-1000-100-eta0.99"])
-def test_a_campaign_holds_no_more_than_the_size_check_counts(capsys, monkeypatch, method, trials, ntau, eta):
+# block.  The fourth clips about a third of its draws: their gathers, 32 bytes
+# each, once took 2.4 times the block where 1.3 times was counted.  The last
+# tests its draws as the clipped mode does, and clips none of them.
+@pytest.mark.parametrize("method, trials, ntau, eta, mode",
+                         [("rk4", 1000, 100, "0.05", "clipped"), ("euler", 200, 1000, "0.05", "clipped"),
+                          ("euler", 20000, 10, "0.05", "clipped"), ("rk4", 1000, 100, "0.99", "clipped"),
+                          ("rk4", 1000, 100, "0.99", "gaussian")],
+                         ids=["rk4-1000-100", "euler-200-1000", "euler-20000-10", "rk4-1000-100-eta0.99",
+                              "rk4-1000-100-eta0.99-gaussian"])
+def test_a_campaign_holds_no_more_than_the_size_check_counts(capsys, monkeypatch, method, trials, ntau, eta, mode):
     counted, peaks = [], []
     check_size, campaign = cli._check_size, cli.validate_noisy_bound
 
@@ -1153,7 +1164,7 @@ def test_a_campaign_holds_no_more_than_the_size_check_counts(capsys, monkeypatch
     monkeypatch.setattr(cli, "_check_size", recording)
     monkeypatch.setattr(cli, "validate_noisy_bound", traced)
     argv = ("validate", "--method", method, "--delta", "1e-3", "--eta", eta, "--trials", str(trials),
-            "--ntau", str(ntau))
+            "--ntau", str(ntau), "--mode", mode)
     run_cli(capsys, *argv)  # first-use imports and caches, traced but not compared
     assert run_cli(capsys, *argv)[0] == 0
     block = 8 * trials * ntau * cli.builtin_tableau(method).stages
@@ -1213,7 +1224,7 @@ def test_requests_past_the_stage_evaluation_limit_exit_2_before_stepping(capsys,
     def not_run(*args, **kwargs):
         raise AssertionError("the request ran")
 
-    for name in ("validate_noisy_bound", "empirical_order"):
+    for name in ("validate_noiseless_bound", "validate_noisy_bound", "empirical_order"):
         monkeypatch.setattr(cli, name, not_run)
     assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}, above the limit of 4e+06\n")
 

@@ -16,11 +16,8 @@ MODULES = sorted(
     + list((ROOT / "tests").glob("*.py"))
     + list((ROOT / "demos").glob("*.py")),
 )
-# (module, name) pairs imported for a reader outside the module.
-UNUSED_ON_PURPOSE = {
-    # bench/spans.py wraps the name where cli.py looks it up (ROADMAP item 3b).
-    ("src/rkbudget/cli.py", "validate_noiseless_bound"),
-}
+# (module, name) pairs imported for a reader outside the module; none today.
+UNUSED_ON_PURPOSE: set[tuple[str, str]] = set()
 NUMPY_FREE = ("bounds.py", "budget.py", "formats.py")
 
 

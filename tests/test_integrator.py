@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rkbudget import integrator
 from rkbudget._streams import KeyedStreams
 from rkbudget.integrator import (
     DELTA_RANGE,
@@ -238,6 +239,54 @@ def test_a_seeded_one_dimensional_block_equals_its_vecdot_reference(mode):
     _, count, reference = vecdot_route(raw, spec.delta, mode == "clipped-gaussian")
     assert exceeded == count > 0
     assert block.tobytes() == reference.tobytes()
+
+
+def reference_perturbations(spec, rngs, count, dim, slab_draws=1 << 16):
+    """Frozen copy of ``NoiseSpec.perturbations`` from the revision before it
+    took one pass over slabs: it tests the whole block, counts, and then clips
+    slab by slab, ``slab_draws`` draws at most."""
+    delta = spec.delta
+    scale = delta * math.sqrt(spec.eta / dim)
+    block = np.empty((count, len(rngs), dim))
+    draws = np.empty((count, dim))
+    for i, rng in enumerate(rngs):
+        rng.standard_normal(out=draws)
+        block[:, i] = draws
+    block *= scale
+    block += 0.0
+    if dim == 1:
+        x = block[..., 0]
+        over = x > delta
+        over |= x < -delta
+    else:
+        norms = np.sqrt(np.vecdot(block, block))
+        over = norms > delta
+    exceeded = int(np.count_nonzero(over))
+    if exceeded and spec.mode == "clipped-gaussian":
+        rows = max(1, slab_draws // (len(rngs) * dim))
+        for k in range(0, count, rows):
+            slab, mask = block[k:k + rows], over[k:k + rows]
+            slab[mask] *= (delta / (np.abs(slab[mask][:, 0]) if dim == 1 else norms[k:k + rows][mask]))[:, None]
+    return block, exceeded
+
+
+# 37 evaluations in slabs of at most 16 draws: 16 // (trials * dim) whole
+# evaluations each with a ragged last slab, or one evaluation per slab where a
+# single one holds more; the default slab takes each block whole.
+@pytest.mark.parametrize("slab_draws", [16, None], ids=["small-slabs", "default-slab"])
+@pytest.mark.parametrize("mode", NOISE_MODES)
+@pytest.mark.parametrize("trials", [0, 1, 7])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_block_in_slabs_is_the_frozen_two_pass_block(monkeypatch, dim, trials, mode, slab_draws):
+    if slab_draws is not None:
+        monkeypatch.setattr(integrator, "_CLIP_SLAB_DRAWS", slab_draws)
+    spec = NoiseSpec(1e-2, 0.5, mode)  # eta 0.5: 11-16% of the draws exceed delta
+    block, exceeded = spec.perturbations(KeyedStreams((31,), range(trials)), 37, dim)
+    reference, ref_exceeded = reference_perturbations(spec, KeyedStreams((31,), range(trials)), 37, dim)
+    assert block.shape == reference.shape == (37, trials, dim)
+    assert block.tobytes() == reference.tobytes()
+    assert exceeded == ref_exceeded
+    assert (exceeded > 0) == (trials > 0)
 
 
 def test_block_draw_keeps_streams_apart():

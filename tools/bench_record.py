@@ -175,13 +175,17 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True, help="the record to write, e.g. BENCH_<n>.json")
     parser.add_argument("--pairs", type=parse_pairs,
                         default="trajectory=10,campaign=3,planning=3,surrogate=3,tier1=1,cli=5",
-                        help="pairs per workload, of Tier-1 runs (tier1) and of README invocations (cli),"
-                             " e.g. trajectory=10,tier1=3")
+                        help="pairs per BENCHMARK.json workload, of Tier-1 runs (tier1) and of README invocations"
+                             " (cli), e.g. trajectory=10,tier1=3")
     parser.add_argument("--seconds", type=float, default=8.0, help="run length of each run")
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair; pair i uses seed + i")
     args = parser.parse_args(argv)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    known = {w["name"] for w in benchmark["workloads"]} | {"tier1", "cli"}
+    if unknown := sorted(set(args.pairs) - known):  # before any pair runs, so a typo costs no run
+        parser.error(f"unknown --pairs name(s): {', '.join(unknown)}; known: {', '.join(sorted(known))}")
     tier1, cli = args.pairs.pop("tier1", 0), args.pairs.pop("cli", 0)
-    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     roots = {"parent": args.parent.resolve(), "change": ROOT}
     record = {"command": "python3 bench/run.py --workload W --seed S --seconds X", "seconds": args.seconds,
               "machine": None, "workloads": {}}
