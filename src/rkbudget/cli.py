@@ -31,8 +31,8 @@ from . import budget, sensitivity, toymodel
 from ._streams import _index_bytes, _words
 from .formats import csv_text, json_text
 from .harness import _check_trials, report_record, report_to_json, validate_noiseless_bound, validate_noisy_bound
-from .integrator import (DegenerateSlopeError, _check_positive, _check_noise, _slab_bytes, _slope_steps, _step_count,
-                         empirical_order)
+from .integrator import (DegenerateSlopeError, _DELTA_RULE, _check_delta, _check_eta, _check_positive, _slab_bytes,
+                         _slope_steps, _step_count, empirical_order)
 from .scenarios import SCENARIO_NAMES, apply_overrides, exp_ode, parse_overrides, scenario
 from .tableaux import BUILTIN_METHODS, builtin_tableau, min_stages
 
@@ -67,6 +67,15 @@ def _typed(parse, *checks):
         return value
     convert.__name__ = parse.__name__  # argparse's "invalid int value: '1.5'"
     return convert
+
+
+def _noise_bound(delta: float) -> None:
+    """``--delta``'s rule: 0 for no noise, or else a noise bound."""
+    if delta != 0.0:
+        try:
+            _check_delta(delta)
+        except ValueError:
+            raise ValueError(f"{_DELTA_RULE}, or be 0 for no noise; got {delta:g}") from None
 
 
 def _ends(check):  # both ends of a range, which is never iterated
@@ -321,11 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_val, scenario_default="classical", seeded=True)
     p_val.add_argument("--method", required=True, choices=sorted(BUILTIN_METHODS))
     p_val.add_argument("--mode", choices=("clipped", "gaussian"), default="clipped")
-    p_val.add_argument("--delta", type=_typed(float, _check_noise), default=0.0,
+    p_val.add_argument("--delta", type=_typed(float, _noise_bound), default=0.0,
                        help="per-evaluation noise bound (0 disables noise)")
     p_val.add_argument("--ntau", type=_typed(int, _step_count), default=100)
     p_val.add_argument("--trials", type=_typed(int, _check_trials), default=1000)
-    p_val.add_argument("--eta", type=_typed(float, lambda eta: _check_noise(0.0, eta)), default=0.05)
+    p_val.add_argument("--eta", type=_typed(float, _check_eta), default=0.05)
     p_val.set_defaults(func=_cmd_validate)
 
     p_conv = sub.add_parser("convergence", help="empirical order of a built-in method", exit_on_error=False)

@@ -67,16 +67,21 @@ def _slab_bytes(draws: int) -> int:
     return 34 * min(draws, _CLIP_SLAB_DRAWS)
 
 
-def _check_noise(delta: float, eta: float = 0.5, mode: str = NOISE_MODES[0], off: bool = True) -> None:
-    """The noise inputs' rules: ``delta`` in ``DELTA_RANGE``, or 0 (no noise) where ``off``
-    allows it; ``eta`` in (0, 1); a known ``mode``.  The defaults pass."""
-    if not (off and delta == 0.0 or DELTA_RANGE[0] <= delta <= DELTA_RANGE[1]):  # NaN too
-        raise ValueError(f"delta must lie in [{DELTA_RANGE[0]:g}, {DELTA_RANGE[1]:g}], where the perturbation norms"
-                         f" neither underflow nor overflow{', or be 0 for no noise' if off else ''}; got {delta:g}")
+# A noise bound's rule as its messages state it.
+_DELTA_RULE = (f"delta must lie in [{DELTA_RANGE[0]:g}, {DELTA_RANGE[1]:g}], where the perturbation norms"
+               " neither underflow nor overflow")
+
+
+def _check_delta(delta: float) -> None:
+    """A noise bound's rule: ``delta`` in ``DELTA_RANGE``."""
+    if not DELTA_RANGE[0] <= delta <= DELTA_RANGE[1]:  # NaN too
+        raise ValueError(f"{_DELTA_RULE}; got {delta:g}")
+
+
+def _check_eta(eta: float) -> None:
+    """An exceedance probability's rule: ``eta`` in (0, 1)."""
     if not 0.0 < eta < 1.0:  # NaN too
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    if mode not in NOISE_MODES:
-        raise ValueError(f"mode must be one of {NOISE_MODES}, got {mode!r}")
 
 
 class StepFailureError(RuntimeError):
@@ -109,7 +114,10 @@ class NoiseSpec:
     mode: str
 
     def __post_init__(self):
-        _check_noise(self.delta, self.eta, self.mode, off=False)
+        _check_delta(self.delta)
+        _check_eta(self.eta)
+        if self.mode not in NOISE_MODES:
+            raise ValueError(f"mode must be one of {NOISE_MODES}, got {self.mode!r}")
 
     def perturbations(self, rngs: Collection[np.random.Generator], count: int, dim: int) -> tuple[np.ndarray, int]:
         """Perturbations for ``count`` evaluations of a ``dim``-component field per stream.

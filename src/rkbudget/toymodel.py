@@ -13,24 +13,30 @@ first-order perturbation bound of linear solves.
 
 :func:`condition_number` measures one matrix or a stack of them; one matrix
 is a stack of one.  The condition-number and norm studies measure their
-draws in chunks of consecutive draws, one chunk after another, with one
-``condition_number`` call and stacked LAPACK calls per chunk; the chunks
-bound the memory a study holds at once.  A chunk's coefficients are drawn
-stream by stream, then scaled and evaluated in one pass over the chunk;
-:func:`sample_toy` draws one system as a chunk of one.  Each draw has its
-own seeded stream and every entry goes through the same elementwise
-operations, so the results do not depend on the chunk size.  They can depend
-on the BLAS library's threading: OpenBLAS factorizes matrices of 10^4
-entries or more on several threads, which can round differently from one.
+draws in chunks of consecutive draws, with one ``condition_number`` call and
+stacked LAPACK calls per chunk; the chunks bound the memory a study holds at
+once.  From 256 to fewer than 10^4 matrix entries two chunks are in flight
+at once: the calling thread measures chunk ``2k`` while one helper thread per
+study measures chunk ``2k + 1``, each into its own rows.  Other dimensions
+are measured one chunk after another on the calling thread.  A chunk's
+coefficients are drawn stream by stream, then scaled and evaluated in one
+pass over the chunk; :func:`sample_toy` draws one system as a chunk of one.
+Each draw has its own seeded stream and every entry goes through the same
+elementwise operations, so the results do not depend on the chunk size or on
+the thread that measures a chunk.  They can depend on the BLAS library's
+threading: OpenBLAS factorizes matrices of 10^4 entries or more on several
+threads, which can round differently from one, and below that on one.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import threading
 from collections import deque
 from dataclasses import astuple, dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -194,6 +200,15 @@ def sample_toy(
 # per-call overhead over the draws of small dimensions.
 _CHUNK_ENTRIES = 1 << 15
 
+# Dimensions whose matrices have this many entries are measured two chunks at a
+# time.  Below 10^4 entries OpenBLAS factorizes on one thread, so the bits do
+# not depend on what else runs.  Below 256 the Python work of each draw, which
+# holds the interpreter lock, outweighs what a second thread saves: on 2 cores
+# a draw took 12.7 us alone and 27.5 us paired at N_V = 8, 30.6 and 32.2 us at
+# N_V = 14, and 38.7 and 24.5 us at N_V = 16.  Other dimensions are measured
+# one chunk at a time.
+_PAIRED_ENTRIES = range(16**2, 10**4)
+
 
 def _norm_each(stack: np.ndarray) -> np.ndarray:
     # 2-norm of each item (Frobenius for matrices) as a dot product, bitwise
@@ -275,6 +290,72 @@ def _measure_chunk(
     return _measure(a, c, norms)
 
 
+class _Helper:
+    """One helper thread for a study, started on first use and joined when
+    the ``with`` block ends, that runs one task at a time beside the caller."""
+
+    def __init__(self):
+        import queue  # here, not at the top: commands that run no study never load it
+
+        self._tasks, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+        self._thread: threading.Thread | None = None
+
+    def __enter__(self) -> _Helper:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._thread is not None:
+            self._tasks.put(None)
+            self._thread.join()
+
+    def _work(self) -> None:
+        while (task := self._tasks.get()) is not None:
+            error = None
+            try:
+                task()
+            except BaseException as caught:  # handed to the caller, which raises it
+                error = caught
+            del task  # with it the chunk's streams, before the next dimension seeds its own
+            self._done.put(error)
+
+    def pair(self, here: Callable[[], None], there: Callable[[], None] | None = None) -> None:
+        """Run ``here`` on the calling thread while ``there`` runs on the helper,
+        and return once both have; raise the error of ``here``, else that of ``there``."""
+        if there is None:
+            return here()
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._work, name="rkbudget-study-helper")
+            self._thread.start()
+        self._tasks.put(there)
+        here()  # should it raise, leaving the ``with`` block waits for ``there``
+        error = self._done.get()
+        if error is not None:
+            raise error
+
+
+def _measure_dimension(helper: _Helper, measures: np.ndarray, nv: int, theta: float, seed, norms: bool) -> None:
+    """Fill ``measures`` with the measures of the study draws of dimension
+    ``nv``, draw ``i`` in row ``i``, chunk by chunk.  Where ``nv * nv`` is in
+    ``_PAIRED_ENTRIES`` chunk ``2k`` runs on the calling thread while chunk
+    ``2k + 1`` runs on the helper."""
+    samples = len(measures)
+    size = max(1, _CHUNK_ENTRIES // (nv * nv))
+    lanes = 2 if nv * nv in _PAIRED_ENTRIES else 1
+    streams = KeyedStreams((seed, nv), range(samples))
+    # Each lane, chunks j % lanes, walks the streams once; two lanes pass over each other's chunks.
+    walks = [iter(streams) for _ in range(lanes)]
+
+    def measure(j: int) -> None:
+        start = j * size
+        skip = size if lanes == 2 and j else 0
+        chunk = itertools.islice(walks[j % lanes], skip, None)
+        measures[start:start + size] = _measure_chunk(nv, chunk, min(size, samples - start), theta, norms)
+
+    chunks = [functools.partial(measure, j) for j in range(-(-samples // size))]
+    for j in range(0, len(chunks), lanes):
+        helper.pair(*chunks[j:j + lanes])
+
+
 def _study(nv_grid: Iterable[int], samples: int, theta: float, seed, norms: bool) -> list[tuple[int, np.ndarray, int]]:
     """``(nv, measures, excluded)`` per dimension of the grid, the measures of
     the well-conditioned draws in index order.
@@ -288,12 +369,9 @@ def _study(nv_grid: Iterable[int], samples: int, theta: float, seed, norms: bool
     for nv in grid:
         _check_draws(nv)
     rows = np.empty((len(grid), samples, 4 if norms else 1))
-    for nv, measures in zip(grid, rows):
-        size = max(1, _CHUNK_ENTRIES // (nv * nv))
-        streams = iter(KeyedStreams((seed, nv), range(samples)))
-        for start in range(0, samples, size):
-            measures[start:start + size] = _measure_chunk(nv, streams, min(size, samples - start), theta, norms)
-        del streams  # its seed words, 32 bytes per draw, go before the next dimension seeds its own
+    with _Helper() as helper:
+        for nv, measures in zip(grid, rows):
+            _measure_dimension(helper, measures, nv, theta, seed, norms)
     out = []
     for nv, draws in zip(grid, rows):
         kept = draws[~np.isnan(draws[:, 0])]

@@ -16,8 +16,6 @@ MODULES = sorted(
     + list((ROOT / "tests").glob("*.py"))
     + list((ROOT / "demos").glob("*.py")),
 )
-# (module, name) pairs imported for a reader outside the module; none today.
-UNUSED_ON_PURPOSE: set[tuple[str, str]] = set()
 NUMPY_FREE = ("bounds.py", "budget.py", "formats.py")
 
 
@@ -43,16 +41,8 @@ def _used(tree: ast.Module) -> set[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    rel = str(path.relative_to(ROOT))
-    unused = [name for _, name in _imports(tree) if name not in _used(tree) and (rel, name) not in UNUSED_ON_PURPOSE]
+    unused = [name for _, name in _imports(tree) if name not in _used(tree)]
     assert unused == []
-
-
-def test_each_unused_on_purpose_import_is_still_unused():
-    for rel, name in UNUSED_ON_PURPOSE:
-        tree = ast.parse((ROOT / rel).read_text())
-        assert name in {bound for _, bound in _imports(tree)}
-        assert name not in _used(tree)
 
 
 @pytest.mark.parametrize("name", NUMPY_FREE)

@@ -1,13 +1,16 @@
 import math
 import re
+import sys
 import threading
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from rkbudget import toymodel
+from rkbudget._streams import KeyedStreams
 from rkbudget.toymodel import (
     ILL_CONDITIONED_CUTOFF,
     SingularMatrixError,
@@ -272,21 +275,81 @@ def test_study_pipeline_mixed_grid_keeps_grid_order():
     assert_study_matches_reference([100, 3, 101, 3, 40], 30, 0.5, 11)
 
 
-def test_study_measures_every_chunk_on_the_calling_thread(monkeypatch):
-    threads = []
-    measure_chunk = toymodel._measure_chunk
+def recording_threads(monkeypatch, chunk):
+    """Patch ``_measure_chunk`` to ``chunk`` and record the thread and dimension of each call."""
+    calls = []
 
-    def recording(*args):
-        threads.append((threading.current_thread(), threading.active_count()))
-        return measure_chunk(*args)
+    def recording(nv, *args):
+        calls.append((threading.current_thread(), nv))
+        return chunk(nv, *args)
 
     monkeypatch.setattr(toymodel, "_measure_chunk", recording)
+    return calls
+
+
+# Chunks of three draws: 31 samples make eleven, the last of one draw.  N_V =
+# 16 and 99 have 256 and 9801 entries, N_V = 15 and 100 have 225 and 10^4.
+@pytest.mark.parametrize("paired, alone", [(99, 100), (16, 15)], ids=["upper-end", "lower-end"])
+def test_study_measures_chunks_in_pairs_within_the_paired_entries_only(monkeypatch, paired, alone):
+    calls = recording_threads(monkeypatch, toymodel._measure_chunk)
+    monkeypatch.setattr(toymodel, "_CHUNK_ENTRIES", 3 * max(paired, alone) ** 2)
+    here, before = threading.current_thread(), threading.active_count()
+    kappa_study([paired, alone, 2], 31, seed=1)
+    assert threading.active_count() == before
+    threads = {nv: [thread for thread, n in calls if n == nv] for nv in (paired, alone, 2)}
+    assert len(threads[paired]) == len(threads[alone]) == 11
+    assert threads[paired].count(here) == 6  # chunks 0, 2, ..., 10
+    assert len(set(threads[paired])) == 2  # and chunks 1, 3, ..., 9 on one other thread
+    assert threads[alone] == [here] * 11
+    assert threads[2] == [here]  # one chunk of 31 draws
+
+
+# three callers with a helper each, more threads than cores, switching often:
+# a chunk that drew another's streams or wrote another's rows changes bits
+def test_paired_studies_on_three_workers_match_the_reference_under_frequent_switches():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        on_threads(3, lambda: assert_study_matches_reference([40, 50], 30, 0.5, 13))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_dimension_s_streams_go_before_the_next_dimension_seeds_its_own(monkeypatch):
+    # the old streams' seed words, 32 bytes per draw, on top of the new ones'
+    # seeding would pass what the CLI's size check counts per draw
+    built, alive_when_seeding = [], []
+
+    class RecordedStreams(KeyedStreams):
+        def __init__(self, key, indices):
+            alive_when_seeding.append(sum(ref() is not None for ref in built))
+            super().__init__(key, indices)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(toymodel, "KeyedStreams", RecordedStreams)
+    kappa_study([16, 50, 100, 20], 60, seed=1)  # paired, paired, alone, paired
+    assert alive_when_seeding == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+@pytest.mark.parametrize("failing", ["calling", "helper"])
+def test_a_chunk_error_reaches_the_caller_once_the_chunk_in_flight_ends(monkeypatch, failing, error):
+    here, raised = threading.current_thread(), threading.Event()
+
+    def chunk(nv, streams, count, theta, norms):
+        if (threading.current_thread() is here) == (failing == "calling"):
+            raised.set()
+            raise error("chunk failed")
+        assert raised.wait(timeout=60)  # in flight while the other chunk raises
+        return np.full((count, 1), float(nv))
+
+    calls = recording_threads(monkeypatch, chunk)
     monkeypatch.setattr(toymodel, "_CHUNK_ENTRIES", 3 * 50**2)
     before = threading.active_count()
-    kappa_study([2, 50], 30, seed=1)
-    assert len(threads) == 1 + 10  # one chunk at N_V = 2, ten of three draws at N_V = 50
-    assert threads == [(threading.current_thread(), before)] * len(threads)
+    with pytest.raises(error, match="chunk failed"):
+        kappa_study([50], 30, seed=1)
     assert threading.active_count() == before
+    assert len(calls) == 2  # the failing pair, and no chunk after it
 
 
 def test_studies_measure_each_chunk_through_the_module_level_condition_number(monkeypatch):
