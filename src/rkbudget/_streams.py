@@ -118,7 +118,9 @@ class KeyedStreams:
     ``default_rng`` would give it, so streams taken together may be drawn in
     any order, and threads may iterate the same streams at once.  Key entries
     must be non-negative integers, with the errors ``default_rng`` raises for
-    others.  The streams hold 32 bytes per index until iterated.
+    others.  The streams hold 32 bytes per index until iterated.  A slice
+    gives the streams of ``indices[part]`` from the same rows of seed words,
+    hashing nothing again.
     """
 
     def __init__(self, key: Sequence[int], indices: range):
@@ -126,6 +128,11 @@ class KeyedStreams:
 
     def __len__(self) -> int:
         return len(self._seed_words)
+
+    def __getitem__(self, part: slice) -> KeyedStreams:
+        streams = object.__new__(KeyedStreams)
+        streams._seed_words = self._seed_words[part]
+        return streams
 
     def __iter__(self) -> Iterator[np.random.Generator]:
         seed_words = _seed_words_type()

@@ -199,9 +199,13 @@ def _cmd_study(args) -> int:
     _check_size(8 * 5 * nv_max**2, f"--nv {nv_max}")  # one draw's coefficient planes
     kappa, seed = args.study == "kappa", _seed(args)
     # per sample: seeding its stream, and its measures (one, or four for the norms) per dimension twice,
-    # in the gathered rows and in the well-conditioned rows kept of them
+    # in the gathered rows and in the well-conditioned rows kept of them; per chunk in flight, 8 floats per
+    # matrix entry of its draws (five coefficient planes, A, its inverse and a temporary) and 6 per vector entry
     measures = 8 * (1 if kappa else 4) * len(args.nv)
-    _check_size(args.samples * (_index_bytes((seed, nv_max)) + 2 * measures),
+    chunks = max(lanes * 8 * min(size, args.samples) * (8 * nv * nv + 6 * nv)
+                 for nv in args.nv for size, lanes in [toymodel._chunking(nv)])
+    _check_size(chunks, f"--nv {nv_max}")  # past 1 GiB only from --nv 4096, one draw per chunk
+    _check_size(args.samples * (_index_bytes((seed, nv_max)) + 2 * measures) + chunks,
                 f"--samples {args.samples} with {len(args.nv)} --nv values")
     study = toymodel.kappa_study if kappa else toymodel.norm_study
     result = study(args.nv, args.samples, theta=args.theta, seed=seed)

@@ -16,11 +16,12 @@ is a stack of one.  The condition-number and norm studies measure their
 draws in chunks of consecutive draws, with one ``condition_number`` call and
 stacked LAPACK calls per chunk; the chunks bound the memory a study holds at
 once.  From 256 to fewer than 10^4 matrix entries two chunks are in flight
-at once: the calling thread measures chunk ``2k`` while one helper thread per
-study measures chunk ``2k + 1``, each into its own rows.  Other dimensions
-are measured one chunk after another on the calling thread.  A chunk's
-coefficients are drawn stream by stream, then scaled and evaluated in one
-pass over the chunk; :func:`sample_toy` draws one system as a chunk of one.
+at once: the calling thread measures chunk ``2k`` while the study's
+one-worker executor, given one chunk at a time, measures chunk ``2k + 1``,
+each into its own rows.  Other dimensions are measured one chunk after
+another on the calling thread.  A chunk's coefficients are drawn stream by
+stream, then scaled and evaluated in one pass over the chunk;
+:func:`sample_toy` draws one system as a chunk of one.
 Each draw has its own seeded stream and every entry goes through the same
 elementwise operations, so the results do not depend on the chunk size or on
 the thread that measures a chunk.  They can depend on the BLAS library's
@@ -30,13 +31,10 @@ threads, which can round differently from one, and below that on one.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-import threading
 from collections import deque
 from dataclasses import astuple, dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -152,17 +150,17 @@ _PLANE_MEAN = np.array([_AMP_MEAN, _FREQ_MEAN, _FREQ_MEAN, _AMP_MEAN, _FREQ_MEAN
 _PLANE_SD = np.array([_AMP_SD, _FREQ_SD, _FREQ_SD, _AMP_SD, _FREQ_SD])
 
 
-def _draw_planes(streams: Iterable[np.random.Generator], count: int, nv: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient planes ``(count, 5, nv, nv)`` of A and ``(count, 5, nv)`` of
-    C for the next ``count`` draws, one from each of the next ``count`` streams.
+def _draw_planes(streams: Collection[np.random.Generator], nv: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient planes ``(k, 5, nv, nv)`` of A and ``(k, 5, nv)`` of C for
+    ``k`` draws, one from each of the ``k`` streams.
 
     Each stream fills its draw's A planes, then its C planes, with one
     standard-normal call each; the chunk is then scaled once to
     ``mean + sd * z``, the bits of ``rng.normal(mean, sd)`` plane by plane.
     """
-    a = np.empty((count, 5, nv, nv))
-    c = np.empty((count, 5, nv))
-    for k, rng in enumerate(itertools.islice(streams, count)):
+    a = np.empty((len(streams), 5, nv, nv))
+    c = np.empty((len(streams), 5, nv))
+    for k, rng in enumerate(streams):
         rng.standard_normal(out=a[k])
         rng.standard_normal(out=c[k])
     for planes in (a, c):
@@ -190,7 +188,7 @@ def sample_toy(
     The same seed reproduces the same system bit for bit.
     """
     _check_draws(n_params)
-    a, c = _draw_planes([np.random.default_rng(rng)], 1, n_params)  # a study chunk of one draw
+    a, c = _draw_planes([np.random.default_rng(rng)], n_params)  # a study chunk of one draw
     system = ToySystem(a=_entries(a, 0.5, 1)[0], c=_entries(c, 0.5, 1)[0])
     return system, ToyParams(a_coeffs=np.moveaxis(a[0], 0, -1), c_coeffs=np.moveaxis(c[0], 0, -1))
 
@@ -201,13 +199,19 @@ def sample_toy(
 _CHUNK_ENTRIES = 1 << 15
 
 # Dimensions whose matrices have this many entries are measured two chunks at a
-# time.  Below 10^4 entries OpenBLAS factorizes on one thread, so the bits do
-# not depend on what else runs.  Below 256 the Python work of each draw, which
-# holds the interpreter lock, outweighs what a second thread saves: on 2 cores
-# a draw took 12.7 us alone and 27.5 us paired at N_V = 8, 30.6 and 32.2 us at
-# N_V = 14, and 38.7 and 24.5 us at N_V = 16.  Other dimensions are measured
-# one chunk at a time.
+# time, one on the calling thread and one on the study's one-worker executor,
+# which is given one chunk at a time.  Below 10^4 entries OpenBLAS factorizes
+# on one thread, so the bits do not depend on what else runs.  Below 256 the
+# Python work of each draw, which holds the interpreter lock, outweighs what a
+# second thread saves: on 2 cores a draw took 12.7 us alone and 27.5 us paired
+# at N_V = 8, 30.6 and 32.2 us at N_V = 14, and 38.7 and 24.5 us at N_V = 16.
+# Other dimensions are measured one chunk at a time.
 _PAIRED_ENTRIES = range(16**2, 10**4)
+
+
+def _chunking(nv: int) -> tuple[int, int]:
+    """Draws per chunk of dimension ``nv``, and the chunks in flight at once."""
+    return max(1, _CHUNK_ENTRIES // (nv * nv)), 2 if nv * nv in _PAIRED_ENTRIES else 1
 
 
 def _norm_each(stack: np.ndarray) -> np.ndarray:
@@ -278,82 +282,33 @@ def _measure(a: np.ndarray, c: np.ndarray, norms: bool) -> np.ndarray:
     return rows
 
 
-def _measure_chunk(
-    nv: int, streams: Iterator[np.random.Generator], count: int, theta: float, norms: bool
-) -> np.ndarray:
-    """:func:`_measure` of the next ``count`` study draws of dimension ``nv``,
-    one from each of the next ``count`` streams."""
-    a_planes, c_planes = _draw_planes(streams, count, nv)
+def _measure_chunk(nv: int, streams: Collection[np.random.Generator], theta: float, norms: bool) -> np.ndarray:
+    """:func:`_measure` of the study draws of dimension ``nv``, one from each stream."""
+    a_planes, c_planes = _draw_planes(streams, nv)
     a, c = _entries(a_planes, theta, 1), _entries(c_planes, theta, 1)
     if not (np.isfinite(a).all() and np.isfinite(c).all()):
         raise ValueError("system entries must be finite")
     return _measure(a, c, norms)
 
 
-class _Helper:
-    """One helper thread for a study, started on first use and joined when
-    the ``with`` block ends, that runs one task at a time beside the caller."""
-
-    def __init__(self):
-        import queue  # here, not at the top: commands that run no study never load it
-
-        self._tasks, self._done = queue.SimpleQueue(), queue.SimpleQueue()
-        self._thread: threading.Thread | None = None
-
-    def __enter__(self) -> _Helper:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._thread is not None:
-            self._tasks.put(None)
-            self._thread.join()
-
-    def _work(self) -> None:
-        while (task := self._tasks.get()) is not None:
-            error = None
-            try:
-                task()
-            except BaseException as caught:  # handed to the caller, which raises it
-                error = caught
-            del task  # with it the chunk's streams, before the next dimension seeds its own
-            self._done.put(error)
-
-    def pair(self, here: Callable[[], None], there: Callable[[], None] | None = None) -> None:
-        """Run ``here`` on the calling thread while ``there`` runs on the helper,
-        and return once both have; raise the error of ``here``, else that of ``there``."""
-        if there is None:
-            return here()
-        if self._thread is None:
-            self._thread = threading.Thread(target=self._work, name="rkbudget-study-helper")
-            self._thread.start()
-        self._tasks.put(there)
-        here()  # should it raise, leaving the ``with`` block waits for ``there``
-        error = self._done.get()
-        if error is not None:
-            raise error
-
-
-def _measure_dimension(helper: _Helper, measures: np.ndarray, nv: int, theta: float, seed, norms: bool) -> None:
+def _measure_dimension(helper, measures: np.ndarray, nv: int, theta: float, seed, norms: bool) -> None:
     """Fill ``measures`` with the measures of the study draws of dimension
     ``nv``, draw ``i`` in row ``i``, chunk by chunk.  Where ``nv * nv`` is in
     ``_PAIRED_ENTRIES`` chunk ``2k`` runs on the calling thread while chunk
-    ``2k + 1`` runs on the helper."""
-    samples = len(measures)
-    size = max(1, _CHUNK_ENTRIES // (nv * nv))
-    lanes = 2 if nv * nv in _PAIRED_ENTRIES else 1
-    streams = KeyedStreams((seed, nv), range(samples))
-    # Each lane, chunks j % lanes, walks the streams once; two lanes pass over each other's chunks.
-    walks = [iter(streams) for _ in range(lanes)]
+    ``2k + 1`` runs on the one-worker executor ``helper``."""
+    size, lanes = _chunking(nv)
+    streams = KeyedStreams((seed, nv), range(len(measures)))
 
-    def measure(j: int) -> None:
-        start = j * size
-        skip = size if lanes == 2 and j else 0
-        chunk = itertools.islice(walks[j % lanes], skip, None)
-        measures[start:start + size] = _measure_chunk(nv, chunk, min(size, samples - start), theta, norms)
+    def measure(start: int) -> None:
+        measures[start:start + size] = _measure_chunk(nv, streams[start:start + size], theta, norms)
 
-    chunks = [functools.partial(measure, j) for j in range(-(-samples // size))]
-    for j in range(0, len(chunks), lanes):
-        helper.pair(*chunks[j:j + lanes])
+    starts = range(0, len(measures), size)
+    for j in range(0, len(starts), lanes):
+        there = [helper.submit(measure, start) for start in starts[j + 1:j + lanes]]
+        measure(starts[j])  # should it raise, leaving the executor's ``with`` block waits for ``there``
+        for future in there:
+            future.result()
+    del streams  # empties the cell that the helper's last task may still hold, so the next dimension seeds alone
 
 
 def _study(nv_grid: Iterable[int], samples: int, theta: float, seed, norms: bool) -> list[tuple[int, np.ndarray, int]]:
@@ -364,12 +319,14 @@ def _study(nv_grid: Iterable[int], samples: int, theta: float, seed, norms: bool
     draw ``i`` from the stream ``np.random.default_rng((seed, nv, i))``:
     deterministic and independent of evaluation order.
     """
+    from concurrent.futures import ThreadPoolExecutor  # here, not at the top: commands that run no study never load it
+
     _check_draws(samples=samples)
     grid = list(nv_grid)
     for nv in grid:
         _check_draws(nv)
     rows = np.empty((len(grid), samples, 4 if norms else 1))
-    with _Helper() as helper:
+    with ThreadPoolExecutor(1, thread_name_prefix="rkbudget-study-helper") as helper:
         for nv, measures in zip(grid, rows):
             _measure_dimension(helper, measures, nv, theta, seed, norms)
     out = []

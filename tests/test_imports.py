@@ -2,10 +2,14 @@
 
 Every name a module imports is used in that module, and the closed-form
 modules import no numpy.  The package's ``__init__.py`` is left out: its
-imports are its re-exports.
+imports are its re-exports.  A command that runs no study loads no thread
+pool, logging or numpy.random, which a fresh process checks.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +53,22 @@ def test_every_imported_name_is_used(path):
 def test_closed_form_modules_import_no_numpy(name):
     tree = ast.parse((ROOT / "src" / "rkbudget" / name).read_text())
     assert [m for m, _ in _imports(tree) if m.split(".")[0] == "numpy"] == []
+
+
+def test_commands_that_run_no_study_load_no_thread_pool_logging_or_numpy_random():
+    # concurrent.futures pulls in logging and queue, tens of milliseconds of
+    # every CLI start, and numpy.random about ten more, which only seeded
+    # commands use; the toy studies import concurrent.futures when they run,
+    # so neither the CLI module nor a table request may pull any of them in
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    modules = "{'concurrent.futures', 'logging', 'numpy.random', 'queue'}"
+    code = ("import io, sys, contextlib, rkbudget.cli\n"
+            f"loaded = lambda: sorted({modules} & set(sys.modules))\n"
+            "imported = loaded()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = rkbudget.cli.main(['table'])\n"
+            "print(code, imported, loaded())")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "0 [] []"

@@ -18,9 +18,12 @@ NEP19 = ("rkbudget._streams.KeyedStreams no longer matches np.random.default_rng
 SEEDS = [0, 1, 1000, 2**31 + 5, 2**32 - 1, 2**32, 2**40 + 17, 2**64 + 3, 2**73 + 12345, 2**128 + 9, DEFAULT_SEED]
 
 
-def assert_matches_default_rng(key, indices, draws=3):
+def assert_matches_default_rng(key, indices, draws=3, parts=()):
+    # each of parts, in turn, slices the streams and their indices
     words = _seed_words(key, indices)
     streams = KeyedStreams(key, indices)
+    for part in parts:
+        words, streams, indices = words[part], streams[part], indices[part]
     assert words.shape == (len(streams), 4) == (len(indices), 4)
     for i, seed_words, rng in zip(indices, words, streams, strict=True):
         expected_words = np.random.SeedSequence((*key, i)).generate_state(4, np.uint64)
@@ -41,6 +44,17 @@ def test_toy_study_streams_equal_default_rng(seed):
     # (seed, nv, i) keys, over a chunk that does not start at draw 0
     for nv in (1, 10, 2**32 + 1):
         assert_matches_default_rng((seed, nv), range(29, 41))
+
+
+# empty, past the end, from the end, and a slice of a slice
+@pytest.mark.parametrize(
+    "parts",
+    [(slice(4, 4),), (slice(9, 30),), (slice(30, 40),), (slice(-5, None),), (slice(2, 10), slice(3, 6)),
+     (slice(1, None), slice(2, None), slice(None, 1))],
+    ids=["empty", "past-the-end", "all-past-the-end", "from-the-end", "slice-of-slice", "slice-of-slice-of-slice"],
+)
+def test_sliced_streams_equal_default_rng(parts):
+    assert_matches_default_rng((DEFAULT_SEED, 16), range(29, 41), parts=parts)
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,9 +2,11 @@ import math
 import re
 import sys
 import threading
+import time
 import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import thread as executor_thread
 
 import numpy as np
 import pytest
@@ -331,17 +333,39 @@ def test_a_dimension_s_streams_go_before_the_next_dimension_seeds_its_own(monkey
     assert alive_when_seeding == [0, 0, 0, 0]
 
 
+def test_the_helper_s_last_chunk_leaves_no_streams_behind(monkeypatch):
+    # the executor drops its task some time after the task's result is set:
+    # here 0.2 s later, while the next dimension seeds its streams
+    built, alive_when_seeding = [], []
+    run = executor_thread._WorkItem.run
+
+    def lingering(item):
+        run(item)
+        time.sleep(0.2)
+
+    class RecordedStreams(KeyedStreams):
+        def __init__(self, key, indices):
+            alive_when_seeding.append(sum(ref() is not None for ref in built))
+            super().__init__(key, indices)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(executor_thread._WorkItem, "run", lingering)
+    monkeypatch.setattr(toymodel, "KeyedStreams", RecordedStreams)
+    kappa_study([50, 20], 52, seed=1)  # four chunks of 13 draws at N_V = 50, the last on the helper
+    assert alive_when_seeding == [0, 0]
+
+
 @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
 @pytest.mark.parametrize("failing", ["calling", "helper"])
 def test_a_chunk_error_reaches_the_caller_once_the_chunk_in_flight_ends(monkeypatch, failing, error):
     here, raised = threading.current_thread(), threading.Event()
 
-    def chunk(nv, streams, count, theta, norms):
+    def chunk(nv, streams, theta, norms):
         if (threading.current_thread() is here) == (failing == "calling"):
             raised.set()
             raise error("chunk failed")
         assert raised.wait(timeout=60)  # in flight while the other chunk raises
-        return np.full((count, 1), float(nv))
+        return np.full((len(streams), 1), float(nv))
 
     calls = recording_threads(monkeypatch, chunk)
     monkeypatch.setattr(toymodel, "_CHUNK_ENTRIES", 3 * 50**2)
