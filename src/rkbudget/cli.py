@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 validation failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
 import os
@@ -115,14 +116,21 @@ def _seed(args) -> int:
     return seed
 
 
+# The errors for which Path.exists says False: no such entry, a file where a
+# directory should be, a symlink loop.
+_MISSING = (errno.ENOENT, errno.ENOTDIR, errno.ELOOP)
+
+
 def _load_scenario(args):
     sc = scenario(args.scenario)
     if getattr(args, "overrides", None):
         path = Path(args.overrides)
-        if not path.exists():
-            raise ValueError(f"override file not found: {path}")
-        try:
+        try:  # one read, no stat before it
             sc = apply_overrides(sc, parse_overrides(path.read_text()))
+        except OSError as exc:
+            if exc.errno not in _MISSING:
+                raise
+            raise ValueError(f"override file not found: {path}") from None
         except ValueError as exc:
             raise ValueError(f"bad override file: {exc}") from None
     return sc

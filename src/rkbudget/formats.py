@@ -9,7 +9,9 @@ Dict keys are ``str``; any other key raises ``TypeError``.
 ``json.dumps(..., allow_nan=False)`` gives once the non-finite floats are
 replaced by ``None``; it writes the JSON itself because the standard
 library's C encoder serves only the compact layout, and the indented one
-falls back to a much slower pure-Python encoder.
+falls back to a much slower pure-Python encoder.  A list of dicts that
+share one key order of str keys, as table rows and sweep points do, is
+written from one ``%`` template per list, with the key text encoded once.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ def json_text(payload, indent: int | None = 2, sort_keys: bool = True) -> str:
         inner = pad if step is None else pad + step
         sep = ", " if step is None else "," + inner
         if is_list:
-            if set(map(type, value)) == {float}:
+            types = set(map(type, value))
+            if types == {float}:
                 # a flat run of floats in one join, as fast as the C encoder;
                 # no finite repr holds an "n" or an "i", so "nan", "inf" and
                 # "-inf" are whole cells
@@ -84,11 +87,28 @@ def json_text(payload, indent: int | None = 2, sort_keys: bool = True) -> str:
                     body = body.replace("nan", "null")
                     if "i" in body:
                         body = body.replace("-inf", "null").replace("inf", "null")
+            elif types == {dict}:
+                body = records(value, inner, sep)
             else:
                 body = sep.join([write(v, inner) for v in value])
             return f"[{inner}{body}{pad}]"
         items = sorted(value.items()) if sort_keys else value.items()
         body = sep.join([f"{key(k)}: {write(v, inner)}" for k, v in items])
         return f"{{{inner}{body}{pad}}}"
+
+    def records(rows: list | tuple, pad: str, sep: str) -> str:
+        """The dicts ``rows`` at ``pad``, joined by ``sep``.  Rows that share
+        one key order of str keys fill one template, so each key is encoded
+        once per list rather than once per row."""
+        keys = list(rows[0])
+        if not keys or not all(isinstance(k, str) for k in keys) or any(list(row) != keys for row in rows):
+            return sep.join([write(row, pad) for row in rows])
+        if sort_keys:
+            keys.sort()
+        inner = pad if step is None else pad + step
+        fields = (", " if step is None else "," + inner).join(
+            [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys])
+        template = f"{{{inner}{fields}{pad}}}"
+        return sep.join([template % tuple([write(row[k], inner) for k in keys]) for row in rows])
 
     return write(payload, "" if step is None else "\n")

@@ -4,9 +4,11 @@ The three registered scenarios pin the analytic constants used throughout
 the budget tables: ``classical`` (a one-dimensional exponential-growth ODE
 solved without noise), ``option_pricing`` (a European call priced via the
 log-price heat equation with shot noise) and ``tuned`` (the option-pricing
-setup with constants shifted to favor higher orders).  Override files with
+setup with constants shifted to favor higher orders).  They are built once,
+at import, and shared: the records are frozen.  Override files with
 ``key=value`` lines set, without touching code, the constants that the
-bounds and budgets read, and no other: see :func:`parse_overrides`.
+bounds and budgets read, and no other: see :func:`parse_overrides`;
+:func:`apply_overrides` returns a new record.
 
 The module also carries the Black-Scholes machinery needed as a trusted
 reference: the change of variables onto the heat equation, the call
@@ -106,42 +108,48 @@ class HeatTransform:
     horizon: float
 
 
+_OPTION_PRICING = Scenario(
+    name="option_pricing",
+    pb=ProblemBounds(lip_state=15.0, lip_time=15.0, field_bound=60.0, horizon=0.04, target_error=1e-3),
+    a_max=1.0,
+    b_max=1.0,
+    error_const=5.0,
+    sigma=3.4e8,
+    dims=AnsatzDims(n_params=25, n_strings=1, n_pauli=16),
+)
+_SCENARIOS = {
+    "classical": Scenario(
+        name="classical",
+        pb=ProblemBounds(lip_state=0.5, lip_time=3.1, field_bound=13.0, horizon=5.0, target_error=1e-3),
+        a_max=1.0,
+        b_max=1.0,
+        error_const=5.0,
+    ),
+    "option_pricing": _OPTION_PRICING,
+    "tuned": replace(
+        _OPTION_PRICING,
+        name="tuned",
+        pb=replace(_OPTION_PRICING.pb, lip_state=0.1, horizon=4.0),
+        b_max=0.5,
+        error_const=20.0,
+    ),
+}
+
+
 def scenario(name: str) -> Scenario:
-    """Look up one of the registered parameter scenarios by name."""
-    if name == "classical":
-        return Scenario(
-            name="classical",
-            pb=ProblemBounds(lip_state=0.5, lip_time=3.1, field_bound=13.0, horizon=5.0, target_error=1e-3),
-            a_max=1.0,
-            b_max=1.0,
-            error_const=5.0,
-        )
-    if name == "option_pricing":
-        return Scenario(
-            name="option_pricing",
-            pb=ProblemBounds(lip_state=15.0, lip_time=15.0, field_bound=60.0, horizon=0.04, target_error=1e-3),
-            a_max=1.0,
-            b_max=1.0,
-            error_const=5.0,
-            sigma=3.4e8,
-            dims=AnsatzDims(n_params=25, n_strings=1, n_pauli=16),
-        )
-    if name == "tuned":
-        base = scenario("option_pricing")
-        return replace(
-            base,
-            name="tuned",
-            pb=replace(base.pb, lip_state=0.1, horizon=4.0),
-            b_max=0.5,
-            error_const=20.0,
-        )
-    raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
+    """Look up one of the registered parameter scenarios by name; the record
+    is shared, which its being frozen makes safe."""
+    try:
+        return _SCENARIOS[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}") from None
 
 
 # Override keys and where they land on the Scenario record.
 _PB_KEYS = {"L_fy": "lip_state", "L_ftau": "lip_time", "M": "field_bound", "T": "horizon", "epsilon": "target_error"}
 _SCALAR_KEYS = {"a_max": "a_max", "b_max": "b_max", "K": "error_const", "Sigma": "sigma"}
 _DIM_KEYS = {"N_V": "n_params", "N_d": "n_strings", "N": "n_pauli"}
+_OVERRIDE_KEYS = frozenset({**_PB_KEYS, **_SCALAR_KEYS, **_DIM_KEYS})
 
 
 def parse_overrides(text: str) -> dict[str, float]:
@@ -157,7 +165,7 @@ def parse_overrides(text: str) -> dict[str, float]:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in {**_PB_KEYS, **_SCALAR_KEYS, **_DIM_KEYS}:
+        if key not in _OVERRIDE_KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         overrides[key] = float(value)
     return overrides
@@ -184,15 +192,15 @@ def apply_overrides(base: Scenario, overrides: Mapping[str, float]) -> Scenario:
             dim_kwargs[_DIM_KEYS[key]] = int(value)
         else:
             raise ValueError(f"unknown override key {key!r}")
-    out = base
-    if pb_kwargs:
-        out = replace(out, pb=replace(out.pb, **pb_kwargs))
-    if scalar_kwargs:
-        out = replace(out, **scalar_kwargs)
+    if not (pb_kwargs or scalar_kwargs or dim_kwargs):
+        return base
+    fields = {**vars(base), **scalar_kwargs}
+    if pb_kwargs:  # the records are built directly, a quicker dataclasses.replace
+        fields["pb"] = ProblemBounds(**{**vars(base.pb), **pb_kwargs})
     if dim_kwargs:
-        dims = out.dims if out.dims is not None else AnsatzDims(n_params=1, n_strings=1, n_pauli=1)
-        out = replace(out, dims=replace(dims, **dim_kwargs))
-    return out
+        dims = base.dims if base.dims is not None else AnsatzDims(n_params=1, n_strings=1, n_pauli=1)
+        fields["dims"] = AnsatzDims(**{**vars(dims), **dim_kwargs})
+    return Scenario(**fields)
 
 
 def _checked_scalar(key: str, value: float) -> float:

@@ -7,13 +7,15 @@ defaults (order 2 unless the order itself is swept).  The rescaled
 constant enters the formulas directly, through the problem bounds, the
 method profile or the shot-noise scale, so each point costs one budget row
 and no rebuilt scenario; it is checked as an override file value would be,
-with the same messages.  Because some constants enter the formulas only
-through products, several sweep curves coincide exactly;
-:func:`overlap_check` detects those pairs.
+with the same messages.  The factor grids of the last 16 grid sizes used are
+kept, so a sweep computes its grid only the first time.  Because some
+constants enter the formulas only through products, several sweep curves
+coincide exactly; :func:`overlap_check` detects those pairs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -44,6 +46,16 @@ def default_factors(points: int = DEFAULT_POINTS) -> np.ndarray:
     """``points`` log-spaced scaling factors between 1/8 and 8, including exactly 1."""
     _check_points(points)
     return 2.0 ** np.linspace(-3.0, 3.0, points)
+
+
+@functools.lru_cache(maxsize=16, typed=True)  # typed: 25.0 still reaches linspace, which rejects it
+def _factor_grid(points: int) -> tuple[float, ...]:
+    """:func:`default_factors` as Python floats, kept for the last 16 grid sizes.
+
+    The cache keeps numpy's bits: its ``power`` may take a SIMD path whose
+    last bit differs from Python's ``2.0 ** x`` at some sizes (21 and 23
+    among them), and the sweep outputs are pinned to numpy's."""
+    return tuple(map(float, default_factors(points)))
 
 
 @dataclass(frozen=True)
@@ -79,10 +91,10 @@ def sweep(spec: SweepSpec) -> list[SweepPoint]:
     """Evaluate the sweep curve.
 
     For every target except ``p`` the x-axis is the multiplicative factor
-    applied to that constant, over ``default_factors(spec.points)``, built
-    once per sweep; for ``p`` the curve runs over the integer
-    orders 1..10 (with matching minimal stage counts) and the factor column
-    carries the order.  Infeasible points are flagged in place.
+    applied to that constant, over ``default_factors(spec.points)``, kept
+    per grid size and shared by every sweep; for ``p`` the curve runs
+    over the integer orders 1..10 (with matching minimal stage counts) and
+    the factor column carries the order.  Infeasible points are flagged in place.
 
     Each point is one :func:`~rkbudget.budget.budget_row`.  The rescaled
     constant goes straight to where it enters, checked as an override file
@@ -104,7 +116,7 @@ def sweep(spec: SweepSpec) -> list[SweepPoint]:
     if spec.target == "p":
         return [point(float(p), sc.pb, profile(p)) for p in range(1, 11)]
     key, value, prof = spec.target, override_value(sc, spec.target), profile(spec.order)
-    factors = map(float, default_factors(spec.points))
+    factors = _factor_grid(spec.points)
     if key in _PB_KEYS:
         pb_fields = vars(sc.pb)
         return [point(f, ProblemBounds(**{**pb_fields, _PB_KEYS[key]: value * f}), prof) for f in factors]

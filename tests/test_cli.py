@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -184,6 +185,21 @@ def test_table_with_overrides_matches_tuned(capsys, tmp_path):
     code, out_b, _ = run_cli(capsys, "table", "--scenario", "tuned")
     assert code == 0
     assert out_a == out_b
+
+
+@pytest.mark.parametrize("command", [("table",), ("sweep", "--target", "T")])
+@pytest.mark.parametrize("where", ["missing.txt", "ov.txt/x"])
+def test_a_missing_override_file_exits_2_naming_it(capsys, tmp_path, command, where):
+    (tmp_path / "ov.txt").write_text("T=4\n")
+    path = tmp_path / where
+    code, out, err = run_cli(capsys, *command, "--overrides", str(path))
+    assert (code, out, err) == (2, "", f"error: override file not found: {path}\n")
+
+
+def test_an_override_directory_exits_2_with_the_os_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "table", "--overrides", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path)!r}\n"
 
 
 def test_table_output_file(capsys, tmp_path):

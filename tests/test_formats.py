@@ -124,6 +124,36 @@ def test_json_text_rejects_unsupported_types_like_json_dumps(payload, junk, inde
             json_text(bad, indent=indent, sort_keys=sort_keys)
 
 
+# Lists of records that share one key order, as the table rows and sweep
+# points are: json_text writes them from one template per list.
+record_keys = st.text(st.sampled_from('%"\\\x00\x1f\x7f\n\u00e9\u2028\U0001f600as'), max_size=4)
+record_values = st.one_of(special_floats, st.floats(), st.none(), st.booleans(), st.integers(), strings,
+                          st.lists(st.one_of(special_floats, st.integers(), strings, st.none()), max_size=3))
+
+
+@st.composite
+def record_lists(draw):
+    keys = draw(st.lists(record_keys, min_size=1, max_size=5, unique=True))
+    rows = draw(st.lists(st.lists(record_values, min_size=len(keys), max_size=len(keys)), min_size=1, max_size=6))
+    return [dict(zip(keys, row)) for row in rows]
+
+
+@given(record_lists(), st.sampled_from([2, None]), st.booleans())
+def test_json_text_writes_record_lists_as_json_dumps_does(records, indent, sort_keys):
+    for payload in (records, {"curve": records}, [records, records[:1]]):
+        assert json_text(payload, indent=indent, sort_keys=sort_keys) == reference_json(payload, indent, sort_keys)
+
+
+@pytest.mark.parametrize("indent", [2, None])
+@pytest.mark.parametrize("sort_keys", [True, False])
+def test_json_text_rejects_an_unsupported_leaf_inside_a_record(indent, sort_keys):
+    records = [{"a%s": 1.0, "b": [2]}, {"a%s": 3.0, "b": [object()]}]
+    with pytest.raises(TypeError):
+        reference_json(records, indent, sort_keys)
+    with pytest.raises(TypeError, match="^Object of type object is not JSON serializable$"):
+        json_text(records, indent=indent, sort_keys=sort_keys)
+
+
 @pytest.mark.parametrize("indent", [2, None])
 @pytest.mark.parametrize("payload", [{1: "a", 2.5: [], True: {}, None: 0}, {-0.0: 1}, {3: 1, 1: 2}])
 def test_json_text_rejects_non_string_keys_json_dumps_writes(payload, indent):

@@ -45,7 +45,8 @@ def _used(tree: ast.Module) -> set[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    unused = [name for _, name in _imports(tree) if name not in _used(tree)]
+    used = _used(tree)
+    unused = [name for _, name in _imports(tree) if name not in used]
     assert unused == []
 
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -70,6 +72,26 @@ def test_tuned_registry_values(tuned):
 def test_unknown_scenario():
     with pytest.raises(ValueError, match="unknown scenario"):
         scenario("bogus")
+
+
+@pytest.mark.parametrize("name", ["nope", ["x"], None, 3])
+def test_unknown_scenario_names_the_choices_hashable_or_not(name):
+    message = f"unknown scenario {name!r}; choose from ('classical', 'option_pricing', 'tuned')"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        scenario(name)
+
+
+@pytest.mark.parametrize("name", scenarios.SCENARIO_NAMES)
+def test_overrides_leave_the_shared_registered_record_as_it_was(name):
+    registered = scenario(name)
+    before = copy.deepcopy(registered)
+    overrides = {key: 0.5 * value for key in SWEEP_TARGETS
+                 if key != "p" and (value := override_value(registered, key)) is not None}
+    out = apply_overrides(registered, {**overrides, "N_V": 7, "N_d": 2, "N": 3})
+    assert out != registered
+    assert scenario(name) is registered
+    assert registered == before
+    assert apply_overrides(registered, {}) is registered
 
 
 # -- benchmark ODE ----------------------------------------------------------------

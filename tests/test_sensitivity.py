@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rkbudget import sensitivity
 from rkbudget.budget import budget_row
 from rkbudget.scenarios import SCENARIO_NAMES, apply_overrides, override_value, scenario
 from rkbudget.sensitivity import (
@@ -30,6 +32,16 @@ def test_default_factors_contain_one():
     assert 1.0 in factors
     with pytest.raises(ValueError):
         default_factors(10)
+
+
+@pytest.mark.parametrize("points", [3, 21, 23, 25, 101, 1001])
+def test_the_shared_factor_grid_holds_numpy_s_bits(classical, points):
+    # numpy's power may take a SIMD path whose last bit differs from libm's
+    # 2.0 ** x at some sizes (21 and 23 among them); the pinned sweeps hold numpy's
+    grid = sensitivity._factor_grid(points)
+    assert [f.hex() for f in grid] == [f.hex() for f in map(float, 2.0 ** np.linspace(-3.0, 3.0, points))]
+    assert sensitivity._factor_grid(points) is grid
+    assert [p.factor.hex() for p in run(classical, "T", points=points)] == [f.hex() for f in grid]
 
 
 def test_spec_validation(classical, option_pricing):
