@@ -59,6 +59,12 @@ class ProblemBounds:
                 raise ValueError(f"{name} must be strictly positive")
 
 
+def _check_eta(eta: float) -> None:
+    """An exceedance probability's rule: ``eta`` in (0, 1)."""
+    if not 0.0 < eta < 1.0:  # NaN too
+        raise ValueError(f"eta must lie in (0, 1), got {eta}")
+
+
 def _expm1_safe(x: float) -> float:
     if x > _EXP_OVERFLOW:
         return math.inf

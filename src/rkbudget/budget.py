@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bounds import ProblemBounds, _expm1_safe, _growth_terms
+from .bounds import ProblemBounds, _check_eta, _expm1_safe, _growth_terms
 from .formats import csv_text, json_text
 from .tableaux import MethodProfile, min_stages
 
@@ -249,8 +249,7 @@ def sigma_bound(dims: AnsatzDims, eta: float) -> float:
     worst-case norm surrogates ``|sigma_kl| <= n_params * n_strings**2`` and
     ``|sigma_k| <= n_params * n_strings * n_pauli``.
     """
-    if not 0.0 < eta < 1.0:
-        raise ValueError("eta must lie in (0, 1)")
+    _check_eta(eta)
     nv, nd, nh = dims.n_params, dims.n_strings, dims.n_pauli
     sigma_k_norm = nv * nd * nh
     sigma_kl_norm = nv * nd**2

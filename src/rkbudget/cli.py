@@ -5,12 +5,12 @@ Subcommands: ``table`` (budget tables), ``sweep`` (parameter sensitivity),
 surrogate model), ``validate`` (bound-dominance campaigns) and
 ``convergence`` (empirical order check).  All output is CSV or JSON on
 stdout or a file, numbers in full-precision scientific notation, and every
-random quantity is driven by an explicit seed (default fixed, overridable
-via the RKBUDGET_SEED environment variable), so identical invocations
-produce identical bytes.  The argument parser is built once per process, on
-the first call of :func:`main`.  Its option types apply the library's own
-rules, so a bad value exits 2 with one line (``error: argument --ntau:
-n_steps must be at least 1, got 0``); the commands check what spans options.
+random quantity is driven by ``--seed`` (default ``DEFAULT_SEED``), so an
+output depends only on its command line and the files it names.  The
+argument parser is built once per process, on the first call of
+:func:`main`.  Its option types apply the library's own rules, so a bad
+value exits 2 with one line (``error: argument --ntau: n_steps must be at
+least 1, got 0``); the commands check what spans options.
 
 Exit codes: 0 success, 1 validation failure, 2 usage or configuration error.
 """
@@ -21,7 +21,6 @@ import argparse
 import errno
 import functools
 import math
-import os
 import sys
 from dataclasses import astuple
 from pathlib import Path
@@ -30,15 +29,15 @@ import numpy as np
 
 from . import budget, sensitivity, toymodel
 from ._streams import _index_bytes, _words
+from .bounds import _check_eta
 from .formats import csv_text, json_text
 from .harness import _check_trials, report_record, report_to_json, validate_noiseless_bound, validate_noisy_bound
-from .integrator import (DegenerateSlopeError, _DELTA_RULE, _check_delta, _check_eta, _check_positive, _slab_bytes,
-                         _slope_steps, _step_count, empirical_order)
+from .integrator import (DegenerateSlopeError, _DELTA_RULE, _check_delta, _check_positive, _slab_bytes, _slope_steps,
+                         _step_count, empirical_order)
 from .scenarios import SCENARIO_NAMES, apply_overrides, exp_ode, parse_overrides, scenario
 from .tableaux import BUILTIN_METHODS, builtin_tableau, min_stages
 
 DEFAULT_SEED = 20240817
-SEED_ENV_VAR = "RKBUDGET_SEED"
 # Grid sizes far above the README's (25 sweep points, a 200-point lip grid),
 # so that a mistyped count exits 2 instead of allocating rows or a
 # points x points surface in proportion to it.
@@ -101,19 +100,6 @@ def _check_seed(seed: int) -> None:
         _words(seed)
     except ValueError as exc:
         raise ValueError(f"{exc}, got {seed}") from None
-
-
-def _seed(args) -> int:
-    """The master seed: ``--seed``, else the environment's under the same rule, else ``DEFAULT_SEED``."""
-    if args.seed is not None:
-        return args.seed
-    if (raw := os.environ.get(SEED_ENV_VAR)) is None:
-        return DEFAULT_SEED
-    try:
-        _check_seed(seed := int(raw))
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be a non-negative integer, got {raw}") from None
-    return seed
 
 
 # The errors for which Path.exists says False: no such entry, a file where a
@@ -205,7 +191,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_study(args) -> int:
     nv_max = max(args.nv[0], args.nv[-1])  # max(args.nv) would iterate the range
     _check_size(8 * 5 * nv_max**2, f"--nv {nv_max}")  # one draw's coefficient planes
-    kappa, seed = args.study == "kappa", _seed(args)
+    kappa = args.study == "kappa"
     # per sample: seeding its stream, and its measures (one, or four for the norms) per dimension twice,
     # in the gathered rows and in the well-conditioned rows kept of them; per chunk in flight, 8 floats per
     # matrix entry of its draws (five coefficient planes, A, its inverse and a temporary) and 6 per vector entry
@@ -213,10 +199,10 @@ def _cmd_study(args) -> int:
     chunks = max(lanes * 8 * min(size, args.samples) * (8 * nv * nv + 6 * nv)
                  for nv in args.nv for size, lanes in [toymodel._chunking(nv)])
     _check_size(chunks, f"--nv {nv_max}")  # past 1 GiB only from --nv 4096, one draw per chunk
-    _check_size(args.samples * (_index_bytes((seed, nv_max)) + 2 * measures) + chunks,
+    _check_size(args.samples * (_index_bytes((args.seed, nv_max)) + 2 * measures) + chunks,
                 f"--samples {args.samples} with {len(args.nv)} --nv values")
     study = toymodel.kappa_study if kappa else toymodel.norm_study
-    result = study(args.nv, args.samples, theta=args.theta, seed=seed)
+    result = study(args.nv, args.samples, theta=args.theta, seed=args.seed)
     if args.format == "json":
         def records(points):
             return [dict(zip(toymodel.STUDY_KEYS, astuple(p))) for p in points]
@@ -235,7 +221,7 @@ def _cmd_lip(args) -> int:
     if not math.isfinite(args.hi - args.lo):
         raise ValueError(f"--hi - --lo overflows the float range, got --lo {args.lo} and --hi {args.hi}")
     _check_size(8 * 5 * args.nv**2, f"--nv {args.nv}")  # the draw's coefficient planes
-    _, params = toymodel.sample_toy(args.nv, rng=_seed(args))
+    _, params = toymodel.sample_toy(args.nv, rng=args.seed)
     grid = np.linspace(args.lo, args.hi, args.points)
     surface = toymodel.lip_surface(params, grid, grid)
     _emit(args, json_text({"grid": grid.tolist(), "surface": surface.tolist()}, indent=None) if args.format == "json"
@@ -249,17 +235,16 @@ def _cmd_validate(args) -> int:
     tableau = builtin_tableau(args.method)
     evaluations = args.ntau * tableau.stages  # per trial: one batch steps them all
     request = f"--ntau {args.ntau} with {tableau.stages}-stage --method {args.method}"
-    seed = _seed(args)  # checked at --delta 0 too, as every option is
     if args.delta == 0.0:  # stepping holds only the current state
         _check_size(0, request, evaluations)
         report = validate_noiseless_bound(sc, tableau, [args.ntau])
     else:  # per draw of exp_ode's 1-D noise, 8 bytes of block; per trial, its seeding; one slab's masks and
         # gathers.  One stream's reused draw buffer, 8 bytes per evaluation, stays under the evaluation limit's 32 MB.
         draws = args.trials * evaluations
-        _check_size(8 * draws + args.trials * _index_bytes((seed,)) + _slab_bytes(draws),
+        _check_size(8 * draws + args.trials * _index_bytes((args.seed,)) + _slab_bytes(draws),
                     f"--trials {args.trials} and {request}", evaluations)
         mode = "clipped-gaussian" if args.mode == "clipped" else "gaussian"
-        report = validate_noisy_bound(sc, tableau, args.ntau, args.delta, trials=args.trials, seed=seed,
+        report = validate_noisy_bound(sc, tableau, args.ntau, args.delta, trials=args.trials, seed=args.seed,
                                       mode=mode, eta=args.eta)
     failed = report.violations > 0
     if args.delta != 0.0 and args.mode == "gaussian":
@@ -297,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default=None, help="output path (default stdout)")
         if seeded:
-            p.add_argument("--seed", type=_typed(int, _check_seed), default=None,
-                           help=f"master seed (default {DEFAULT_SEED}, env {SEED_ENV_VAR})")
+            p.add_argument("--seed", type=_typed(int, _check_seed), default=DEFAULT_SEED,
+                           help=f"master seed (default {DEFAULT_SEED})")
         if scenario_default is not None:
             p.add_argument("--scenario", default=scenario_default, help=f"one of {SCENARIO_NAMES}")
             p.add_argument("--overrides", default=None, help="key=value override file applied to the scenario")
@@ -362,9 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    # Safe to share: parse_args leaves the parser unchanged and returns a new
-    # Namespace, and defaults that depend on the environment (the seed) are
-    # read by the commands at call time, not stored in the parser.
+    # Safe to share: parse_args leaves the parser unchanged and returns a new Namespace.
     return build_parser()
 
 

@@ -29,6 +29,8 @@ from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
+from .bounds import _check_eta
+
 __all__ = [
     "NoiseSpec",
     "EvaluationOracle",
@@ -76,12 +78,6 @@ def _check_delta(delta: float) -> None:
     """A noise bound's rule: ``delta`` in ``DELTA_RANGE``."""
     if not DELTA_RANGE[0] <= delta <= DELTA_RANGE[1]:  # NaN too
         raise ValueError(f"{_DELTA_RULE}; got {delta:g}")
-
-
-def _check_eta(eta: float) -> None:
-    """An exceedance probability's rule: ``eta`` in (0, 1)."""
-    if not 0.0 < eta < 1.0:  # NaN too
-        raise ValueError(f"eta must lie in (0, 1), got {eta}")
 
 
 class StepFailureError(RuntimeError):
@@ -222,7 +218,8 @@ class _Stages:
     :func:`rk_step` in the tableau's place at every step, so the stage
     buffer and everything built from ``dt`` are made once per call, not once
     per step.  It holds the flat ``(stages, size)`` stage buffer; per stage
-    ``i``, the coupling row, ``c_i * dt``, the prefix view ``flat[:i]`` and
+    ``i``, the coupling row ``a[i, :i]`` as a read-only view, ``c_i * dt``
+    with the node ``c_i`` a Python float, the prefix view ``flat[:i]`` and
     the row ``flat[i]`` viewed in the state's shape; ``dt`` as a 0-d float64
     array; and the zero vector of the finite check.  Every step overwrites
     the buffer; no state handed to the field or returned aliases it.
@@ -232,16 +229,16 @@ class _Stages:
 
     def __init__(self, tableau, shape: tuple[int, ...], dt: float):
         _check_positive("dt", dt)
-        rows = tableau.stage_rows
-        self.stages = len(rows)
+        a, nodes = tableau.a, tableau.c.tolist()
+        self.stages = len(nodes)
         self.shape = shape
         self.lone = len(shape) == 1  # a sum of buffer rows already has the state's shape
         self.b = tableau.b
         self.h = np.array(dt, dtype=float)
         self.zeros = np.zeros(math.prod(shape))
-        self.flat = flat = np.empty((len(rows), self.zeros.size))
-        ks = flat.reshape((len(rows),) + shape)
-        self.rows = tuple((i, a_row, c_i * dt, flat[:i], ks[i]) for i, (a_row, c_i) in enumerate(rows))
+        self.flat = flat = np.empty((len(nodes), self.zeros.size))
+        ks = flat.reshape((len(nodes),) + shape)
+        self.rows = tuple((i, a[i, :i], c_i * dt, flat[:i], ks[i]) for i, c_i in enumerate(nodes))
 
 
 def rk_step(tableau, oracle: Callable, tau_n: float, y_n: np.ndarray, dt: float) -> np.ndarray:
@@ -251,7 +248,7 @@ def rk_step(tableau, oracle: Callable, tau_n: float, y_n: np.ndarray, dt: float)
     receives stage states of the same shape.  A lone state is a batch of
     one: the stage values fill the rows of one flat ``(stages, size)``
     buffer, through views in ``y_n``'s shape, and the stage sums contract
-    its rows with the tableau's precomputed ``stage_rows``.  So a batch row
+    its rows with the tableau's coupling rows ``a[i, :i]``.  So a batch row
     is stepped by the same arithmetic as a lone state, up to BLAS summation
     order; only a batch's increments are reshaped to its shape.  The stage
     and step sums call ``ndarray.dot``: the same BLAS gemv as the ``@``

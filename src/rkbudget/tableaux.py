@@ -55,12 +55,9 @@ class ButcherTableau:
     name : str, optional
         Identifier used in reports and CLI output.
 
-    ``stage_rows`` holds, per stage ``i``, the coupling row ``a[i, :i]`` as
-    a read-only view and the node ``c[i]`` as a Python float.  They are
-    built once here, so a step does not slice ``a`` or index ``c`` at every
-    stage.  The consistency violations and the coefficient maxima that
-    :func:`profile` reads are computed once here too, since the arrays are
-    read-only.  None of these are fields, and none is in the repr.  Tableaux
+    The consistency violations and the coefficient maxima that
+    :func:`profile` reads are computed once here, since the arrays are
+    read-only.  Neither is a field, and neither is in the repr.  Tableaux
     compare and hash by identity.
     """
 
@@ -83,7 +80,6 @@ class ButcherTableau:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "stage_rows", tuple((a[i, :i], c_i) for i, c_i in enumerate(c.tolist())))
         object.__setattr__(self, "_violations", _violations(a, b, c))
         object.__setattr__(self, "_a_max", float(np.max(np.abs(a))) if len(b) > 1 else 0.0)
         object.__setattr__(self, "_b_max", float(np.max(np.abs(b), initial=0.0)))

@@ -26,6 +26,7 @@ from rkbudget.budget import (
     rows_to_json,
     sigma_bound,
 )
+from rkbudget.integrator import NoiseSpec
 from rkbudget.scenarios import apply_overrides
 from rkbudget.tableaux import MethodProfile, min_stages
 
@@ -247,6 +248,16 @@ def test_sigma_bound_monotonicity():
     assert sigma_bound(AnsatzDims(10, 3, 8), eta=0.1) > ref
     assert sigma_bound(AnsatzDims(10, 2, 9), eta=0.1) > ref
     assert sigma_bound(base, eta=0.05) > ref
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0, 1.5, -0.1, math.nan])
+def test_sigma_bound_rejects_eta_outside_the_unit_interval_as_noise_spec_does(eta):
+    dims = AnsatzDims(n_params=10, n_strings=2, n_pauli=8)
+    with pytest.raises(ValueError) as exc:
+        sigma_bound(dims, eta)
+    with pytest.raises(ValueError) as spec_exc:
+        NoiseSpec(delta=1e-3, eta=eta, mode="gaussian")
+    assert str(exc.value) == str(spec_exc.value) == f"eta must lie in (0, 1), got {eta}"
 
 
 # -- table assembly ------------------------------------------------------------

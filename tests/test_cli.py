@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rkbudget import cli, toymodel
-from rkbudget.cli import DEFAULT_SEED, SEED_ENV_VAR, main
+from rkbudget.cli import DEFAULT_SEED, main
 from rkbudget.harness import report_to_json, validate_noiseless_bound
 from rkbudget.scenarios import SCENARIO_NAMES, scenario
 from rkbudget.sensitivity import SWEEP_MODES, SWEEP_TARGETS
@@ -823,11 +823,13 @@ def test_toy_seed_changes_output(capsys):
     assert out_a != out_b
 
 
-def test_toy_seed_env_override(capsys, monkeypatch):
-    _, out_default, _ = run_cli(capsys, "toy", "kappa", "--nv", "10", "--samples", "30", "--seed", "77")
+def test_toy_seed_ignores_the_environment(capsys, monkeypatch):
+    argv = ("toy", "kappa", "--nv", "10", "--samples", "30")
+    _, out_default, _ = run_cli(capsys, *argv, "--seed", str(DEFAULT_SEED))
+    _, out_77, _ = run_cli(capsys, *argv, "--seed", "77")
     monkeypatch.setenv("RKBUDGET_SEED", "77")
-    _, out_env, _ = run_cli(capsys, "toy", "kappa", "--nv", "10", "--samples", "30")
-    assert out_default == out_env
+    _, out_env, _ = run_cli(capsys, *argv)
+    assert out_env == out_default != out_77
 
 
 def test_toy_norms_c_median(capsys):
@@ -914,10 +916,10 @@ def test_toy_too_few_samples_exits_2_naming_the_option(capsys, study, samples):
     assert out == ""
 
 
-def test_toy_rejects_a_negative_seed_from_the_environment(capsys, monkeypatch):
-    monkeypatch.setenv(SEED_ENV_VAR, "-1")
-    code, out, err = run_cli(capsys, "toy", "lip", "--nv", "4")
-    assert (code, out, err) == (2, "", f"error: {SEED_ENV_VAR} must be a non-negative integer, got -1\n")
+def test_toy_ignores_a_negative_seed_in_the_environment(capsys, monkeypatch):
+    _, out_default, _ = run_cli(capsys, "toy", "lip", "--nv", "4", "--seed", str(DEFAULT_SEED))
+    monkeypatch.setenv("RKBUDGET_SEED", "-1")
+    assert run_cli(capsys, "toy", "lip", "--nv", "4") == (0, out_default, "")
 
 
 def test_toy_lip_two_points_is_the_smallest_grid(capsys):
@@ -1311,12 +1313,11 @@ def test_validate_rejects_bad_inputs_with_or_without_noise(capsys, argv, message
     assert out == ""
 
 
-def test_noiseless_validate_rejects_a_negative_seed_from_the_environment(capsys, monkeypatch):
-    monkeypatch.setenv(SEED_ENV_VAR, "-1")
-    code, out, err = run_cli(capsys, "validate", "--method", "euler", "--delta", "0")
-    assert code == 2
-    assert err == f"error: {SEED_ENV_VAR} must be a non-negative integer, got -1\n"
-    assert out == ""
+def test_noiseless_validate_ignores_a_negative_seed_in_the_environment(capsys, monkeypatch):
+    argv = ("validate", "--method", "euler", "--delta", "0", "--format", "json")
+    _, out_default, _ = run_cli(capsys, *argv, "--seed", str(DEFAULT_SEED))
+    monkeypatch.setenv("RKBUDGET_SEED", "-1")
+    assert run_cli(capsys, *argv) == (0, out_default, "")
 
 
 def test_validate_csv_output(capsys):
@@ -1451,18 +1452,16 @@ def test_options_do_not_leak_between_calls(capsys):
 @pytest.mark.parametrize("env_seed", [None, "77"], ids=["default", "env"])
 def test_seed_does_not_leak_between_calls(capsys, monkeypatch, env_seed):
     argv = ("validate", "--method", "euler", "--delta", "1e-4", "--trials", "5", "--ntau", "10", "--format", "json")
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    monkeypatch.delenv("RKBUDGET_SEED", raising=False)
     _, seeded, _ = run_cli(capsys, *argv, "--seed", "5")
     assert json.loads(seeded)["config"]["seed"] == 5
-    # the environment is read per call, not when the parser was built
-    expected_seed = DEFAULT_SEED
+    # without --seed the seed is DEFAULT_SEED, whatever the environment holds
     if env_seed is not None:
-        monkeypatch.setenv(SEED_ENV_VAR, env_seed)
-        expected_seed = int(env_seed)
+        monkeypatch.setenv("RKBUDGET_SEED", env_seed)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert json.loads(out)["config"]["seed"] == expected_seed
-    _, explicit, _ = run_cli(capsys, *argv, "--seed", str(expected_seed))
+    assert json.loads(out)["config"]["seed"] == DEFAULT_SEED
+    _, explicit, _ = run_cli(capsys, *argv, "--seed", str(DEFAULT_SEED))
     assert out == explicit
 
 

@@ -2,8 +2,11 @@
 
 Every name a module imports is used in that module, and the closed-form
 modules import no numpy.  The package's ``__init__.py`` is left out: its
-imports are its re-exports.  A command that runs no study loads no thread
-pool, logging or numpy.random, which a fresh process checks.
+imports are its re-exports.  No module of the package reads an environment
+variable, so an output depends only on its command line and the files it
+names, and a new switch is an argparse option, which ``test_surface.py``
+pins.  A command that runs no study loads no thread pool, logging or
+numpy.random, which a fresh process checks.
 """
 
 import ast
@@ -21,6 +24,7 @@ MODULES = sorted(
     + list((ROOT / "demos").glob("*.py")),
 )
 NUMPY_FREE = ("bounds.py", "budget.py", "formats.py")
+ENVIRONMENT_READERS = {"environ", "environb", "getenv"}
 
 
 def _imports(tree: ast.Module) -> list[tuple[str, str]]:
@@ -54,6 +58,18 @@ def test_every_imported_name_is_used(path):
 def test_closed_form_modules_import_no_numpy(name):
     tree = ast.parse((ROOT / "src" / "rkbudget" / name).read_text())
     assert [m for m, _ in _imports(tree) if m.split(".")[0] == "numpy"] == []
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "rkbudget").glob("*.py")), ids=lambda p: p.name)
+def test_package_modules_read_no_environment_variable(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    os_names = {alias.asname or "os" for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names if alias.name.split(".")[0] == "os"}
+    reads = [f"os.{node.attr}" for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id in os_names and node.attr in ENVIRONMENT_READERS]
+    reads += [f"from os import {alias.name}" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              and node.module == "os" for alias in node.names if alias.name in ENVIRONMENT_READERS]
+    assert reads == []
 
 
 def test_commands_that_run_no_study_load_no_thread_pool_logging_or_numpy_random():

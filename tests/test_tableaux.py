@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rkbudget.integrator import _Stages
 from rkbudget.tableaux import (
     BUILTIN_METHODS,
     ButcherTableau,
@@ -203,17 +204,20 @@ def test_tableau_equality_is_by_identity(name):
 
 @given(any_tableau())
 def test_stage_rows_are_read_only_views_of_a_and_float_nodes(tableau):
-    assert len(tableau.stage_rows) == tableau.stages
-    for i, (a_row, c_i) in enumerate(tableau.stage_rows):
+    # an integration binds the rows once; at dt 1 each c_i * dt is the node itself
+    rows = _Stages(tableau, (1,), 1.0).rows
+    assert len(rows) == tableau.stages
+    for i, (index, a_row, c_dt, _, _) in enumerate(rows):
+        assert index == i
         assert a_row.base is tableau.a
         assert not a_row.flags.writeable
         assert a_row.tobytes() == tableau.a[i, :i].tobytes()
-        assert type(c_i) is float and c_i.hex() == float(tableau.c[i]).hex()
+        assert type(c_dt) is float and c_dt.hex() == float(tableau.c[i]).hex()
 
 
 def test_stage_rows_leave_repr_alone():
     t = builtin_tableau("rk4")
-    assert "stage_rows" not in repr(t)
+    assert not any(name in repr(t) for name in ("_violations", "_a_max", "_b_max"))
     assert repr(t).startswith("ButcherTableau(a=array(")
     rebuilt = ButcherTableau(a=t.a, b=t.b, c=t.c, order=t.order, name=t.name)
     assert repr(rebuilt) == repr(t)
