@@ -12,6 +12,7 @@ so that tiny ``F`` loses no precision and huge exponents degrade to
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -63,6 +64,13 @@ def _check_eta(eta: float) -> None:
     """An exceedance probability's rule: ``eta`` in (0, 1)."""
     if not 0.0 < eta < 1.0:  # NaN too
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
+
+
+def _integer(value, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what}, got {value!r}") from None
 
 
 def _expm1_safe(x: float) -> float:

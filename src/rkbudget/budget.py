@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import contextlib
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bounds import ProblemBounds, _check_eta, _expm1_safe, _growth_terms
+from .bounds import ProblemBounds, _check_eta, _expm1_safe, _growth_terms, _integer
 from .formats import csv_text, json_text
 from .tableaux import MethodProfile, min_stages
 
@@ -283,13 +282,6 @@ def budget_table(
 
     anchor = row_for(1, None)
     return [anchor if p == 1 else row_for(p, anchor.cost) for p in orders]
-
-
-def _integer(value, what: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what}, got {value!r}") from None
 
 
 def argmin_order(rows: Sequence[BudgetRow]) -> int:

@@ -192,15 +192,9 @@ def _cmd_study(args) -> int:
     nv_max = max(args.nv[0], args.nv[-1])  # max(args.nv) would iterate the range
     _check_size(8 * 5 * nv_max**2, f"--nv {nv_max}")  # one draw's coefficient planes
     kappa = args.study == "kappa"
-    # per sample: seeding its stream, and its measures (one, or four for the norms) per dimension twice,
-    # in the gathered rows and in the well-conditioned rows kept of them; per chunk in flight, 8 floats per
-    # matrix entry of its draws (five coefficient planes, A, its inverse and a temporary) and 6 per vector entry
-    measures = 8 * (1 if kappa else 4) * len(args.nv)
-    chunks = max(lanes * 8 * min(size, args.samples) * (8 * nv * nv + 6 * nv)
-                 for nv in args.nv for size, lanes in [toymodel._chunking(nv)])
+    chunks, total = toymodel._study_bytes(args.nv, args.samples, args.seed, not kappa)
     _check_size(chunks, f"--nv {nv_max}")  # past 1 GiB only from --nv 4096, one draw per chunk
-    _check_size(args.samples * (_index_bytes((args.seed, nv_max)) + 2 * measures) + chunks,
-                f"--samples {args.samples} with {len(args.nv)} --nv values")
+    _check_size(total, f"--samples {args.samples} with {len(args.nv)} --nv values")
     study = toymodel.kappa_study if kappa else toymodel.norm_study
     result = study(args.nv, args.samples, theta=args.theta, seed=args.seed)
     if args.format == "json":
@@ -220,7 +214,7 @@ def _cmd_lip(args) -> int:
         raise ValueError(f"--lo must be below --hi, got {args.lo} >= {args.hi}")
     if not math.isfinite(args.hi - args.lo):
         raise ValueError(f"--hi - --lo overflows the float range, got --lo {args.lo} and --hi {args.hi}")
-    _check_size(8 * 5 * args.nv**2, f"--nv {args.nv}")  # the draw's coefficient planes
+    _check_size(toymodel._lip_bytes(args.nv, args.points), f"--nv {args.nv}")
     _, params = toymodel.sample_toy(args.nv, rng=args.seed)
     grid = np.linspace(args.lo, args.hi, args.points)
     surface = toymodel.lip_surface(params, grid, grid)

@@ -77,17 +77,7 @@ def json_text(payload, indent: int | None = 2, sort_keys: bool = True) -> str:
         inner = pad if step is None else pad + step
         sep = ", " if step is None else "," + inner
         if is_list:
-            types = set(map(type, value))
-            if types == {float}:
-                # a flat run of floats in one join, as fast as the C encoder;
-                # no finite repr holds an "n" or an "i", so "nan", "inf" and
-                # "-inf" are whole cells
-                body = sep.join(map(repr, value))
-                if "n" in body:
-                    body = body.replace("nan", "null")
-                    if "i" in body:
-                        body = body.replace("-inf", "null").replace("inf", "null")
-            elif types == {dict}:
+            if set(map(type, value)) == {dict}:
                 body = records(value, inner, sep)
             else:
                 body = sep.join([write(v, inner) for v in value])

@@ -23,13 +23,12 @@ float64 stage state it is handed without converting it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
-from .bounds import _check_eta
+from .bounds import _check_eta, _integer
 
 __all__ = [
     "NoiseSpec",
@@ -293,10 +292,7 @@ def rk_step(tableau, oracle: Callable, tau_n: float, y_n: np.ndarray, dt: float)
 
 def _step_count(n_steps) -> int:
     """``n_steps`` as an ``int`` of at least 1; 10.5 raises ValueError."""
-    try:
-        n_steps = operator.index(n_steps)
-    except TypeError:
-        raise ValueError(f"n_steps must be an integer, got {n_steps!r}") from None
+    n_steps = _integer(n_steps, "n_steps must be an integer")
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     return int(n_steps)

@@ -44,8 +44,6 @@ __all__ = [
     "recover_price",
 ]
 
-SCENARIO_NAMES = ("classical", "option_pricing", "tuned")
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -134,6 +132,7 @@ _SCENARIOS = {
         error_const=20.0,
     ),
 }
+SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
 def scenario(name: str) -> Scenario:

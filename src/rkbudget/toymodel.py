@@ -38,7 +38,7 @@ from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
-from ._streams import KeyedStreams
+from ._streams import KeyedStreams, _index_bytes
 from .formats import FLOAT_FORMAT, csv_text
 
 __all__ = [
@@ -212,6 +212,22 @@ _PAIRED_ENTRIES = range(16**2, 10**4)
 def _chunking(nv: int) -> tuple[int, int]:
     """Draws per chunk of dimension ``nv``, and the chunks in flight at once."""
     return max(1, _CHUNK_ENTRIES // (nv * nv)), 2 if nv * nv in _PAIRED_ENTRIES else 1
+
+
+def _study_bytes(nv_grid: Sequence[int], samples: int, seed, norms: bool) -> tuple[int, int]:
+    """Bytes that a study of ``samples`` draws per dimension holds at most: in
+    its chunks in flight, and in all.
+
+    Per chunk in flight, 8 floats per matrix entry of its draws (five
+    coefficient planes, A, its inverse and a temporary) and 6 per vector
+    entry; per sample, seeding its stream, and its measures (one, or four for
+    the norms) per dimension twice, in the gathered rows and in the
+    well-conditioned rows kept of them.
+    """
+    chunks = max(lanes * 8 * min(size, samples) * (8 * nv * nv + 6 * nv)
+                 for nv in nv_grid for size, lanes in [_chunking(nv)])
+    measures = 8 * (4 if norms else 1) * len(nv_grid)
+    return chunks, samples * (_index_bytes((seed, max(nv_grid[0], nv_grid[-1]))) + 2 * measures) + chunks
 
 
 def _norm_each(stack: np.ndarray) -> np.ndarray:
@@ -393,7 +409,7 @@ def lip_surface(params: ToyParams, grid1: np.ndarray, grid2: np.ndarray) -> np.n
     grid2 = np.asarray(grid2, dtype=float)
     # One stacked solve per chunk of distinct inputs; a singular one leaves its row NaN.
     thetas, index = np.unique(np.concatenate([grid1, grid2]), return_inverse=True)
-    size = max(1, _CHUNK_ENTRIES // params.n_params**2)
+    size = _chunking(params.n_params)[0]
     solutions = np.concatenate([
         _solve(_entries(params.a_coeffs, t[:, None, None]), _entries(params.c_coeffs, t[:, None]))
         for t in np.split(thetas, range(size, len(thetas), size))
@@ -406,6 +422,22 @@ def lip_surface(params: ToyParams, grid1: np.ndarray, grid2: np.ndarray) -> np.n
             out[:] = _norm_each(f2 - fa) / np.abs(t1 - grid2)
     surface[grid1[:, None] == grid2] = np.nan  # undefined there, not merely 0/0
     return surface
+
+
+def _lip_bytes(nv: int, points: int) -> int:
+    """Bytes that :func:`sample_toy` of dimension ``nv`` and then
+    :func:`lip_surface` over one grid of ``points`` inputs hold at most.
+
+    The draw's coefficient planes; one chunk of thetas, 3 floats per matrix
+    entry (the entries, the sine temporary and the solve's copy) and 4 per
+    vector entry; per input, its solution four times (solved, concatenated
+    and gathered for each side) and 8 floats for the grid, its unique values
+    and their indices; per cell of the surface, its float and its diagonal
+    mask, whose broadcast comparison holds 128 kB of numpy buffers.
+    """
+    size = min(_chunking(nv)[0], points)
+    return (8 * (5 * nv * (nv + 1) + size * (3 * nv * nv + 4 * nv) + points * (4 * nv + 8)) + 9 * points**2
+            + (1 << 17))
 
 
 def _disturbed_system(a, c, xi: float) -> tuple[np.ndarray, np.ndarray]:

@@ -1131,7 +1131,7 @@ def test_steps_that_cannot_be_taken_exit_2_naming_the_option(capsys, tmp_path, a
          "--trials 1000 and --ntau 1000000000000 with 1-stage --method euler"
          " would build an array of up to 8e+15 bytes"),
         ("toy kappa --nv 100000 --samples 30", "--nv 100000 would build an array of up to 4e+11 bytes"),
-        ("toy lip --nv 100000", "--nv 100000 would build an array of up to 4e+11 bytes"),
+        ("toy lip --nv 100000", "--nv 100000 would build an array of up to 6.41e+11 bytes"),
         ("toy kappa --nv 4096 --samples 30", "--nv 4096 would build an array of up to 1.07e+09 bytes"),
         ("toy norms --nv 10:20 --samples 40000000",
          "--samples 40000000 with 11 --nv values would build an array of up to 3.46e+10 bytes"),
@@ -1219,6 +1219,40 @@ def test_a_toy_study_holds_no_more_than_the_size_check_counts(capsys, monkeypatc
     run_cli(capsys, *argv, "30")  # first-use imports and caches, traced but not compared
     assert run_cli(capsys, *argv, str(samples))[0] == 0
     assert 32 * samples < peaks[-1] <= counted[-1]
+
+
+# The draw's coefficient planes, all that was once counted, dominate the
+# first: a 4.07 MB peak against a count of 2.5 MB.  The second holds chunks
+# of thetas and solutions, a 0.71 MB peak once counted as 0.025 MB, and the
+# surface with its diagonal mask dominates the last, 9.2 MB once counted as
+# 160 bytes.
+@pytest.mark.parametrize("nv, points", [(250, 20), (25, 200), (2, 1000)])
+def test_a_lip_surface_holds_no_more_than_the_size_check_counts(capsys, monkeypatch, nv, points):
+    counted, peaks = [], []
+    check_size, sample, surface = cli._check_size, toymodel.sample_toy, toymodel.lip_surface
+
+    def recording(nbytes, request, evaluations=0):
+        counted.append(nbytes)
+        check_size(nbytes, request, evaluations)
+
+    def traced_from(*args, **kwargs):
+        tracemalloc.start()
+        return sample(*args, **kwargs)
+
+    def traced_to(*args, **kwargs):
+        try:
+            return surface(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_check_size", recording)
+    monkeypatch.setattr(toymodel, "sample_toy", traced_from)
+    monkeypatch.setattr(toymodel, "lip_surface", traced_to)
+    argv = ("toy", "lip", "--nv", str(nv), "--seed", "42", "--points")
+    run_cli(capsys, *argv, "3")  # first-use imports and caches, traced but not compared
+    assert run_cli(capsys, *argv, str(points))[0] == 0
+    assert 8 * (5 * nv * nv + points * points) < peaks[-1] <= counted[-1]
 
 
 # The first three once passed every check and stepped for about half an

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+import rkbudget
 from rkbudget import cli
 from rkbudget.scenarios import _DIM_KEYS, _PB_KEYS, _SCALAR_KEYS
 
@@ -103,6 +104,17 @@ def test_cli_options_override_keys_and_library_settable_values_are_pinned():
     modules = [importlib.import_module(f"rkbudget.{name}") for name in LIBRARY_MODULES]
     public = [getattr(module, name) for module in modules for name in module.__all__]
     assert (sum(map(settable_values, public)), len(public)) == (SETTABLE_VALUES, PUBLIC_NAMES)
+
+
+def test_the_package_exports_exactly_the_public_names_of_its_modules():
+    # the modules' __all__ lists are the one list of public names: each
+    # resolves from the package to its module's object, and nothing else does
+    exported = set()
+    for module in (importlib.import_module(f"rkbudget.{name}") for name in LIBRARY_MODULES):
+        assert [name for name in module.__all__ if getattr(rkbudget, name) is not getattr(module, name)] == []
+        exported |= set(module.__all__)
+    public = {name for name, value in vars(rkbudget).items() if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == exported
 
 
 @pytest.mark.parametrize(
