@@ -28,10 +28,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .bounds import global_error_bound_noiseless, global_error_bound_noisy
+from .bounds import _integer, global_error_bound_noiseless, global_error_bound_noisy
 from .formats import json_text
-from ._streams import KeyedStreams
-from .integrator import NoiseSpec, _check_positive, _error_norm, _step_count, integrate
+from ._streams import KeyedStreams, _index_bytes
+from .integrator import NoiseSpec, _check_positive, _error_norm, _slab_bytes, _step_count, integrate
 from .scenarios import Scenario, exp_ode
 from .tableaux import ButcherTableau, profile
 
@@ -68,18 +68,36 @@ class CampaignReport:
     def exceedance_rate(self) -> float:
         return self.delta_exceedances / self.evaluations if self.evaluations else 0.0
 
+    @property
+    def failed(self) -> bool:
+        """The verdict: any violation fails a campaign, except in ``gaussian`` mode, whose
+        per-evaluation bound is only probabilistic: there an exceedance rate past ``eta``
+        with three-sigma binomial slack fails it."""
+        if self.config.get("mode") != "gaussian":
+            return self.violations > 0
+        eta = self.config["eta"]
+        return self.exceedance_rate > eta + 3.0 * math.sqrt(eta * (1.0 - eta) / max(self.evaluations, 1))
 
-def _tally(realized, bound) -> tuple[int, float]:
-    """Violations and worst margin ``realized / bound`` of final errors.
 
-    An exact result has margin 0, and a nonzero error against a bound that
-    underflowed to 0 has margin inf.  An undefined margin (an overflowed
-    error against an overflowed bound) does not count towards the worst.
-    """
+def _frame(sc: Scenario, tableau: ButcherTableau):
+    """The ODE every campaign steps, the method's profile on the scenario and the exact final state."""
+    problem = exp_ode()
+    return problem, profile(tableau, sc.error_const), problem.exact(sc.pb.horizon)
+
+
+def _report(campaign: str, sc: Scenario, tableau: ButcherTableau, n_steps, realized, bound, trials: int,
+            evaluations: int, delta_exceedances: int = 0, **noisy) -> CampaignReport:
+    """A campaign's report, its config's noisy keys last, with the violations and
+    the worst margin ``realized / bound`` of its final errors.  An exact result has
+    margin 0, and a nonzero error against a bound that underflowed to 0 has margin
+    inf.  An undefined margin (an overflowed error against an overflowed bound)
+    does not count towards the worst."""
     realized = np.asarray(realized, dtype=float)
     with np.errstate(all="ignore"):  # x / 0 and ratios past the float range read inf; 0 / 0 is set to 0
         margin = np.where(realized == 0.0, 0.0, realized / bound)
-    return int(np.count_nonzero(realized > bound)), float(np.fmax.reduce(margin, initial=0.0))
+    config = {"campaign": campaign, "scenario": sc.name, "method": tableau.name, "n_steps": n_steps, **noisy}
+    return CampaignReport(config, trials, int(np.count_nonzero(realized > bound)), evaluations, delta_exceedances,
+                          float(np.fmax.reduce(margin, initial=0.0)))
 
 
 def validate_noiseless_bound(sc: Scenario, tableau: ButcherTableau, n_steps_list: Iterable[int]) -> CampaignReport:
@@ -88,31 +106,29 @@ def validate_noiseless_bound(sc: Scenario, tableau: ButcherTableau, n_steps_list
     Integration is deterministic here, so each step count either holds or
     fails outright.
     """
-    problem = exp_ode()
-    prof = profile(tableau, sc.error_const)
-    reference = problem.exact(sc.pb.horizon)
+    problem, prof, reference = _frame(sc, tableau)
     n_steps_list = [_step_count(n) for n in n_steps_list]
     realized = [_error_norm(integrate(tableau, problem.field, problem.y0, 0.0, sc.pb.horizon, n).final - reference)
                 for n in n_steps_list]
-    violations, worst = _tally(realized, [global_error_bound_noiseless(sc.pb, prof, n) for n in n_steps_list])
-    config = {
-        "campaign": "noiseless-dominance",
-        "scenario": sc.name,
-        "method": tableau.name,
-        "n_steps": n_steps_list,
-    }
-    return CampaignReport(
-        config=config,
-        trials=len(n_steps_list),
-        violations=violations,
-        evaluations=sum(n_steps_list) * tableau.stages,
-        worst_margin=worst,
-    )
+    return _report("noiseless-dominance", sc, tableau, n_steps_list, realized,
+                   [global_error_bound_noiseless(sc.pb, prof, n) for n in n_steps_list], trials=len(n_steps_list),
+                   evaluations=sum(n_steps_list) * tableau.stages)
 
 
-def _check_trials(trials: int) -> None:
+def _check_trials(trials) -> int:
+    """``trials`` as an ``int`` of at least 0; 2.5 raises ValueError."""
+    trials = int(_integer(trials, "trials must be an integer"))
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
+    return trials
+
+
+def _campaign_bytes(trials: int, evaluations: int, seed: int) -> int:
+    """The most bytes a noisy campaign holds, besides array headers: 8 per component of
+    its noise block, each trial's seeding and one slab's masks and gathers.  One stream's
+    reused draw buffer, 8 per evaluation and component, stays under 32 MB in the CLI."""
+    components = trials * evaluations * exp_ode().y0.size
+    return 8 * components + trials * _index_bytes((seed,)) + _slab_bytes(components)
 
 
 def validate_noisy_bound(sc: Scenario, tableau: ButcherTableau, n_steps: int, delta: float, trials: int = 1000,
@@ -131,11 +147,9 @@ def validate_noisy_bound(sc: Scenario, tableau: ButcherTableau, n_steps: int, de
     built, before anything is drawn.
     """
     noise = NoiseSpec(delta, eta, mode)
-    _check_trials(trials)
+    trials = _check_trials(trials)
     n_steps = _step_count(n_steps)
-    problem = exp_ode()
-    prof = profile(tableau, sc.error_const)
-    reference = problem.exact(sc.pb.horizon)
+    problem, prof, reference = _frame(sc, tableau)
     bound = global_error_bound_noisy(sc.pb, prof, n_steps, delta)
     streams = KeyedStreams((seed,), range(trials))
     count = n_steps * tableau.stages
@@ -154,25 +168,8 @@ def validate_noisy_bound(sc: Scenario, tableau: ButcherTableau, n_steps: int, de
                            f" the noise block holds {count}") from None
     if left := operator.length_hint(slabs):
         raise RuntimeError(f"stepping made {count - left} field evaluations per trial, the noise block holds {count}")
-    violations, worst = _tally(_error_norm(traj.final - reference), bound)
-    config = {
-        "campaign": "noisy-dominance",
-        "scenario": sc.name,
-        "method": tableau.name,
-        "n_steps": n_steps,
-        "delta": delta,
-        "mode": mode,
-        "eta": eta,
-        "seed": seed,
-    }
-    return CampaignReport(
-        config=config,
-        trials=trials,
-        violations=violations,
-        evaluations=count * trials,
-        delta_exceedances=exceedances,
-        worst_margin=worst,
-    )
+    return _report("noisy-dominance", sc, tableau, n_steps, _error_norm(traj.final - reference), bound, trials,
+                   count * trials, exceedances, delta=delta, mode=mode, eta=eta, seed=seed)
 
 
 def shots_to_delta(sigma: float, n_shots: float) -> float:

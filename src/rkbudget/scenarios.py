@@ -155,8 +155,9 @@ def parse_overrides(text: str) -> dict[str, float]:
     """Parse ``key=value`` lines; blank lines and ``#`` comments allowed.
 
     The keys are ``T, K, M, L_fy, L_ftau, epsilon, a_max, b_max, Sigma`` and
-    the ansatz dimensions ``N_V, N_d, N``."""
+    the ansatz dimensions ``N_V, N_d, N``, each set once; every error names its line."""
     overrides: dict[str, float] = {}
+    lines: dict[str, int] = {}  # the line that set each key
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -166,7 +167,12 @@ def parse_overrides(text: str) -> dict[str, float]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _OVERRIDE_KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        overrides[key] = float(value)
+        if (first := lines.setdefault(key, lineno)) != lineno:
+            raise ValueError(f"line {lineno}: key {key!r} is already set on line {first}")
+        try:
+            overrides[key] = float(value)
+        except ValueError:
+            raise ValueError(f"line {lineno}: {key} must be a number, got {value!r}") from None
     return overrides
 
 

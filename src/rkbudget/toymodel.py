@@ -420,7 +420,7 @@ def lip_surface(params: ToyParams, grid1: np.ndarray, grid2: np.ndarray) -> np.n
     with np.errstate(divide="ignore", invalid="ignore"):
         for out, t1, fa in zip(surface, grid1, f1):
             out[:] = _norm_each(f2 - fa) / np.abs(t1 - grid2)
-    surface[grid1[:, None] == grid2] = np.nan  # undefined there, not merely 0/0
+            out[t1 == grid2] = np.nan  # undefined there, not merely 0/0
     return surface
 
 
@@ -431,13 +431,12 @@ def _lip_bytes(nv: int, points: int) -> int:
     The draw's coefficient planes; one chunk of thetas, 3 floats per matrix
     entry (the entries, the sine temporary and the solve's copy) and 4 per
     vector entry; per input, its solution four times (solved, concatenated
-    and gathered for each side) and 8 floats for the grid, its unique values
-    and their indices; per cell of the surface, its float and its diagonal
-    mask, whose broadcast comparison holds 128 kB of numpy buffers.
+    and gathered for each side), 8 floats for the grid, its unique values
+    and their indices, and a byte of one row's mask of coinciding inputs;
+    per cell of the surface, its float.
     """
     size = min(_chunking(nv)[0], points)
-    return (8 * (5 * nv * (nv + 1) + size * (3 * nv * nv + 4 * nv) + points * (4 * nv + 8)) + 9 * points**2
-            + (1 << 17))
+    return 8 * (5 * nv * (nv + 1) + size * (3 * nv * nv + 4 * nv) + points * (4 * nv + 8) + points**2) + points
 
 
 def _disturbed_system(a, c, xi: float) -> tuple[np.ndarray, np.ndarray]:

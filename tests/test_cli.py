@@ -1566,3 +1566,11 @@ def test_override_keys_no_formula_reads_are_unknown(capsys, tmp_path, key, argv)
     code, out, err = run_with_overrides(capsys, tmp_path, f"{key}=0.5\n", *argv, "--scenario", "option_pricing")
     assert (code, out) == (2, "")
     assert err == f"error: bad override file: line 1: unknown key {key!r}\n"
+
+
+@pytest.mark.parametrize("text, message", [("K=abc\n", "line 1: K must be a number, got 'abc'"),
+                                           ("K=2\nK=3\n", "line 2: key 'K' is already set on line 1")],
+                         ids=["not-a-number", "set-twice"])
+def test_an_override_file_error_names_its_line(capsys, tmp_path, text, message):
+    code, out, err = run_with_overrides(capsys, tmp_path, text, "table")
+    assert (code, out, err) == (2, "", f"error: bad override file: {message}\n")

@@ -11,6 +11,7 @@ import pytest
 from rkbudget import harness
 from rkbudget.bounds import global_error_bound_noisy
 from rkbudget.harness import (
+    CampaignReport,
     report_to_json,
     shots_to_delta,
     validate_noiseless_bound,
@@ -226,6 +227,19 @@ def test_noisy_campaign_rejects_negative_trials(classical):
     assert (empty.trials, empty.evaluations, empty.worst_margin) == (0, 0, 0.0)
 
 
+@pytest.mark.parametrize("trials, message", [(2.5, "2.5"), ("3", "'3'")], ids=["float", "str"])
+def test_noisy_campaign_rejects_a_fractional_or_non_integer_trial_count(classical, trials, message):
+    with pytest.raises(ValueError, match=f"^trials must be an integer, got {message}$"):
+        validate_noisy_bound(classical, builtin_tableau("euler"), n_steps=10, delta=1e-3, trials=trials)
+
+
+def test_noisy_campaign_stores_its_trial_count_as_an_int(classical):
+    report = validate_noisy_bound(classical, builtin_tableau("euler"), n_steps=10, delta=1e-3, trials=True)
+    assert type(report.trials) is int
+    assert json.loads(report_to_json(report))["trials"] == 1
+    assert '"trials": 1,' in report_to_json(report)  # not "true"
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [
@@ -345,3 +359,36 @@ def test_exact_tail_check_catches_doubled_noise_scale(classical):
     lo, hi = poisson_interval(GAUSSIAN_TAIL * report.evaluations)
     assert report.exceedance_rate == pytest.approx(math.erfc(math.sqrt(1.0 / 0.4)), rel=0.05)
     assert not lo <= report.delta_exceedances <= hi
+
+
+@pytest.mark.parametrize("horizon, failed", [(5.0, True), (1e-300, False)])
+def test_a_noiseless_campaign_fails_on_a_violation(classical, horizon, failed):
+    # M * K underflows, so the bound is 0: any error violates it, and T=1e-300 makes none
+    pb = replace(classical.pb, field_bound=1e-300, horizon=horizon)
+    report = validate_noiseless_bound(replace(classical, pb=pb, error_const=1e-300), builtin_tableau("rk4"), [100])
+    assert report.failed is failed
+
+
+def test_a_clipped_campaign_fails_on_a_violation_whatever_its_exceedances(classical):
+    report = validate_noisy_bound(classical, builtin_tableau("euler"), n_steps=100, delta=1e-4, trials=100, seed=5)
+    assert report.failed is False
+    config = {"mode": "clipped-gaussian", "eta": 0.05}
+    assert CampaignReport(config, 10, 0, 1000, 1000).failed is False  # every draw clipped, no violation
+    assert CampaignReport(config, 10, 1, 1000, 0).failed is True
+
+
+def test_a_gaussian_campaign_fails_past_its_exceedance_allowance_only():
+    # eta 0.5 over 36 evaluations: the allowance 0.5 + 3 * sqrt(0.25 / 36) is 0.75, 27 exceedances exactly
+    config = {"mode": "gaussian", "eta": 0.5}
+    assert CampaignReport(config, 2, 0, 36, 27).failed is False
+    assert CampaignReport(config, 2, 0, 36, 28).failed is True
+
+
+def test_a_gaussian_campaign_with_violations_and_an_in_band_exceedance_rate_does_not_fail(classical):
+    report = validate_noisy_bound(classical, builtin_tableau("rk4"), n_steps=50, delta=1e-3, trials=20, seed=3,
+                                  mode="gaussian")
+    assert report.failed is False
+    violated = CampaignReport(report.config, report.trials, report.trials, report.evaluations,
+                              report.delta_exceedances, math.inf)
+    assert violated.failed is False
+    assert replace(violated, config={**report.config, "mode": "clipped-gaussian"}).failed is True

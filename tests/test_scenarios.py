@@ -343,6 +343,22 @@ def test_parse_overrides_rejects_unknown_key():
         parse_overrides("L_fz=0.1\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("T=1\nK=abc\n", "line 2: K must be a number, got 'abc'"),
+        ("M = \n", "line 1: M must be a number, got ''"),
+        ("K=2\n# comment\nK=3\n", "line 3: key 'K' is already set on line 1"),
+        ("K=2\nL_fy=0.1\nK=2\n", "line 3: key 'K' is already set on line 1"),
+    ],
+    ids=["not-a-number", "empty-value", "set-twice", "set-twice-alike"],
+)
+def test_parse_overrides_names_the_line_and_key_of_every_error(text, message):
+    with pytest.raises(ValueError) as raised:
+        parse_overrides(text)
+    assert str(raised.value) == message
+
+
 def test_apply_overrides_reproduces_tuned(option_pricing, tuned):
     overridden = apply_overrides(option_pricing, parse_overrides("b_max=0.5\nL_fy=0.1\nT=4\nK=20\n"))
     assert overridden.pb == tuned.pb
